@@ -55,8 +55,6 @@ use crate::wal::WriteAheadLog;
 
 /// Physical page reads (buffer-pool misses), all [`DiskStore`]s combined.
 static PAGE_READS: ossm_obs::Counter = ossm_obs::Counter::new("data.disk.page_reads");
-/// Page requests served by a buffer pool, all [`DiskStore`]s combined.
-static POOL_HITS: ossm_obs::Counter = ossm_obs::Counter::new("data.disk.pool_hits");
 /// Checksum verification failures (pages, index, or header), all stores.
 static CHECKSUM_FAILURES: ossm_obs::Counter = ossm_obs::Counter::new("data.disk.checksum_failures");
 
@@ -206,10 +204,9 @@ impl DiskStoreWriter {
 /// Physical-I/O counters of a [`DiskStore`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Pages fetched from disk (buffer-pool misses).
+    /// Pages fetched from disk (buffer-pool misses). Hits are counted
+    /// once, by the pool ([`DiskStore::pool_stats`]).
     pub page_reads: u64,
-    /// Page requests satisfied by the buffer pool.
-    pub pool_hits: u64,
 }
 
 /// Write-mode state: the journal that makes in-place page appends
@@ -544,8 +541,6 @@ impl DiskStore {
             )));
         }
         if let Some(guard) = self.pool.get(p as u64) {
-            self.stats.pool_hits += 1;
-            POOL_HITS.incr();
             return Ok(guard);
         }
         self.stats.page_reads += 1;
@@ -598,7 +593,6 @@ impl DiskStore {
     pub fn scan(&mut self, mut visit: impl FnMut(&Itemset)) -> io::Result<u64> {
         let mut scan_span = ossm_obs::span("data.disk.scan");
         scan_span.watch(&PAGE_READS);
-        scan_span.watch(&POOL_HITS);
         let pages = self.num_pages();
         for p in 0..pages {
             let guard = self.fetch_page(p)?;
@@ -839,13 +833,8 @@ mod tests {
         let mut store = DiskStore::open(&path, 2).expect("open");
         store.read_page(0).expect("read");
         store.read_page(0).expect("read");
-        assert_eq!(
-            store.io_stats(),
-            IoStats {
-                page_reads: 1,
-                pool_hits: 1
-            }
-        );
+        assert_eq!(store.io_stats().page_reads, 1);
+        assert_eq!(store.pool_stats().hits, 1);
         // LRU-K scan resistance: page 0 has two accesses, so the
         // once-touched page 1 (infinite backward K-distance) is the
         // eviction victim when page 2 arrives — and re-reading page 0
@@ -853,12 +842,10 @@ mod tests {
         store.read_page(1).expect("read");
         store.read_page(2).expect("read");
         store.read_page(0).expect("read");
+        assert_eq!(store.io_stats().page_reads, 3);
         assert_eq!(
-            store.io_stats(),
-            IoStats {
-                page_reads: 3,
-                pool_hits: 2
-            },
+            store.pool_stats().hits,
+            2,
             "LRU-K kept the twice-touched page resident"
         );
         assert_eq!(store.pool_stats().evictions, 1);
@@ -885,7 +872,7 @@ mod tests {
         cached.scan(|_| ()).expect("scan");
         cached.scan(|_| ()).expect("scan");
         assert_eq!(cached.io_stats().page_reads, p);
-        assert_eq!(cached.io_stats().pool_hits, p);
+        assert_eq!(cached.pool_stats().hits, p);
     }
 
     #[test]

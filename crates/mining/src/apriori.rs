@@ -14,6 +14,7 @@ use std::time::Instant;
 use ossm_data::{Dataset, ItemId, Itemset};
 
 use crate::filter::{CandidateFilter, NoFilter};
+use crate::levelwise::{collect_singletons, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
 use crate::support::{count_with, CountingBackend, FrequentPatterns};
@@ -88,8 +89,7 @@ impl Apriori {
             generated: m as u64,
             ..Default::default()
         };
-        let mut frequent: Vec<Itemset> = Vec::new();
-        {
+        let frequent = {
             let _level_span = ossm_obs::span("mining.apriori.level1");
             let survivors: Vec<ItemId> = {
                 let _s = ossm_obs::span("mining.apriori.prune");
@@ -101,66 +101,28 @@ impl Apriori {
             level.filtered_out = m as u64 - survivors.len() as u64;
             level.counted = survivors.len() as u64;
             let _count_span = ossm_obs::span("mining.apriori.count");
-            let all_supports = dataset.singleton_supports();
-            for item in survivors {
-                let sup = all_supports[item.index()];
-                obs::record_bound_outcome(filter, &Itemset::singleton(item), sup, min_support);
-                if sup >= min_support {
-                    frequent.push(Itemset::singleton(item));
-                    patterns.insert(Itemset::singleton(item), sup);
-                }
-            }
-        }
+            let supports = dataset.singleton_supports();
+            collect_singletons(survivors, &supports, min_support, filter, &mut patterns)
+        };
         level.frequent = frequent.len() as u64;
         obs::record_level("apriori", &level);
         metrics.push_level(level);
 
         // Levels 2..: join, prune, filter, count.
-        let mut k = 2;
-        while !frequent.is_empty() && self.max_len.map_or(true, |max| k <= max) {
-            let mut level_span = ossm_obs::span(format!("mining.apriori.level{k}"));
-            let generated = {
-                let _s = ossm_obs::span("mining.apriori.gen");
-                generate_candidates(&frequent)
-            };
-            if generated.is_empty() {
-                break;
-            }
-            let mut level = LevelMetrics {
-                level: k,
-                generated: generated.len() as u64,
-                ..Default::default()
-            };
-            let candidates: Vec<Itemset> = {
-                let _s = ossm_obs::span("mining.apriori.prune");
-                generated
-                    .into_iter()
-                    .filter(|c| filter.may_be_frequent(c, min_support))
-                    .collect()
-            };
-            level.filtered_out = level.generated - candidates.len() as u64;
-            level.counted = candidates.len() as u64;
-            let counts = {
-                let mut s = ossm_obs::span("mining.apriori.count");
-                s.attach("candidates", candidates.len() as u64);
-                count_with(self.backend, dataset.transactions(), &candidates)
-            };
-            let mut next = Vec::new();
-            for (c, sup) in candidates.into_iter().zip(counts) {
-                obs::record_bound_outcome(filter, &c, sup, min_support);
-                if sup >= min_support {
-                    patterns.insert(c.clone(), sup);
-                    next.push(c);
-                }
-            }
-            level.frequent = next.len() as u64;
-            level_span.attach("generated", level.generated);
-            level_span.attach("frequent", level.frequent);
-            obs::record_level("apriori", &level);
-            metrics.push_level(level);
-            frequent = next;
-            k += 1;
-        }
+        let levels = LevelLoop {
+            min_support,
+            filter,
+            max_len: self.max_len,
+            trace: Trace::Apriori,
+        };
+        let count = |_, candidates: &[Itemset]| {
+            let mut s = ossm_obs::span("mining.apriori.count");
+            s.attach("candidates", candidates.len() as u64);
+            Ok(count_with(self.backend, dataset.transactions(), candidates))
+        };
+        levels
+            .run(frequent, None, &mut patterns, &mut metrics, count)
+            .expect("in-memory counting does no I/O");
 
         metrics.elapsed = start.elapsed();
         MiningOutcome { patterns, metrics }

@@ -14,14 +14,11 @@
 //! never lose a valid pattern. Each variant's docs state why it
 //! qualifies.
 
-use std::time::Instant;
+use ossm_data::{Dataset, Itemset};
 
-use ossm_data::{Dataset, ItemId, Itemset};
-
-use crate::apriori::{generate_candidates, MiningOutcome};
+use crate::apriori::{Apriori, MiningOutcome};
 use crate::filter::{CandidateFilter, NoFilter};
-use crate::metrics::{LevelMetrics, MiningMetrics};
-use crate::support::{count_with, CountingBackend, FrequentPatterns};
+use crate::support::{CountingBackend, FrequentPatterns};
 
 /// An anti-monotone constraint on itemsets.
 #[derive(Clone, Debug)]
@@ -102,16 +99,14 @@ impl ConstrainedApriori {
         self
     }
 
-    fn admissible(&self, itemset: &Itemset) -> bool {
-        self.constraints.iter().all(|c| c.satisfied_by(itemset))
-    }
-
     /// Mines all frequent itemsets satisfying every constraint.
     pub fn mine(&self, dataset: &Dataset, min_support: u64) -> MiningOutcome {
         self.mine_filtered(dataset, min_support, &NoFilter)
     }
 
-    /// Mines with an additional candidate filter (the OSSM).
+    /// Mines with an additional candidate filter (the OSSM). This is
+    /// Apriori with the constraints pushed into its filter, so its spans
+    /// and level counters are Apriori's.
     ///
     /// # Panics
     /// Panics if `min_support == 0`.
@@ -121,72 +116,32 @@ impl ConstrainedApriori {
         min_support: u64,
         filter: &dyn CandidateFilter,
     ) -> MiningOutcome {
-        assert!(min_support > 0, "support threshold must be at least 1");
-        let start = Instant::now();
-        let mut patterns = FrequentPatterns::new();
-        let mut metrics = MiningMetrics::default();
-        let m = dataset.num_items();
-
-        // Level 1: constraint, then filter, then one counting pass.
-        let mut level = LevelMetrics {
-            level: 1,
-            generated: m as u64,
-            ..Default::default()
+        let pushed = Pushed {
+            constraints: &self.constraints,
+            filter,
         };
-        let singles = dataset.singleton_supports();
-        let mut frequent: Vec<Itemset> = Vec::new();
-        for i in 0..m as u32 {
-            let s = Itemset::singleton(ItemId(i));
-            if !self.admissible(&s) || !filter.may_be_frequent(&s, min_support) {
-                level.filtered_out += 1;
-                continue;
-            }
-            level.counted += 1;
-            if singles[i as usize] >= min_support {
-                patterns.insert(s.clone(), singles[i as usize]);
-                frequent.push(s);
-            }
-        }
-        level.frequent = frequent.len() as u64;
-        metrics.push_level(level);
+        Apriori::new()
+            .with_backend(self.backend)
+            .mine_filtered(dataset, min_support, &pushed)
+    }
+}
 
-        let mut k = 2;
-        while !frequent.is_empty() {
-            let generated = generate_candidates(&frequent);
-            if generated.is_empty() {
-                break;
-            }
-            let mut level = LevelMetrics {
-                level: k,
-                generated: generated.len() as u64,
-                ..Default::default()
-            };
-            let candidates: Vec<Itemset> = generated
-                .into_iter()
-                .filter(|c| self.admissible(c) && filter.may_be_frequent(c, min_support))
-                .collect();
-            level.filtered_out = level.generated - candidates.len() as u64;
-            level.counted = candidates.len() as u64;
-            if candidates.is_empty() {
-                metrics.push_level(level);
-                break;
-            }
-            let counts = count_with(self.backend, dataset.transactions(), &candidates);
-            let mut next = Vec::new();
-            for (c, sup) in candidates.into_iter().zip(counts) {
-                if sup >= min_support {
-                    patterns.insert(c.clone(), sup);
-                    next.push(c);
-                }
-            }
-            level.frequent = next.len() as u64;
-            metrics.push_level(level);
-            frequent = next;
-            k += 1;
-        }
+/// The constraints and the caller's filter as one [`CandidateFilter`]: a
+/// candidate survives only if it satisfies every constraint and passes the
+/// filter, so both discharge it before counting, singletons included.
+struct Pushed<'a> {
+    constraints: &'a [Constraint],
+    filter: &'a dyn CandidateFilter,
+}
 
-        metrics.elapsed = start.elapsed();
-        MiningOutcome { patterns, metrics }
+impl CandidateFilter for Pushed<'_> {
+    fn may_be_frequent(&self, candidate: &Itemset, min_support: u64) -> bool {
+        self.constraints.iter().all(|c| c.satisfied_by(candidate))
+            && self.filter.may_be_frequent(candidate, min_support)
+    }
+
+    fn name(&self) -> &str {
+        self.filter.name()
     }
 }
 

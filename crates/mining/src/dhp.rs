@@ -8,18 +8,20 @@
 //! the pairs *before* the hash check would have admitted them, and the
 //! paper's preliminary table shows |C2| roughly halving.
 //!
-//! DHP also trims the database between levels: items that appear in no
-//! frequent `k`-itemset cannot appear in a frequent `(k+1)`-itemset, and
-//! transactions with fewer than `k+1` surviving items cannot support one.
-//! Both reductions are exact, so DHP's output always equals Apriori's.
+//! DHP also trims the database before counting each level `k`: items that
+//! appear in no level-`k` candidate cannot appear in a frequent `k`-itemset
+//! or any later candidate, and transactions with fewer than `k` surviving
+//! items cannot support one. Both reductions are exact, so DHP's output
+//! always equals Apriori's.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use ossm_data::{Dataset, ItemId, Itemset};
 
-use crate::apriori::{generate_candidates, MiningOutcome};
+use crate::apriori::MiningOutcome;
 use crate::filter::{CandidateFilter, NoFilter};
+use crate::levelwise::{collect_singletons, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
 use crate::support::{count_with, CountingBackend, FrequentPatterns};
@@ -47,13 +49,38 @@ impl Default for Dhp {
 }
 
 #[inline]
-pub(crate) fn pair_bucket(a: ItemId, b: ItemId, num_buckets: usize) -> usize {
+fn pair_bucket(a: ItemId, b: ItemId, num_buckets: usize) -> usize {
     // The multiplicative pair hash of the DHP paper's spirit; exact choice
     // only affects collision rates, not correctness.
     (a.index()
         .wrapping_mul(2_654_435_761)
         .wrapping_add(b.index()))
         % num_buckets
+}
+
+/// Adds every 2-subset of `t` to its bucket of `buckets`.
+pub(crate) fn hash_pairs(t: &Itemset, buckets: &mut [u64]) {
+    let items = t.items();
+    for (i, &a) in items.iter().enumerate() {
+        for &b in items.get(i + 1..).unwrap_or_default() {
+            buckets[pair_bucket(a, b, buckets.len())] += 1;
+        }
+    }
+}
+
+/// The candidate 2-itemsets: pairs of frequent singletons `l1` whose
+/// bucket reached `min_support`.
+pub(crate) fn admitted_pairs(l1: &[Itemset], buckets: &[u64], min_support: u64) -> Vec<Itemset> {
+    let items: Vec<ItemId> = l1.iter().flat_map(|s| s.items().iter().copied()).collect();
+    let mut admitted = Vec::new();
+    for (i, &a) in items.iter().enumerate() {
+        for &b in items.get(i + 1..).unwrap_or_default() {
+            if buckets[pair_bucket(a, b, buckets.len())] >= min_support {
+                admitted.push(Itemset::from_sorted(vec![a, b]));
+            }
+        }
+    }
+    admitted
 }
 
 impl Dhp {
@@ -101,22 +128,18 @@ impl Dhp {
         let mut singles = vec![0u64; m];
         let mut buckets = vec![0u64; self.num_buckets];
         for t in dataset.transactions() {
-            let items = t.items();
-            for (i, &a) in items.iter().enumerate() {
-                singles[a.index()] += 1;
-                for &b in &items[i + 1..] {
-                    buckets[pair_bucket(a, b, self.num_buckets)] += 1;
-                }
+            for item in t.items() {
+                singles[item.index()] += 1;
             }
+            hash_pairs(t, &mut buckets);
         }
-        let mut l1: Vec<ItemId> = Vec::new();
-        for i in 0..m as u32 {
-            let item = ItemId(i);
-            if singles[item.index()] >= min_support {
-                l1.push(item);
-                patterns.insert(Itemset::singleton(item), singles[item.index()]);
-            }
-        }
+        let l1 = collect_singletons(
+            (0..m as u32).map(ItemId),
+            &singles,
+            min_support,
+            &NoFilter,
+            &mut patterns,
+        );
         let level1 = LevelMetrics {
             level: 1,
             generated: m as u64,
@@ -130,113 +153,43 @@ impl Dhp {
 
         // Level 2: the hash table admits a pair only if its bucket count
         // reaches the threshold; the filter (OSSM) then prunes further.
-        let _level2_span = ossm_obs::span("mining.dhp.level2");
-        let admitted: Vec<Itemset> = {
+        // Levels ≥ 3: Apriori generation over the trimmed copy.
+        let admitted = {
             let _s = ossm_obs::span("mining.dhp.hash_admit");
-            let mut admitted = Vec::new();
-            for (i, &a) in l1.iter().enumerate() {
-                for &b in &l1[i + 1..] {
-                    if buckets[pair_bucket(a, b, self.num_buckets)] >= min_support {
-                        admitted.push(Itemset::from_sorted(vec![a, b]));
-                    }
-                }
-            }
-            admitted
+            admitted_pairs(&l1, &buckets, min_support)
         };
-        let mut level2 = LevelMetrics {
-            level: 2,
-            generated: admitted.len() as u64,
-            ..Default::default()
+        let mut work: Option<Vec<Itemset>> = None;
+        let levels = LevelLoop {
+            min_support,
+            filter,
+            max_len: None,
+            trace: Trace::Dhp,
         };
-        let candidates: Vec<Itemset> = {
-            let _s = ossm_obs::span("mining.dhp.prune");
-            admitted
-                .into_iter()
-                .filter(|c| filter.may_be_frequent(c, min_support))
-                .collect()
-        };
-        level2.filtered_out = level2.generated - candidates.len() as u64;
-        level2.counted = candidates.len() as u64;
-
-        // Working copy of the data for trimming between levels.
-        let mut work: Vec<Itemset> = dataset.transactions().to_vec();
-        let counts = {
-            let mut s = ossm_obs::span("mining.dhp.count");
-            s.attach("candidates", candidates.len() as u64);
-            count_with(self.backend, &work, &candidates)
-        };
-        let mut frequent: Vec<Itemset> = Vec::new();
-        for (c, sup) in candidates.into_iter().zip(counts) {
-            obs::record_bound_outcome(filter, &c, sup, min_support);
-            if sup >= min_support {
-                patterns.insert(c.clone(), sup);
-                frequent.push(c);
-            }
-        }
-        level2.frequent = frequent.len() as u64;
-        obs::record_level("dhp", &level2);
-        metrics.push_level(level2);
-        drop(_level2_span);
-
-        // Levels ≥ 3: Apriori generation over trimmed data.
-        let mut k = 3;
-        while !frequent.is_empty() {
-            let _level_span = ossm_obs::span(format!("mining.dhp.level{k}"));
+        let count = |k, batch: &[Itemset]| {
             if self.trimming {
                 let _s = ossm_obs::span("mining.dhp.trim");
-                work = trim(&work, &frequent, k);
+                let data = work.as_deref().unwrap_or(dataset.transactions());
+                work = Some(trim(data, batch, k));
             }
-            let generated = {
-                let _s = ossm_obs::span("mining.dhp.gen");
-                generate_candidates(&frequent)
-            };
-            if generated.is_empty() {
-                break;
-            }
-            let mut level = LevelMetrics {
-                level: k,
-                generated: generated.len() as u64,
-                ..Default::default()
-            };
-            let candidates: Vec<Itemset> = {
-                let _s = ossm_obs::span("mining.dhp.prune");
-                generated
-                    .into_iter()
-                    .filter(|c| filter.may_be_frequent(c, min_support))
-                    .collect()
-            };
-            level.filtered_out = level.generated - candidates.len() as u64;
-            level.counted = candidates.len() as u64;
-            let counts = {
-                let mut s = ossm_obs::span("mining.dhp.count");
-                s.attach("candidates", candidates.len() as u64);
-                count_with(self.backend, &work, &candidates)
-            };
-            let mut next = Vec::new();
-            for (c, sup) in candidates.into_iter().zip(counts) {
-                obs::record_bound_outcome(filter, &c, sup, min_support);
-                if sup >= min_support {
-                    patterns.insert(c.clone(), sup);
-                    next.push(c);
-                }
-            }
-            level.frequent = next.len() as u64;
-            obs::record_level("dhp", &level);
-            metrics.push_level(level);
-            frequent = next;
-            k += 1;
-        }
+            let mut s = ossm_obs::span("mining.dhp.count");
+            s.attach("candidates", batch.len() as u64);
+            let data = work.as_deref().unwrap_or(dataset.transactions());
+            Ok(count_with(self.backend, data, batch))
+        };
+        levels
+            .run(l1, Some(admitted), &mut patterns, &mut metrics, count)
+            .expect("in-memory counting does no I/O");
 
         metrics.elapsed = start.elapsed();
         MiningOutcome { patterns, metrics }
     }
 }
 
-/// DHP's inter-level trimming: keep only items that occur in some frequent
-/// `(k−1)`-itemset, then drop transactions left with fewer than `k` items.
-/// Exact for all levels ≥ `k` (see module docs).
-fn trim(transactions: &[Itemset], frequent: &[Itemset], k: usize) -> Vec<Itemset> {
-    let keep: HashSet<ItemId> = frequent
+/// DHP's trimming before counting level `k`: keep only items that occur in
+/// some of `itemsets` (the level's candidates), then drop transactions left
+/// with fewer than `k` items. Exact for all levels ≥ `k` (see module docs).
+fn trim(transactions: &[Itemset], itemsets: &[Itemset], k: usize) -> Vec<Itemset> {
+    let keep: HashSet<ItemId> = itemsets
         .iter()
         .flat_map(|f| f.items().iter().copied())
         .collect();

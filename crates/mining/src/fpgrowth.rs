@@ -139,14 +139,6 @@ impl GlobalTreeMiner {
         }
     }
 
-    /// Whether `item` survived the support threshold (its rank-encoded
-    /// form is non-empty).
-    pub(crate) fn is_frequent(&self, item: u32) -> bool {
-        self.rank_of
-            .get(item as usize)
-            .is_some_and(|&r| r != Self::NONE)
-    }
-
     /// Inserts one transaction (infrequent items drop out during rank
     /// encoding, exactly as in the in-memory miner).
     pub(crate) fn insert(&mut self, t: &Itemset) {

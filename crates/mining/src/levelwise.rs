@@ -1,0 +1,165 @@
+//! The level-wise loop every Apriori-family miner runs.
+//!
+//! Each level `k ≥ 2` generates candidates from the previous level's
+//! frequent sets, filters them through the [`CandidateFilter`] — the one
+//! place equation (1) enters a level-wise miner — counts the survivors,
+//! and collects the frequent ones as the next level's seeds. The miners
+//! differ only in what they hand the loop: their level-2 candidates (DHP's
+//! bucket-admitted pairs), their filter, and how one batch is counted
+//! (over the dataset in memory, over DHP's trimmed copy, or in one guarded
+//! pass over a page file).
+
+use std::io;
+
+use ossm_data::{ItemId, Itemset};
+use ossm_obs::SpanGuard;
+
+use crate::apriori::generate_candidates;
+use crate::filter::CandidateFilter;
+use crate::metrics::{LevelMetrics, MiningMetrics};
+use crate::obs;
+use crate::support::FrequentPatterns;
+
+/// Whose spans and `mining.<miner>.level<k>.*` counters the loop records.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Trace {
+    Apriori,
+    Dhp,
+    /// No spans and no level counters.
+    Off,
+}
+
+impl Trace {
+    fn miner(self) -> Option<&'static str> {
+        match self {
+            Trace::Apriori => Some("apriori"),
+            Trace::Dhp => Some("dhp"),
+            Trace::Off => None,
+        }
+    }
+
+    fn gen(self) -> Option<SpanGuard> {
+        match self {
+            Trace::Apriori => Some(ossm_obs::span("mining.apriori.gen")),
+            Trace::Dhp => Some(ossm_obs::span("mining.dhp.gen")),
+            Trace::Off => None,
+        }
+    }
+
+    fn prune(self) -> Option<SpanGuard> {
+        match self {
+            Trace::Apriori => Some(ossm_obs::span("mining.apriori.prune")),
+            Trace::Dhp => Some(ossm_obs::span("mining.dhp.prune")),
+            Trace::Off => None,
+        }
+    }
+}
+
+/// One level-wise run's settings.
+pub(crate) struct LevelLoop<'f> {
+    pub(crate) min_support: u64,
+    /// Discharges candidates before they are counted.
+    pub(crate) filter: &'f dyn CandidateFilter,
+    /// Last level to mine, if bounded.
+    pub(crate) max_len: Option<usize>,
+    pub(crate) trace: Trace,
+}
+
+impl LevelLoop<'_> {
+    /// Mines levels 2, 3, … from the frequent singletons `l1`, adding the
+    /// frequent sets to `patterns` and one row per level that generated
+    /// candidates to `metrics`. `level2`, if given, replaces Apriori
+    /// generation at level 2. `count(k, candidates)` returns the exact
+    /// supports of a non-empty batch; a level whose every candidate is
+    /// filtered out is never counted, and ends the run.
+    pub(crate) fn run(
+        &self,
+        l1: Vec<Itemset>,
+        mut level2: Option<Vec<Itemset>>,
+        patterns: &mut FrequentPatterns,
+        metrics: &mut MiningMetrics,
+        mut count: impl FnMut(usize, &[Itemset]) -> io::Result<Vec<u64>>,
+    ) -> io::Result<()> {
+        let mut frequent = l1;
+        let mut k = 2;
+        while (level2.is_some() || !frequent.is_empty())
+            && self.max_len.map_or(true, |max| k <= max)
+        {
+            let mut level_span = self
+                .trace
+                .miner()
+                .map(|miner| ossm_obs::span(format!("mining.{miner}.level{k}")));
+            let generated = match level2.take() {
+                Some(candidates) => candidates,
+                None => {
+                    let _s = self.trace.gen();
+                    generate_candidates(&frequent)
+                }
+            };
+            if generated.is_empty() {
+                break;
+            }
+            let mut level = LevelMetrics {
+                level: k,
+                generated: generated.len() as u64,
+                ..Default::default()
+            };
+            let candidates: Vec<Itemset> = {
+                let _s = self.trace.prune();
+                generated
+                    .into_iter()
+                    .filter(|c| self.filter.may_be_frequent(c, self.min_support))
+                    .collect()
+            };
+            level.filtered_out = level.generated - candidates.len() as u64;
+            level.counted = candidates.len() as u64;
+            let counts = if candidates.is_empty() {
+                Vec::new()
+            } else {
+                count(k, &candidates)?
+            };
+            frequent = Vec::new();
+            for (c, sup) in candidates.into_iter().zip(counts) {
+                obs::record_bound_outcome(self.filter, &c, sup, self.min_support);
+                if sup >= self.min_support {
+                    patterns.insert(c.clone(), sup);
+                    frequent.push(c);
+                }
+            }
+            level.frequent = frequent.len() as u64;
+            if let Some(span) = &mut level_span {
+                span.attach("generated", level.generated);
+                span.attach("frequent", level.frequent);
+            }
+            if let Some(miner) = self.trace.miner() {
+                obs::record_level(miner, &level);
+            }
+            metrics.push_level(level);
+            k += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Level 1's collect step: records each counted singleton's bound outcome
+/// under `filter`, adds the frequent ones with their exact `supports` to
+/// `patterns`, and returns them as the seeds of level 2.
+pub(crate) fn collect_singletons(
+    items: impl IntoIterator<Item = ItemId>,
+    supports: &[u64],
+    min_support: u64,
+    filter: &dyn CandidateFilter,
+    patterns: &mut FrequentPatterns,
+) -> Vec<Itemset> {
+    let mut frequent = Vec::new();
+    for item in items {
+        let s = Itemset::singleton(item);
+        let sup = supports[item.index()];
+        obs::record_bound_outcome(filter, &s, sup, min_support);
+        if sup >= min_support {
+            patterns.insert(s.clone(), sup);
+            frequent.push(s);
+        }
+    }
+    frequent
+}

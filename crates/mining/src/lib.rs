@@ -12,7 +12,16 @@
 //! * [`depth::DepthProject`] — depth-first lexicographic-tree mining for
 //!   long patterns (Section 7);
 //! * [`fpgrowth::FpGrowth`] — the candidate-free baseline used to
-//!   cross-validate every other miner.
+//!   cross-validate every other miner;
+//! * [`ooc::StreamingApriori`], [`ooc::StreamingDhp`], and
+//!   [`ooc::StreamingFpGrowth`] — the same miners out of core, reading a
+//!   page file through a bounded buffer pool, where the OSSM also saves
+//!   whole passes and skips pages it proves irrelevant.
+//!
+//! Apriori, DHP, constrained Apriori, and both out-of-core level-wise
+//! miners share one level loop (generate → filter → count → collect), so
+//! the filter enters every one of them at the same point: between
+//! candidate generation and counting.
 //!
 //! ```
 //! use ossm_data::gen::QuestConfig;
@@ -41,13 +50,13 @@ pub mod episodes;
 pub mod filter;
 pub mod fpgrowth;
 pub mod hashtree;
+mod levelwise;
 pub mod metrics;
 mod obs;
 pub mod ooc;
 pub mod partition;
 pub mod patterns;
 pub mod sequences;
-pub mod streaming;
 pub mod support;
 pub mod vertical;
 
@@ -60,9 +69,8 @@ pub use episodes::{SerialEpisode, SerialEpisodeMiner, WindowLog};
 pub use filter::{CandidateFilter, NoFilter, OssmFilter};
 pub use fpgrowth::FpGrowth;
 pub use metrics::{LevelMetrics, MiningMetrics};
-pub use ooc::{StreamingDhp, StreamingFpGrowth};
+pub use ooc::{StreamingApriori, StreamingDhp, StreamingFpGrowth, StreamingOutcome};
 pub use partition::Partition;
 pub use sequences::{SequenceDb, SequenceMiner, SequencePattern};
-pub use streaming::{StreamingApriori, StreamingOutcome};
 pub use support::{CountingBackend, FrequentPatterns};
 pub use vertical::{Charm, Eclat, GenMax, VerticalIndex};

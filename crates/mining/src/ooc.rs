@@ -1,63 +1,338 @@
-//! Out-of-core DHP and FP-growth: the first two passes of each, driven
-//! through [`DiskStore`] page guards under a bounded frame budget.
+//! Out-of-core Apriori, DHP, and FP-growth: every pass runs through
+//! [`DiskStore`] page guards under a bounded frame budget, with physical
+//! I/O accounting.
 //!
-//! Both miners attack the candidate-2-itemset explosion; both start with
-//! one or two full passes over the collection. Those passes are exactly
-//! where the paper's "all CPU and I/O costs" accounting hurts, so this
-//! module runs them out of core the way [`crate::streaming`] runs
-//! Apriori: every page is requested through an RAII pool guard, and —
-//! with an OSSM — the page's aggregate summary is consulted *before*
-//! the fault, skipping any page whose equation (1) bound is zero for
-//! the whole batch (see [`PageBounds`](crate::streaming) and
-//! `DESIGN.md` §13 for why only the zero bound may skip).
+//! The paper measures "all CPU and I/O costs". Level-wise miners read the
+//! whole collection once per level; the OSSM cuts I/O three ways:
 //!
-//! What each miner skips:
+//! 1. a level whose every candidate is discharged by equation (1) makes
+//!    **no pass at all** (and ends the run if nothing survives);
+//! 2. the singleton pass disappears — the OSSM's singleton supports are
+//!    exact by construction, so `L1` is read straight out of the map;
+//! 3. within a pass, equation (1) applied at *page* granularity (the page
+//!    partition refines every segmentation, so the bound holds there too)
+//!    skips the fault for any page that provably cannot matter — see
+//!    `PageBounds` and `DESIGN.md` §13 for the soundness argument.
 //!
-//! * [`StreamingDhp`] — the bucket-building pass skips pages carrying
-//!   fewer than two frequent items (such a page contributes no pair of
-//!   frequent items, and losing its collision noise only sharpens the
-//!   bucket counts, which stay upper bounds on pair supports); level ≥ 2
-//!   counting skips zero-bound pages like streaming Apriori. DHP's
-//!   inter-level trimming is omitted: trimming rewrites the collection,
-//!   which an out-of-core pass over an immutable page file cannot do.
+//! All three miners share one preamble (`OocRun::start`) and one page
+//! pass (`OocRun::pass`); they differ in which pages a pass may skip:
+//!
+//! * [`StreamingApriori`] — level counting skips pages whose bound is zero
+//!   for every surviving candidate.
+//! * [`StreamingDhp`] — Apriori plus DHP's bucket pass, which skips pages
+//!   carrying fewer than two frequent items (such a page contributes no
+//!   pair of frequent items, and losing its collision noise only sharpens
+//!   the bucket counts, which stay upper bounds on pair supports). DHP's
+//!   trimming is omitted: trimming rewrites the collection, which a pass
+//!   over an immutable page file cannot do.
 //! * [`StreamingFpGrowth`] — the global-tree pass skips pages with no
-//!   frequent item at all (their transactions rank-encode to empty
-//!   paths and would not touch the tree).
+//!   frequent item at all (their transactions rank-encode to empty paths
+//!   and would not touch the tree).
+//!
+//! Each `mine` reports the patterns plus pass, page-read, and page-skip
+//! counts, so the disk-oriented experiments can show the I/O effect the
+//! in-memory miners cannot.
 
 use std::io;
 
 use ossm_core::Ossm;
 use ossm_data::disk::DiskStore;
 use ossm_data::{ItemId, Itemset};
+use ossm_obs::SpanGuard;
 
-use crate::apriori::generate_candidates;
-use crate::dhp::pair_bucket;
+use crate::dhp::{admitted_pairs, hash_pairs};
+use crate::filter::{CandidateFilter, NoFilter};
 use crate::fpgrowth::GlobalTreeMiner;
 use crate::hashtree::HashTree;
+use crate::levelwise::{collect_singletons, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
-use crate::streaming::{PageBounds, StreamingOutcome};
 use crate::support::FrequentPatterns;
 
-/// Exact singleton supports: from the OSSM (zero I/O) or one scan pass.
-/// Returns the supports and whether a pass was paid.
-fn singleton_supports(store: &mut DiskStore, ossm: Option<&Ossm>) -> io::Result<(Vec<u64>, u64)> {
-    let m = store.num_items();
-    match ossm {
-        Some(map) => Ok((
-            (0..m as u32)
+/// Result of a disk-resident mining run.
+#[derive(Clone, Debug)]
+pub struct StreamingOutcome {
+    /// All frequent patterns with exact supports.
+    pub patterns: FrequentPatterns,
+    /// Candidate bookkeeping.
+    pub metrics: MiningMetrics,
+    /// Full passes over the page file.
+    pub passes: u64,
+    /// Physical page reads (buffer-pool misses) during the run.
+    pub page_reads: u64,
+    /// Page faults avoided by the page-level eq. (1) bound (with an
+    /// OSSM only; 0 otherwise).
+    pub skipped_pages: u64,
+}
+
+/// Page-granular equation (1) over an OSSM-described store. The page
+/// partition is a refinement of any segmentation, so the
+/// physical-maximum bound holds per page; it is used two ways:
+///
+/// * as the level loop's [`CandidateFilter`] — `Σ_p min_{i∈X} sup_p(i)`
+///   is an exact upper bound on `sup(X)`, checked after the OSSM's own
+///   bound, so a candidate below `min_support` on either is never counted;
+/// * as a page-skip test — a page where that minimum is **zero** for every
+///   surviving candidate cannot contain any of them, so its fault is
+///   skipped outright without changing a single exact count.
+///
+/// Only the zero-bound rule may skip a counting page: supports accumulate
+/// across pages, so skipping at any nonzero threshold would undercount
+/// (the caveat in `DESIGN.md` §13).
+struct PageBounds<'a> {
+    ossm: &'a Ossm,
+    /// Per-page dense support vectors from the store's aggregate index.
+    vectors: Vec<Vec<u64>>,
+    slot_bytes: u64,
+}
+
+/// Page vector `v`'s eq. (1) bound on `c`: the least support of any of
+/// its items on that page.
+fn page_bound(v: &[u64], c: &Itemset) -> u64 {
+    c.items()
+        .iter()
+        .map(|i| v.get(i.index()).copied().unwrap_or(0))
+        .min()
+        .unwrap_or(0)
+}
+
+impl CandidateFilter for PageBounds<'_> {
+    fn may_be_frequent(&self, candidate: &Itemset, min_support: u64) -> bool {
+        // Each ub(X) probe is one served query: time it so the live
+        // req.ub.latency quantiles reflect the paper's time-for-memory
+        // trade under load. The page-sum bound is eq. (1) again, over the
+        // finer page partition — both discharges are exact.
+        let _timer = ossm_core::durable::REQ_UB_LATENCY.time();
+        self.ossm.upper_bound(candidate) >= min_support
+            && self
+                .vectors
+                .iter()
+                .map(|v| page_bound(v, candidate))
+                .sum::<u64>()
+                >= min_support
+    }
+
+    fn name(&self) -> &str {
+        "OSSM + pages"
+    }
+}
+
+/// One out-of-core run: the page file and what the run has paid in I/O.
+struct OocRun<'s> {
+    store: &'s mut DiskStore,
+    start_reads: u64,
+    passes: u64,
+    skipped_pages: u64,
+    _span: SpanGuard,
+}
+
+impl<'s> OocRun<'s> {
+    /// The shared preamble, run under the miner's top-level `span`: the
+    /// run, the page bounds, and the exact singleton supports. The page
+    /// bounds come with the OSSM only, so the unfiltered run stays the
+    /// paper's I/O baseline. Both are returned apart from the run so a
+    /// pass's predicates can read them while the pass borrows the run.
+    ///
+    /// # Panics
+    /// Panics if `min_support == 0` or if the OSSM's transaction count
+    /// disagrees with the store's.
+    fn start<'a>(
+        span: SpanGuard,
+        store: &'s mut DiskStore,
+        min_support: u64,
+        ossm: Option<&'a Ossm>,
+    ) -> io::Result<(Self, Option<PageBounds<'a>>, Vec<u64>)> {
+        assert!(min_support > 0, "support threshold must be at least 1");
+        if let Some(map) = ossm {
+            assert_eq!(
+                map.num_transactions(),
+                store.num_transactions(),
+                "the OSSM does not describe this store"
+            );
+        }
+        // Built from the store's aggregate index: no data-page I/O.
+        let bounds = ossm.map(|ossm| PageBounds {
+            ossm,
+            vectors: store
+                .page_aggregate_vectors()
+                .into_iter()
+                .map(|(v, _)| v)
+                .collect(),
+            slot_bytes: store.slot_bytes(),
+        });
+        let mut run = OocRun {
+            start_reads: store.io_stats().page_reads,
+            passes: 0,
+            skipped_pages: 0,
+            store,
+            _span: span,
+        };
+        let m = run.store.num_items();
+        let singles = match ossm {
+            // The map's singleton supports are exact: zero I/O.
+            Some(map) => (0..m as u32)
                 .map(|i| map.singleton_support(ItemId(i)))
                 .collect(),
-            0,
-        )),
-        None => {
-            let mut counts = vec![0u64; m];
-            store.scan(|t| {
-                for item in t.items() {
-                    counts[item.index()] += 1;
+            None => {
+                // One pass to count singletons. (The page index would also
+                // do, but a miner without the OSSM is our I/O baseline, so
+                // it pays the pass the paper's Apriori paid.)
+                run.passes += 1;
+                let mut counts = vec![0u64; m];
+                run.store.scan(|t| {
+                    for item in t.items() {
+                        counts[item.index()] += 1;
+                    }
+                })?;
+                counts
+            }
+        };
+        Ok((run, bounds, singles))
+    }
+
+    /// One pass over the page file. With `bounds`, a page whose aggregate
+    /// vector `relevant` rejects is skipped — fault and all — and
+    /// recorded; every other page is fetched through its pool guard and
+    /// its transactions handed to `visit` in place, with no copy out of
+    /// the frame arena.
+    fn pass(
+        &mut self,
+        bounds: Option<&PageBounds<'_>>,
+        relevant: impl Fn(&[u64]) -> bool,
+        mut visit: impl FnMut(&[Itemset]),
+    ) -> io::Result<()> {
+        self.passes += 1;
+        for p in 0..self.store.num_pages() {
+            if let Some(b) = bounds {
+                if b.vectors.get(p).is_some_and(|v| !relevant(v)) {
+                    self.skipped_pages += 1;
+                    ossm_data::buffer::record_page_skip(b.slot_bytes);
+                    continue;
                 }
-            })?;
-            Ok((counts, 1))
+            }
+            let guard = self.store.fetch_page(p)?;
+            visit(guard.transactions());
         }
+        Ok(())
+    }
+
+    /// The run's outcome, with the page reads it caused.
+    fn finish(self, patterns: FrequentPatterns, metrics: MiningMetrics) -> StreamingOutcome {
+        StreamingOutcome {
+            patterns,
+            metrics,
+            passes: self.passes,
+            page_reads: self.store.io_stats().page_reads - self.start_reads,
+            skipped_pages: self.skipped_pages,
+        }
+    }
+}
+
+/// How many items with a nonzero support in page vector `v` are frequent.
+fn frequent_on_page(v: &[u64], singles: &[u64], min_support: u64) -> usize {
+    v.iter()
+        .zip(singles)
+        .filter(|&(&s, &sup)| s > 0 && sup >= min_support)
+        .count()
+}
+
+/// Level-wise mining over the page file: Apriori, or DHP when `buckets`
+/// sizes the pair-bucket table for level 2.
+fn mine_levels(
+    (mut run, bounds, singles): (OocRun<'_>, Option<PageBounds<'_>>, Vec<u64>),
+    min_support: u64,
+    buckets: Option<usize>,
+) -> io::Result<StreamingOutcome> {
+    let mut patterns = FrequentPatterns::new();
+    let mut metrics = MiningMetrics::default();
+    let m = singles.len();
+    let l1 = collect_singletons(
+        (0..m as u32).map(ItemId),
+        &singles,
+        min_support,
+        &NoFilter,
+        &mut patterns,
+    );
+    metrics.push_level(LevelMetrics {
+        level: 1,
+        generated: m as u64,
+        filtered_out: 0,
+        // Supports read out of the OSSM were not counted against the data.
+        counted: if bounds.is_some() { 0 } else { m as u64 },
+        frequent: l1.len() as u64,
+    });
+
+    let level2 = match buckets {
+        Some(n) => {
+            // A page with fewer than two frequent items holds no pair of
+            // frequent items; its bucket contributions are pure collision
+            // noise, and dropping noise keeps every bucket count an upper
+            // bound on its pairs' supports.
+            let mut table = vec![0u64; n];
+            run.pass(
+                bounds.as_ref(),
+                |v| frequent_on_page(v, &singles, min_support) >= 2,
+                |txs| txs.iter().for_each(|t| hash_pairs(t, &mut table)),
+            )?;
+            Some(admitted_pairs(&l1, &table, min_support))
+        }
+        None => None,
+    };
+
+    let filter: &dyn CandidateFilter = match &bounds {
+        Some(b) => b,
+        None => &NoFilter,
+    };
+    let levels = LevelLoop {
+        min_support,
+        filter,
+        max_len: None,
+        trace: Trace::Off,
+    };
+    levels.run(l1, level2, &mut patterns, &mut metrics, |_, candidates| {
+        let tree = HashTree::build(candidates);
+        let mut counts = vec![0u64; candidates.len()];
+        run.pass(
+            bounds.as_ref(),
+            |v| candidates.iter().any(|c| page_bound(v, c) > 0),
+            |txs| tree.count(txs, &mut counts),
+        )?;
+        Ok(counts)
+    })?;
+    Ok(run.finish(patterns, metrics))
+}
+
+/// Apriori over a [`DiskStore`], with an optional OSSM.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StreamingApriori;
+
+impl StreamingApriori {
+    /// Creates the miner.
+    pub fn new() -> Self {
+        StreamingApriori
+    }
+
+    /// Mines all frequent itemsets from the page file.
+    ///
+    /// With `ossm: Some(_)`, candidates are filtered by equation (1)
+    /// before each counting pass and the level-1 pass is skipped entirely
+    /// (see module docs). The OSSM must describe exactly this store's
+    /// data; this is asserted via the transaction count.
+    ///
+    /// # Panics
+    /// Panics if `min_support == 0` or if the OSSM's transaction count
+    /// disagrees with the store's.
+    pub fn mine(
+        &self,
+        store: &mut DiskStore,
+        min_support: u64,
+        ossm: Option<&Ossm>,
+    ) -> io::Result<StreamingOutcome> {
+        let span = ossm_obs::span("mining.ooc.apriori");
+        mine_levels(
+            OocRun::start(span, store, min_support, ossm)?,
+            min_support,
+            None,
+        )
     }
 }
 
@@ -99,154 +374,9 @@ impl StreamingDhp {
         min_support: u64,
         ossm: Option<&Ossm>,
     ) -> io::Result<StreamingOutcome> {
-        assert!(min_support > 0, "support threshold must be at least 1");
-        if let Some(map) = ossm {
-            assert_eq!(
-                map.num_transactions(),
-                store.num_transactions(),
-                "the OSSM does not describe this store"
-            );
-        }
-        let _span = ossm_obs::span("mining.ooc.dhp");
-        let start_reads = store.io_stats().page_reads;
-        let m = store.num_items();
-        let mut patterns = FrequentPatterns::new();
-        let mut metrics = MiningMetrics::default();
-        let mut skipped_pages = 0u64;
-        let bounds = ossm.map(|_| PageBounds::new(store));
-
-        // Pass 1: singles (free with the OSSM) + the pair bucket table.
-        let (singles, mut passes) = singleton_supports(store, ossm)?;
-        let frequent_flags: Vec<bool> = singles.iter().map(|&s| s >= min_support).collect();
-        let mut buckets = vec![0u64; self.num_buckets];
-        {
-            passes += 1;
-            let num_buckets = self.num_buckets;
-            for p in 0..store.num_pages() {
-                // A page with fewer than two frequent items holds no pair
-                // of frequent items; its bucket contributions are pure
-                // collision noise, and dropping noise keeps every bucket
-                // count an upper bound on its pairs' supports.
-                if let Some(b) = &bounds {
-                    let frequent_on_page = b.page_vector(p).map_or(2, |v| {
-                        v.iter()
-                            .zip(&frequent_flags)
-                            .filter(|&(&s, &f)| f && s > 0)
-                            .count()
-                    });
-                    if frequent_on_page < 2 {
-                        skipped_pages += 1;
-                        b.record_skip();
-                        continue;
-                    }
-                }
-                let guard = store.fetch_page(p)?;
-                for t in guard.transactions() {
-                    let items = t.items();
-                    for (i, &a) in items.iter().enumerate() {
-                        for &b in items.get(i + 1..).unwrap_or_default() {
-                            buckets[pair_bucket(a, b, num_buckets)] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut l1: Vec<ItemId> = Vec::new();
-        for i in 0..m as u32 {
-            let item = ItemId(i);
-            if singles[item.index()] >= min_support {
-                l1.push(item);
-                patterns.insert(Itemset::singleton(item), singles[item.index()]);
-            }
-        }
-        metrics.push_level(LevelMetrics {
-            level: 1,
-            generated: m as u64,
-            filtered_out: 0,
-            counted: m as u64,
-            frequent: l1.len() as u64,
-        });
-
-        // Level 2 candidates: bucket-admitted pairs, then OSSM + page-sum
-        // bound filtering; levels ≥ 3 via Apriori generation. Both count
-        // through the shared zero-bound page-skipping pass.
-        let mut frequent: Vec<Itemset> = Vec::new();
-        let mut k = 2;
-        loop {
-            let generated: Vec<Itemset> = if k == 2 {
-                let mut admitted = Vec::new();
-                for (i, &a) in l1.iter().enumerate() {
-                    for &b in l1.get(i + 1..).unwrap_or_default() {
-                        if buckets[pair_bucket(a, b, self.num_buckets)] >= min_support {
-                            admitted.push(Itemset::from_sorted(vec![a, b]));
-                        }
-                    }
-                }
-                admitted
-            } else {
-                if frequent.is_empty() {
-                    break;
-                }
-                generate_candidates(&frequent)
-            };
-            if generated.is_empty() {
-                break;
-            }
-            let mut level = LevelMetrics {
-                level: k,
-                generated: generated.len() as u64,
-                ..Default::default()
-            };
-            let candidates: Vec<Itemset> = match (ossm, &bounds) {
-                (Some(map), Some(b)) => generated
-                    .into_iter()
-                    .filter(|c| {
-                        let _timer = ossm_core::durable::REQ_UB_LATENCY.time();
-                        map.upper_bound(c) >= min_support && b.sum_bound(c) >= min_support
-                    })
-                    .collect(),
-                _ => generated,
-            };
-            level.filtered_out = level.generated - candidates.len() as u64;
-            level.counted = candidates.len() as u64;
-            if candidates.is_empty() {
-                metrics.push_level(level);
-                break;
-            }
-            passes += 1;
-            let tree = HashTree::build(&candidates);
-            let mut counts = vec![0u64; candidates.len()];
-            match &bounds {
-                Some(b) => {
-                    b.count_pages(store, &tree, &candidates, &mut counts, &mut skipped_pages)?;
-                }
-                None => {
-                    for p in 0..store.num_pages() {
-                        let guard = store.fetch_page(p)?;
-                        tree.count(guard.transactions(), &mut counts);
-                    }
-                }
-            }
-            let mut next = Vec::new();
-            for (c, sup) in candidates.into_iter().zip(counts) {
-                if sup >= min_support {
-                    patterns.insert(c.clone(), sup);
-                    next.push(c);
-                }
-            }
-            level.frequent = next.len() as u64;
-            metrics.push_level(level);
-            frequent = next;
-            k += 1;
-        }
-
-        Ok(StreamingOutcome {
-            patterns,
-            metrics,
-            passes,
-            page_reads: store.io_stats().page_reads - start_reads,
-            skipped_pages,
-        })
+        let span = ossm_obs::span("mining.ooc.dhp");
+        let run = OocRun::start(span, store, min_support, ossm)?;
+        mine_levels(run, min_support, Some(self.num_buckets))
     }
 }
 
@@ -274,62 +404,25 @@ impl StreamingFpGrowth {
         min_support: u64,
         ossm: Option<&Ossm>,
     ) -> io::Result<StreamingOutcome> {
-        assert!(min_support > 0, "support threshold must be at least 1");
-        if let Some(map) = ossm {
-            assert_eq!(
-                map.num_transactions(),
-                store.num_transactions(),
-                "the OSSM does not describe this store"
-            );
-        }
-        let _span = ossm_obs::span("mining.ooc.fpgrowth");
-        let start_reads = store.io_stats().page_reads;
-        let mut patterns = FrequentPatterns::new();
-        let mut skipped_pages = 0u64;
-        let bounds = ossm.map(|_| PageBounds::new(store));
-
-        let (singles, mut passes) = singleton_supports(store, ossm)?;
+        let span = ossm_obs::span("mining.ooc.fpgrowth");
+        let (mut run, bounds, singles) = OocRun::start(span, store, min_support, ossm)?;
         let mut miner = GlobalTreeMiner::new(&singles, min_support);
-
-        // Pass 2: build the global tree through page guards. A page with
-        // no frequent item contributes only empty rank-encoded paths —
-        // skip its fault.
-        passes += 1;
-        for p in 0..store.num_pages() {
-            if let Some(b) = &bounds {
-                let relevant = b.page_vector(p).map_or(true, |v| {
-                    v.iter()
-                        .enumerate()
-                        .any(|(i, &s)| s > 0 && miner.is_frequent(i as u32))
-                });
-                if !relevant {
-                    skipped_pages += 1;
-                    b.record_skip();
-                    continue;
-                }
-            }
-            let guard = store.fetch_page(p)?;
-            for t in guard.transactions() {
-                miner.insert(t);
-            }
-        }
+        // A page with no frequent item contributes only empty rank-encoded
+        // paths — skip its fault.
+        run.pass(
+            bounds.as_ref(),
+            |v| frequent_on_page(v, &singles, min_support) > 0,
+            |txs| txs.iter().for_each(|t| miner.insert(t)),
+        )?;
+        let mut patterns = FrequentPatterns::new();
         miner.finish(min_support, &mut patterns);
-
-        Ok(StreamingOutcome {
-            patterns,
-            metrics: MiningMetrics::default(),
-            passes,
-            page_reads: store.io_stats().page_reads - start_reads,
-            skipped_pages,
-        })
+        Ok(run.finish(patterns, MiningMetrics::default()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::Apriori;
-    use crate::dhp::Dhp;
     use crate::fpgrowth::FpGrowth;
     use ossm_core::{OssmBuilder, Strategy};
     use ossm_data::disk::write_paged;
@@ -352,19 +445,95 @@ mod tests {
     }
 
     #[test]
-    fn streaming_dhp_matches_in_memory_miners() {
+    fn ossm_skips_the_level_1_pass_and_preserves_results() {
         let d = workload();
-        let path = tmp("dhp-match.pages");
+        let path = tmp("skip.pages");
         write_paged(&path, &d, 1024).expect("write");
-        let mem = Dhp::default().mine(&d, 12);
-        assert_eq!(mem.patterns, Apriori::new().mine(&d, 12).patterns);
+        let pages = PageStore::pack(d.clone(), 1024);
+        let (ossm, _) = OssmBuilder::new(8).strategy(Strategy::Greedy).build(&pages);
+
         let mut store = DiskStore::open(&path, 4).expect("open");
-        let disk = StreamingDhp::default()
+        let plain = StreamingApriori::new()
             .mine(&mut store, 12, None)
             .expect("mine");
-        assert_eq!(disk.patterns, mem.patterns);
-        assert_eq!(disk.skipped_pages, 0);
+        let mut store = DiskStore::open(&path, 4).expect("open");
+        let filtered = StreamingApriori::new()
+            .mine(&mut store, 12, Some(&ossm))
+            .expect("mine");
+
+        assert_eq!(plain.patterns, filtered.patterns);
+        assert!(filtered.passes < plain.passes, "L1 pass must disappear");
+        assert!(filtered.page_reads < plain.page_reads);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fully_pruned_level_costs_no_pass() {
+        // Two items that never co-occur: with the exact OSSM, level 2 is
+        // fully discharged and the only I/O is... none at all (L1 comes
+        // from the map).
+        let d = Dataset::new(
+            2,
+            vec![
+                Itemset::new([0u32]),
+                Itemset::new([0u32]),
+                Itemset::new([1u32]),
+                Itemset::new([1u32]),
+            ],
+        );
+        let path = tmp("pruned.pages");
+        write_paged(&path, &d, 4096).expect("write");
+        let min = ossm_core::minimize_segments(&d);
+        let mut store = DiskStore::open(&path, 2).expect("open");
+        let out = StreamingApriori::new()
+            .mine(&mut store, 2, Some(&min.ossm))
+            .expect("mine");
+        assert_eq!(out.passes, 0);
+        assert_eq!(out.page_reads, 0);
+        assert_eq!(out.patterns.len(), 2, "both singletons frequent");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn passes_count_one_per_counted_level() {
+        let d = workload();
+        let path = tmp("passes.pages");
+        write_paged(&path, &d, 1024).expect("write");
+        let mut store = DiskStore::open(&path, 4).expect("open");
+        let out = StreamingApriori::new()
+            .mine(&mut store, 12, None)
+            .expect("mine");
+        let counted_levels = out
+            .metrics
+            .levels
+            .iter()
+            .filter(|l| l.level >= 2 && l.counted > 0)
+            .count() as u64;
+        assert_eq!(
+            out.passes,
+            1 + counted_levels,
+            "L1 pass + one per counted level"
+        );
+        assert_eq!(out.page_reads, out.passes * store.num_pages() as u64);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not describe")]
+    fn mismatched_ossm_is_rejected() {
+        let d = workload();
+        let path = tmp("mismatch.pages");
+        write_paged(&path, &d, 1024).expect("write");
+        let other = QuestConfig {
+            num_transactions: 100,
+            num_items: 40,
+            ..QuestConfig::small()
+        }
+        .generate();
+        let pages = PageStore::with_page_count(other, 4);
+        let (ossm, _) = OssmBuilder::new(2).build(&pages);
+        let mut store = DiskStore::open(&path, 4).expect("open");
+        let _ = StreamingApriori::new().mine(&mut store, 12, Some(&ossm));
     }
 
     #[test]
@@ -411,63 +580,6 @@ mod tests {
             .expect("mine");
         assert_eq!(plain_fp.patterns, ossm_fp.patterns);
         assert!(ossm_fp.page_reads < plain_fp.page_reads, "L1 pass gone");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn noise_pages_are_skipped_by_both_miners() {
-        // Dense head over items 0..5, then singleton noise over 5..20 —
-        // the noise pages carry at most one frequent item (none, once
-        // the threshold is set above the noise counts).
-        let mut txs = Vec::new();
-        for i in 0..150u32 {
-            txs.push(Itemset::new([0, 1 + (i % 2), 3 + (i % 2)]));
-        }
-        for i in 0..150u32 {
-            txs.push(Itemset::new([5 + (i % 15)]));
-        }
-        let d = Dataset::new(20, txs);
-        let path = tmp("ooc-noise.pages");
-        write_paged(&path, &d, 256).expect("write");
-        let pages = PageStore::pack(d.clone(), 256);
-        let (ossm, _) = OssmBuilder::new(4).strategy(Strategy::Greedy).build(&pages);
-
-        let mut store = DiskStore::open(&path, 64).expect("open");
-        let dhp = StreamingDhp::default()
-            .mine(&mut store, 30, Some(&ossm))
-            .expect("mine");
-        assert!(dhp.skipped_pages > 0, "noise pages skipped in pass 1 too");
-        assert_eq!(dhp.patterns, Dhp::default().mine(&d, 30).patterns);
-
-        let mut store = DiskStore::open(&path, 64).expect("open");
-        let fp = StreamingFpGrowth::new()
-            .mine(&mut store, 30, Some(&ossm))
-            .expect("mine");
-        assert!(fp.skipped_pages > 0, "noise pages skipped in the tree pass");
-        assert_eq!(fp.patterns, FpGrowth::new().mine(&d, 30).patterns);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tiny_frame_budgets_stay_bit_identical() {
-        let d = workload();
-        let path = tmp("ooc-frames.pages");
-        write_paged(&path, &d, 1024).expect("write");
-        let pages = PageStore::pack(d.clone(), 1024);
-        let (ossm, _) = OssmBuilder::new(8).strategy(Strategy::Greedy).build(&pages);
-        let oracle = Apriori::new().mine(&d, 12).patterns;
-        for frames in [2usize, 8, usize::MAX] {
-            let mut store = DiskStore::open(&path, frames).expect("open");
-            let dhp = StreamingDhp::default()
-                .mine(&mut store, 12, Some(&ossm))
-                .expect("mine");
-            assert_eq!(dhp.patterns, oracle, "dhp at {frames} frames");
-            let mut store = DiskStore::open(&path, frames).expect("open");
-            let fp = StreamingFpGrowth::new()
-                .mine(&mut store, 12, Some(&ossm))
-                .expect("mine");
-            assert_eq!(fp.patterns, oracle, "fp-growth at {frames} frames");
-        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -17,7 +17,9 @@ use testkit::{case_rng, random_dataset};
 use ossm_core::{Ossm, OssmBuilder, Strategy};
 use ossm_data::disk::{write_paged, DiskStore};
 use ossm_data::{Dataset, Itemset, PageStore};
-use ossm_mining::{Apriori, StreamingApriori, StreamingDhp, StreamingFpGrowth, StreamingOutcome};
+use ossm_mining::{
+    Apriori, Dhp, StreamingApriori, StreamingDhp, StreamingFpGrowth, StreamingOutcome,
+};
 
 /// Frame budgets to sweep: pathological (2), small (8), and unbounded.
 const BUDGETS: [usize; 3] = [2, 8, usize::MAX];
@@ -78,6 +80,30 @@ fn every_budget_reproduces_the_in_memory_oracle() {
                     );
                 }
             }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn unfiltered_level_metrics_match_the_in_memory_miners() {
+    // Without an OSSM the page file changes only where transactions come
+    // from: every level must generate, count, and keep exactly what the
+    // in-memory miner does.
+    for case in 0..24u64 {
+        let mut rng = case_rng(0x00C_9001, case);
+        let d = random_dataset(&mut rng, 3, 10, 20, 120, false);
+        let min_support = rng.gen_range(1..=(d.len() as u64 / 4).max(1));
+        let path = tmp_pages(&format!("levels-{case}"), &d, 128);
+        for (miner, mem) in [
+            ("apriori", Apriori::new().mine(&d, min_support)),
+            ("dhp", Dhp::new(512).mine(&d, min_support)),
+        ] {
+            let out = run(&path, 8, miner, min_support, None);
+            assert_eq!(
+                out.metrics.levels, mem.metrics.levels,
+                "case {case}: {miner} level metrics diverged"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
