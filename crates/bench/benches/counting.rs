@@ -17,12 +17,11 @@ fn bench_counting(c: &mut Criterion) {
     let store = Workload::regular(20, 200).store();
     let txs = store.dataset().transactions();
 
-    let mut group = c.benchmark_group("count_pairs");
-    group.sample_size(20);
+    let m = store.num_items() as u32;
+    let mut cases: Vec<(usize, Vec<Itemset>)> = Vec::new();
     for &num_candidates in &[100usize, 1000, 5000] {
         // Deterministic spread of pair candidates over the domain.
         let mut candidates = Vec::with_capacity(num_candidates);
-        let m = store.num_items() as u32;
         let mut a = 0u32;
         let mut b = 1u32;
         while candidates.len() < num_candidates {
@@ -32,15 +31,26 @@ fn bench_counting(c: &mut Criterion) {
         }
         candidates.sort();
         candidates.dedup();
+        cases.push((num_candidates, candidates));
+    }
+    // Every pair of the domain: the C2 volume of an unpruned level 2,
+    // where the hash tree's full-depth leaves are crowded.
+    let all_pairs: Vec<Itemset> = (0..m)
+        .flat_map(|a| ((a + 1)..m).map(move |b| Itemset::new([a, b])))
+        .collect();
+    cases.push((all_pairs.len(), all_pairs));
 
+    let mut group = c.benchmark_group("count_pairs");
+    group.sample_size(20);
+    for (num_candidates, candidates) in &cases {
         group.bench_with_input(
             BenchmarkId::new("linear", num_candidates),
-            &candidates,
+            candidates,
             |bench, cands| bench.iter(|| black_box(count_linear(black_box(txs), cands))),
         );
         group.bench_with_input(
             BenchmarkId::new("hash_tree", num_candidates),
-            &candidates,
+            candidates,
             |bench, cands| bench.iter(|| black_box(count_hash_tree(black_box(txs), cands))),
         );
     }

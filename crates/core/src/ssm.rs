@@ -162,30 +162,26 @@ impl Ossm {
     /// empty pattern holds everywhere), keeping the bound exact and
     /// monotone for all inputs.
     // SOUND: computes Σ_i min_{a∈X} sup_i({a}) exactly as eq. (1)
-    // states it; the early `min == 0` break can only skip items that
-    // would lower the min further — it never raises a term above the
-    // defined value, and the produced value is the paper's bound.
+    // states it, taking every item's support in every segment, so each
+    // term is the defined minimum and the sum is the paper's bound.
     pub fn upper_bound(&self, pattern: &Itemset) -> u64 {
         BOUND_EVALS.incr();
         if pattern.is_empty() {
             return self.num_transactions();
         }
-        let mut total = 0u64;
-        for seg in &self.segments {
-            let sup = seg.supports();
-            let mut min = u64::MAX;
-            for item in pattern.items() {
-                let s = sup[item.index()];
-                if s < min {
-                    min = s;
-                    if min == 0 {
-                        break; // no smaller value possible in this segment
-                    }
-                }
-            }
-            total += min;
-        }
-        total
+        self.segments
+            .iter()
+            .map(|seg| {
+                let sup = seg.supports();
+                // Branch-free: an early exit on a zero minimum mispredicts
+                // more often than it saves.
+                pattern
+                    .items()
+                    .iter()
+                    .map(|i| sup[i.index()])
+                    .fold(u64::MAX, u64::min)
+            })
+            .sum()
     }
 
     /// Equation (1) specialized to a pair of items — the hot path of

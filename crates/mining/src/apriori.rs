@@ -14,7 +14,7 @@ use std::time::Instant;
 use ossm_data::{Dataset, ItemId, Itemset};
 
 use crate::filter::{CandidateFilter, NoFilter};
-use crate::levelwise::{collect_singletons, LevelLoop, Trace};
+use crate::levelwise::{admit, collect_singletons, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
 use crate::support::{count_with, CountingBackend, FrequentPatterns};
@@ -91,18 +91,19 @@ impl Apriori {
         };
         let frequent = {
             let _level_span = ossm_obs::span("mining.apriori.level1");
+            let mut bounds = Vec::new();
             let survivors: Vec<ItemId> = {
                 let _s = ossm_obs::span("mining.apriori.prune");
                 (0..m as u32)
                     .map(ItemId)
-                    .filter(|&i| filter.may_be_frequent(&Itemset::singleton(i), min_support))
+                    .filter(|&i| admit(filter, &Itemset::singleton(i), min_support, &mut bounds))
                     .collect()
             };
             level.filtered_out = m as u64 - survivors.len() as u64;
             level.counted = survivors.len() as u64;
             let _count_span = ossm_obs::span("mining.apriori.count");
             let supports = dataset.singleton_supports();
-            collect_singletons(survivors, &supports, min_support, filter, &mut patterns)
+            collect_singletons(survivors, &supports, min_support, &bounds, &mut patterns)
         };
         level.frequent = frequent.len() as u64;
         obs::record_level("apriori", &level);

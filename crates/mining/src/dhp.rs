@@ -137,7 +137,7 @@ impl Dhp {
             (0..m as u32).map(ItemId),
             &singles,
             min_support,
-            &NoFilter,
+            &[],
             &mut patterns,
         );
         let level1 = LevelMetrics {

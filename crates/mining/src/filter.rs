@@ -21,6 +21,12 @@ pub trait CandidateFilter {
     /// if it has one. Instrumentation compares it with the true support to
     /// measure bound tightness; filters without a bound (like [`NoFilter`])
     /// keep the default `None`.
+    ///
+    /// A filter returns `Some` for every candidate or for none, and a
+    /// filter returning `Some(ub)` decides
+    /// `may_be_frequent(candidate, min_support) == (ub >= min_support)`:
+    /// the miners judge such a candidate by its bound alone, so eq. (1)
+    /// is evaluated once per candidate. [`OssmFilter`] is such a filter.
     fn bound(&self, _candidate: &Itemset) -> Option<u64> {
         None
     }

@@ -7,9 +7,14 @@
 //! subsets of the transaction — far fewer subset tests than the linear
 //! scan when the candidate set is large.
 //!
-//! Because a leaf can be reached through several item positions of one
-//! transaction, candidates carry a last-seen transaction stamp so each is
-//! tested at most once per transaction.
+//! A leaf at full depth `k` is reached only after the walk has consumed
+//! `k` items of the transaction, so those path items are the one
+//! `k`-subset that can match there: full-depth leaves keep their
+//! candidates sorted by items and count by an exact lookup of the path,
+//! with no subset test. A leaf above full depth (at most
+//! `LEAF_CAPACITY` candidates) can be reached through several item
+//! positions of one transaction, so its candidates carry a last-seen
+//! transaction stamp and are subset-tested at most once per transaction.
 
 use ossm_data::{ItemId, Itemset};
 
@@ -23,7 +28,7 @@ const FANOUT: usize = 64;
 const LEAF_CAPACITY: usize = 24;
 
 /// Bytes of the most recently built hash tree (interior fan-out tables,
-/// leaf lists, and the cloned candidate group) — the space this back-end
+/// leaf lists, and the candidate group it indexes) — the space this back-end
 /// trades for fewer subset tests.
 static MEM_HASHTREE: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.hashtree");
 
@@ -70,6 +75,7 @@ impl<'a> HashTree<'a> {
         for idx in 0..candidates.len() {
             Self::insert(&mut tree.root, candidates, k, idx, 0);
         }
+        Self::sort_full_leaves(&mut tree.root, candidates, k, 0);
         tree
     }
 
@@ -119,46 +125,76 @@ impl<'a> HashTree<'a> {
         }
     }
 
+    /// Sorts every full-depth leaf's list by its candidates' items, the
+    /// order the path lookup in [`HashTree::visit`] searches.
+    fn sort_full_leaves(node: &mut Node, candidates: &[Itemset], k: usize, depth: usize) {
+        match node {
+            Node::Interior(children) => {
+                for child in children.iter_mut().flatten() {
+                    Self::sort_full_leaves(child, candidates, k, depth + 1);
+                }
+            }
+            Node::Leaf(list) if depth == k => {
+                list.sort_by(|&a, &b| candidates[a].items().cmp(candidates[b].items()));
+            }
+            Node::Leaf(_) => {}
+        }
+    }
+
     /// Adds each candidate's occurrences in `transactions` to `counts`.
     pub fn count(&self, transactions: &[Itemset], counts: &mut [u64]) {
         assert_eq!(counts.len(), self.candidates.len());
-        // Per-candidate stamp of the last transaction that tested it, to
-        // avoid double counting on convergent hash paths. Stamps start at
-        // u64::MAX ( != any tid).
-        let mut last_seen = vec![u64::MAX; self.candidates.len()];
+        let mut walk = Walk {
+            path: Vec::with_capacity(self.k),
+            tid: 0,
+            // Stamps start at u64::MAX ( != any tid).
+            last_seen: vec![u64::MAX; self.candidates.len()],
+            counts,
+        };
         for (tid, t) in transactions.iter().enumerate() {
             if t.len() < self.k {
                 continue;
             }
-            self.visit(&self.root, t, 0, tid as u64, &mut last_seen, counts);
+            walk.tid = tid as u64;
+            self.visit(&self.root, t, 0, &mut walk);
         }
     }
 
-    fn visit(
-        &self,
-        node: &Node,
-        t: &Itemset,
-        start: usize,
-        tid: u64,
-        last_seen: &mut [u64],
-        counts: &mut [u64],
-    ) {
+    /// Counts the candidates below `node` that `t` contains; `walk.path`
+    /// holds the items consumed to reach `node`, the last at `start − 1`.
+    fn visit(&self, node: &Node, t: &Itemset, start: usize, walk: &mut Walk<'_>) {
         match node {
+            Node::Leaf(list) if walk.path.len() == self.k => {
+                // Only the path itself can match here; equal candidates
+                // (duplicates in the batch) sit next to each other.
+                let path = walk.path.as_slice();
+                let first = list.partition_point(|&idx| self.candidates[idx].items() < path);
+                for &idx in &list[first..] {
+                    if self.candidates[idx].items() != path {
+                        break;
+                    }
+                    walk.counts[idx] += 1;
+                }
+            }
             Node::Leaf(list) => {
                 for &idx in list {
-                    if last_seen[idx] != tid {
-                        last_seen[idx] = tid;
+                    if walk.last_seen[idx] != walk.tid {
+                        walk.last_seen[idx] = walk.tid;
                         if self.candidates[idx].is_subset_of(t) {
-                            counts[idx] += 1;
+                            walk.counts[idx] += 1;
                         }
                     }
                 }
             }
             Node::Interior(children) => {
-                // Descend once per distinct usable item position.
-                for (j, &item) in t.items().iter().enumerate().skip(start) {
+                // Descend once per usable item position: one that leaves
+                // the k − depth − 1 items a candidate still needs after it.
+                let end = t.len() + walk.path.len() + 1 - self.k;
+                for (j, &item) in t.items()[..end].iter().enumerate().skip(start) {
                     if let Some(child) = &children[bucket(item)] {
-                        self.visit(child, t, j + 1, tid, last_seen, counts);
+                        walk.path.push(item);
+                        self.visit(child, t, j + 1, walk);
+                        walk.path.pop();
                     }
                 }
             }
@@ -166,14 +202,30 @@ impl<'a> HashTree<'a> {
     }
 }
 
+/// The state one [`HashTree::count`] call carries down its walks.
+struct Walk<'c> {
+    /// Transaction items consumed on the way to the current node.
+    path: Vec<ItemId>,
+    /// Index of the transaction being walked.
+    tid: u64,
+    /// Per-candidate stamp of the last transaction that tested it in a
+    /// partial-depth leaf, so convergent hash paths count it once.
+    last_seen: Vec<u64>,
+    counts: &'c mut [u64],
+}
+
 /// Counts candidate supports with a hash tree, grouping mixed candidate
 /// sizes into one tree per size. The drop-in alternative to
 /// [`crate::support::count_linear`].
 pub fn count_hash_tree(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u64> {
-    let mut counts = vec![0u64; candidates.len()];
-    if candidates.is_empty() {
-        return counts;
+    let Some(first) = candidates.first() else {
+        return Vec::new();
+    };
+    // Every Apriori and DHP level is one size: index the caller's slice.
+    if !first.is_empty() && candidates.iter().all(|c| c.len() == first.len()) {
+        return count_group(transactions, candidates);
     }
+    let mut counts = vec![0u64; candidates.len()];
     // Group candidate indices by size.
     let mut by_len: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
     for (i, c) in candidates.iter().enumerate() {
@@ -188,27 +240,30 @@ pub fn count_hash_tree(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<
             continue;
         }
         let group: Vec<Itemset> = idxs.iter().map(|&i| candidates[i].clone()).collect();
-        let tree = HashTree::build(&group);
-        MEM_HASHTREE.set(tree.memory_bytes() as u64 + crate::support::candidate_bytes(&group));
-        // One shared tree, transaction-chunked counting: `count` keeps its
-        // dedup stamps per call, so chunks are independent, and the partial
-        // vectors merge by element-wise sum — identical at any thread count.
-        let partials =
-            ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
-                let mut part = vec![0u64; group.len()];
-                tree.count(&transactions[r], &mut part);
-                part
-            });
-        let group_counts = if partials.is_empty() {
-            vec![0u64; group.len()]
-        } else {
-            ossm_par::sum_counts(partials)
-        };
-        for (&i, c) in idxs.iter().zip(group_counts) {
+        for (&i, c) in idxs.iter().zip(count_group(transactions, &group)) {
             counts[i] = c;
         }
     }
     counts
+}
+
+/// Counts a non-empty group of candidates of one non-zero size.
+fn count_group(transactions: &[Itemset], group: &[Itemset]) -> Vec<u64> {
+    let tree = HashTree::build(group);
+    MEM_HASHTREE.set(tree.memory_bytes() as u64 + crate::support::candidate_bytes(group));
+    // One shared tree, transaction-chunked counting: `count` keeps its
+    // dedup stamps per call, so chunks are independent, and the partial
+    // vectors merge by element-wise sum — identical at any thread count.
+    let partials = ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
+        let mut part = vec![0u64; group.len()];
+        tree.count(&transactions[r], &mut part);
+        part
+    });
+    if partials.is_empty() {
+        vec![0u64; group.len()]
+    } else {
+        ossm_par::sum_counts(partials)
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +358,43 @@ mod tests {
         }
         let counts = count_hash_tree(&txs, &cands);
         assert_eq!(&counts[..3], &[1, 1, 1]);
+    }
+
+    #[test]
+    fn bucket_collisions_match_linear_scan() {
+        // Items 1 + 64·i all hash to bucket 1, so every candidate of one
+        // size shares a hash path down to a crowded full-depth leaf.
+        let item = |i: u32| 1 + 64 * i;
+        let mut cands: Vec<Itemset> = (0..30).map(|a| set(&[item(a)])).collect();
+        for a in 0..10 {
+            for b in (a + 1)..10 {
+                cands.push(set(&[item(a), item(b)]));
+                for c in (b + 1)..10 {
+                    cands.push(set(&[item(a), item(b), item(c)]));
+                }
+            }
+        }
+        let duplicates: Vec<Itemset> = cands.iter().step_by(7).cloned().collect();
+        cands.extend(duplicates);
+        // Windows of lengths 0..=5 over the colliding items, some shorter
+        // than the candidates, some holding a non-colliding item too.
+        let txs: Vec<Itemset> = (0..12u32)
+            .flat_map(|s| {
+                (0..=5u32).map(move |len| {
+                    let extra = (len % 2 == 1).then_some(2 + s);
+                    Itemset::new((s..s + len).map(|i| item(i % 12)).chain(extra))
+                })
+            })
+            .collect();
+        for k in 1..=3 {
+            let group: Vec<Itemset> = cands.iter().filter(|c| c.len() == k).cloned().collect();
+            assert_eq!(
+                count_hash_tree(&txs, &group),
+                count_linear(&txs, &group),
+                "k = {k}"
+            );
+        }
+        assert_eq!(count_hash_tree(&txs, &cands), count_linear(&txs, &cands));
     }
 
     #[test]

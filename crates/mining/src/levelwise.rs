@@ -104,11 +104,12 @@ impl LevelLoop<'_> {
                 generated: generated.len() as u64,
                 ..Default::default()
             };
+            let mut bounds = Vec::new();
             let candidates: Vec<Itemset> = {
                 let _s = self.trace.prune();
                 generated
                     .into_iter()
-                    .filter(|c| self.filter.may_be_frequent(c, self.min_support))
+                    .filter(|c| admit(self.filter, c, self.min_support, &mut bounds))
                     .collect()
             };
             level.filtered_out = level.generated - candidates.len() as u64;
@@ -119,8 +120,10 @@ impl LevelLoop<'_> {
                 count(k, &candidates)?
             };
             frequent = Vec::new();
-            for (c, sup) in candidates.into_iter().zip(counts) {
-                obs::record_bound_outcome(self.filter, &c, sup, self.min_support);
+            for (i, (c, sup)) in candidates.into_iter().zip(counts).enumerate() {
+                if let Some(&ub) = bounds.get(i) {
+                    obs::record_bound_outcome(ub, sup, self.min_support);
+                }
                 if sup >= self.min_support {
                     patterns.insert(c.clone(), sup);
                     frequent.push(c);
@@ -141,25 +144,81 @@ impl LevelLoop<'_> {
     }
 }
 
+/// Whether `filter` admits `candidate` at `min_support`. A filter with a
+/// bound is judged by it alone (the [`CandidateFilter::bound`] contract);
+/// with instrumentation on, an admitted candidate's bound is pushed onto
+/// `bounds` for its outcome record, so eq. (1) is evaluated once per
+/// candidate. `bounds` thus ends empty or with one entry per admitted
+/// candidate.
+pub(crate) fn admit(
+    filter: &dyn CandidateFilter,
+    candidate: &Itemset,
+    min_support: u64,
+    bounds: &mut Vec<u64>,
+) -> bool {
+    match filter.bound(candidate) {
+        Some(ub) => {
+            let admitted = ub >= min_support;
+            if admitted && ossm_obs::ENABLED {
+                bounds.push(ub);
+            }
+            admitted
+        }
+        None => filter.may_be_frequent(candidate, min_support),
+    }
+}
+
 /// Level 1's collect step: records each counted singleton's bound outcome
-/// under `filter`, adds the frequent ones with their exact `supports` to
-/// `patterns`, and returns them as the seeds of level 2.
+/// (`bounds` as [`admit`] left it for `items`), adds the frequent ones
+/// with their exact `supports` to `patterns`, and returns them as the
+/// seeds of level 2.
 pub(crate) fn collect_singletons(
     items: impl IntoIterator<Item = ItemId>,
     supports: &[u64],
     min_support: u64,
-    filter: &dyn CandidateFilter,
+    bounds: &[u64],
     patterns: &mut FrequentPatterns,
 ) -> Vec<Itemset> {
     let mut frequent = Vec::new();
-    for item in items {
+    for (i, item) in items.into_iter().enumerate() {
         let s = Itemset::singleton(item);
         let sup = supports[item.index()];
-        obs::record_bound_outcome(filter, &s, sup, min_support);
+        if let Some(&ub) = bounds.get(i) {
+            obs::record_bound_outcome(ub, sup, min_support);
+        }
         if sup >= min_support {
             patterns.insert(s.clone(), sup);
             frequent.push(s);
         }
     }
     frequent
+}
+
+#[cfg(all(test, feature = "obs"))]
+mod tests {
+    use super::*;
+    use crate::filter::{NoFilter, OssmFilter};
+    use ossm_core::{Aggregate, Ossm};
+
+    fn set(ids: &[u32]) -> Itemset {
+        Itemset::new(ids.iter().copied())
+    }
+
+    #[test]
+    fn admit_keeps_the_bounds_of_admitted_candidates_only() {
+        // ub({0,1}) = 20 + 10 = 30, ub({0,1,2}) = 20 + 10 = 30,
+        // ub({2}) = 40 + 20 = 60.
+        let ossm = Ossm::from_aggregates(vec![
+            Aggregate::new(vec![20, 40, 40], 40),
+            Aggregate::new(vec![10, 40, 20], 40),
+        ]);
+        let f = OssmFilter::new(&ossm);
+        let mut bounds = Vec::new();
+        assert!(admit(&f, &set(&[2]), 50, &mut bounds));
+        assert!(!admit(&f, &set(&[0, 1]), 50, &mut bounds));
+        assert!(admit(&f, &set(&[0, 1, 2]), 30, &mut bounds));
+        assert_eq!(bounds, vec![60, 30]);
+        assert!(admit(&NoFilter, &set(&[0, 1]), 50, &mut bounds));
+        assert_eq!(bounds, vec![60, 30], "a filter without a bound adds none");
+    }
 }

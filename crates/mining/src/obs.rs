@@ -17,9 +17,6 @@
 //! Everything is gated on [`ossm_obs::ENABLED`], so disabled builds skip
 //! even the `Option` plumbing.
 
-use ossm_data::Itemset;
-
-use crate::filter::CandidateFilter;
 use crate::metrics::LevelMetrics;
 
 /// Slack `ub(X) − sup(X)` of bound-admitted candidates that were counted.
@@ -29,22 +26,11 @@ static BOUND_TRUE_POS: ossm_obs::Counter = ossm_obs::Counter::new("mining.bound.
 /// Bound-admitted candidates that turned out infrequent (wasted counting).
 static BOUND_FALSE_POS: ossm_obs::Counter = ossm_obs::Counter::new("mining.bound.false_pos");
 
-/// Records the outcome of counting one filter-admitted candidate: how
-/// loose the filter's bound was (slack histogram) and whether admitting it
-/// was a true or false positive. No-op when the filter has no bound (e.g.
-/// [`crate::filter::NoFilter`]) or instrumentation is disabled.
-pub(crate) fn record_bound_outcome(
-    filter: &dyn CandidateFilter,
-    candidate: &Itemset,
-    support: u64,
-    min_support: u64,
-) {
-    if !ossm_obs::ENABLED {
-        return;
-    }
-    let Some(ub) = filter.bound(candidate) else {
-        return;
-    };
+/// Records the outcome of counting one filter-admitted candidate whose
+/// bound was `ub`: how loose the bound was (slack histogram) and whether
+/// admitting it was a true or false positive. No-op when instrumentation
+/// is disabled.
+pub(crate) fn record_bound_outcome(ub: u64, support: u64, min_support: u64) {
     BOUND_SLACK.record(ub.saturating_sub(support));
     if support >= min_support {
         BOUND_TRUE_POS.incr();
@@ -69,32 +55,19 @@ pub(crate) fn record_level(miner: &str, level: &LevelMetrics) {
 #[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
-    use crate::filter::{NoFilter, OssmFilter};
-    use ossm_core::{Aggregate, Ossm};
-
-    fn set(ids: &[u32]) -> Itemset {
-        Itemset::new(ids.iter().copied())
-    }
 
     #[test]
     fn bound_outcomes_split_true_and_false_positives() {
-        let ossm = Ossm::from_aggregates(vec![
-            Aggregate::new(vec![20, 40, 40], 40),
-            Aggregate::new(vec![10, 40, 20], 40),
-        ]);
-        let f = OssmFilter::new(&ossm);
         let before_tp = ossm_obs::registry()
             .snapshot()
             .counter("mining.bound.true_pos");
         let before_fp = ossm_obs::registry()
             .snapshot()
             .counter("mining.bound.false_pos");
-        // ub({0,1}) = 20 + 10 = 30. Frequent at threshold 25 → true positive.
-        record_bound_outcome(&f, &set(&[0, 1]), 28, 25);
+        // ub = 30, frequent at threshold 25 → true positive.
+        record_bound_outcome(30, 28, 25);
         // Infrequent at threshold 25 → false positive.
-        record_bound_outcome(&f, &set(&[0, 1]), 12, 25);
-        // NoFilter has no bound → neither bucket moves.
-        record_bound_outcome(&NoFilter, &set(&[0, 1]), 12, 25);
+        record_bound_outcome(30, 12, 25);
         // Other tests in this binary share the registry, so assert deltas
         // as lower bounds.
         let snap = ossm_obs::registry().snapshot();

@@ -249,7 +249,7 @@ fn mine_levels(
         (0..m as u32).map(ItemId),
         &singles,
         min_support,
-        &NoFilter,
+        &[],
         &mut patterns,
     );
     metrics.push_level(LevelMetrics {

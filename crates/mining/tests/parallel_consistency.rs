@@ -18,6 +18,10 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Serializes tests that set the global ossm-par thread override.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
+/// An item domain wider than the hash tree's fan-out of 64, so distinct
+/// items share hash buckets.
+const WIDE_DOMAIN: u32 = 300;
+
 const BACKENDS: [CountingBackend; 3] = [
     CountingBackend::LinearScan,
     CountingBackend::HashTree,
@@ -83,18 +87,21 @@ fn every_backend_is_thread_count_invariant() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(0x0551);
     // Enough transactions for several 256-transaction chunks and enough
-    // candidates for several 64-candidate bitmap chunks.
-    let txs = random_transactions(&mut rng, 1500, 40);
-    let cands = random_candidates(&mut rng, 220, 40);
-    let expected = oracle(&txs, &cands);
-    for backend in BACKENDS {
-        for threads in [1usize, 2, 8] {
-            ossm_par::set_threads(Some(threads));
-            assert_eq!(
-                count_with(backend, &txs, &cands),
-                expected,
-                "{backend:?} at {threads} threads"
-            );
+    // candidates for several 64-candidate bitmap chunks; the domain past
+    // the hash tree's fan-out makes items share buckets.
+    for m in [40, WIDE_DOMAIN] {
+        let txs = random_transactions(&mut rng, 1500, m);
+        let cands = random_candidates(&mut rng, 220, m);
+        let expected = oracle(&txs, &cands);
+        for backend in BACKENDS {
+            for threads in [1usize, 2, 8] {
+                ossm_par::set_threads(Some(threads));
+                assert_eq!(
+                    count_with(backend, &txs, &cands),
+                    expected,
+                    "{backend:?} at {threads} threads, m = {m}"
+                );
+            }
         }
     }
     ossm_par::set_threads(None);
@@ -103,18 +110,23 @@ fn every_backend_is_thread_count_invariant() {
 #[test]
 fn bitmap_agrees_with_linear_hashtree_and_vertical() {
     let mut rng = StdRng::seed_from_u64(0xB17_0002);
-    let m = 32u32;
-    let txs = random_transactions(&mut rng, 700, m);
-    // In-domain candidates only: the vertical index cannot answer for
-    // items it never saw.
-    let cands = random_candidates(&mut rng, 180, m);
-    let expected = oracle(&txs, &cands);
-    for backend in BACKENDS {
-        assert_eq!(count_with(backend, &txs, &cands), expected, "{backend:?}");
+    for m in [32, WIDE_DOMAIN] {
+        let txs = random_transactions(&mut rng, 700, m);
+        // In-domain candidates only: the vertical index cannot answer for
+        // items it never saw.
+        let cands = random_candidates(&mut rng, 180, m);
+        let expected = oracle(&txs, &cands);
+        for backend in BACKENDS {
+            assert_eq!(
+                count_with(backend, &txs, &cands),
+                expected,
+                "{backend:?}, m = {m}"
+            );
+        }
+        let index = VerticalIndex::build(&Dataset::new(m as usize, txs));
+        let vertical: Vec<u64> = cands.iter().map(|c| vertical_support(&index, c)).collect();
+        assert_eq!(vertical, expected, "vertical tidset oracle, m = {m}");
     }
-    let index = VerticalIndex::build(&Dataset::new(m as usize, txs));
-    let vertical: Vec<u64> = cands.iter().map(|c| vertical_support(&index, c)).collect();
-    assert_eq!(vertical, expected, "vertical tidset oracle");
 }
 
 #[test]
