@@ -51,7 +51,7 @@ pub fn fig4(opts: &Options) -> Section {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "## Figure 4 — OSSM effectiveness vs number of segments\n\n\
+        "### Figure 4 — OSSM effectiveness vs number of segments\n\n\
          {kind:?} workload, p = {pages} pages ({} transactions), m = {items} items, \
          minsup = {minsup} ({min_support} abs)\n",
         workload.num_transactions()
@@ -123,12 +123,12 @@ pub fn fig4(opts: &Options) -> Section {
     }
     let _ = writeln!(
         out,
-        "### (a) Speedup relative to Apriori without the OSSM\n"
+        "#### (a) Speedup relative to Apriori without the OSSM\n"
     );
     out.push_str(&speedups.to_markdown());
     let _ = writeln!(
         out,
-        "\n### (b) Candidate 2-itemsets still counted (fraction of baseline)\n"
+        "\n#### (b) Candidate 2-itemsets still counted (fraction of baseline)\n"
     );
     out.push_str(&fractions.to_markdown());
     Section {
@@ -157,7 +157,7 @@ pub fn fig5(opts: &Options) -> Section {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "## Figure 5 — Segmentation cost: pure and hybrid strategies\n"
+        "### Figure 5 — Segmentation cost: pure and hybrid strategies\n"
     );
 
     // (a) Pure strategies at p = 500.
@@ -168,7 +168,7 @@ pub fn fig5(opts: &Options) -> Section {
     let baseline = run_baseline(&store, min_support);
     let _ = writeln!(
         out,
-        "### (a) Pure strategies ({kind:?}), p = {pure_pages}, n_user = {n_user} \
+        "#### (a) Pure strategies ({kind:?}), p = {pure_pages}, n_user = {n_user} \
          (baseline Apriori {}, {} candidate 2-itemsets)\n",
         fmt_duration(baseline.elapsed),
         baseline.outcome.metrics.candidate_2_itemsets_counted()
@@ -212,7 +212,7 @@ pub fn fig5(opts: &Options) -> Section {
     let baseline = run_baseline(&store, min_support);
     let _ = writeln!(
         out,
-        "\n### (b) Hybrid strategies ({kind:?}), p = {hybrid_pages} ({} transactions), \
+        "\n#### (b) Hybrid strategies ({kind:?}), p = {hybrid_pages} ({} transactions), \
          n_mid = {n_mid}, n_user = {n_user} (baseline Apriori {}, {} candidate 2-itemsets)\n",
         workload.num_transactions(),
         fmt_duration(baseline.elapsed),
@@ -279,7 +279,7 @@ pub fn fig6(opts: &Options) -> Section {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "## Figure 6 — The bubble list optimization\n\n\
+        "### Figure 6 — The bubble list optimization\n\n\
          {kind:?} workload, p = {pages}, m = {items}; bubble built at \
          {bubble_threshold} support, queries at {query_threshold} \
          (baseline Apriori {})\n",
@@ -336,9 +336,9 @@ pub fn fig6(opts: &Options) -> Section {
         ]);
         rows.extend([rg, rrc]);
     }
-    let _ = writeln!(out, "### (a) Segmentation cost vs bubble-list size\n");
+    let _ = writeln!(out, "#### (a) Segmentation cost vs bubble-list size\n");
     out.push_str(&time_table.to_markdown());
-    let _ = writeln!(out, "\n### (b) Speedup vs bubble-list size\n");
+    let _ = writeln!(out, "\n#### (b) Speedup vs bubble-list size\n");
     out.push_str(&speed_table.to_markdown());
     Section {
         markdown: out,
@@ -392,7 +392,7 @@ pub fn sec7(opts: &Options) -> Section {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "## Section 7 — DHP with and without the OSSM\n\n\
+        "### Section 7 — DHP with and without the OSSM\n\n\
          {kind:?} workload, p = {pages}, m = {items}, minsup = {minsup}; \
          DHP buckets = {buckets}; OSSM = {} with {n_user} segments \
          (built in {})\n",
@@ -523,7 +523,7 @@ pub fn ooc(opts: &Options) -> Section {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "## Out-of-core mining — buffer pool and OSSM page skipping\n\n\
+        "### Out-of-core mining — buffer pool and OSSM page skipping\n\n\
          Huge workload, {num_pages} pages of {page_bytes} bytes \
          ({} transactions, m = {items}), minsup = {minsup}, buffer pool of \
          {frames} frames; OSSM = {} with {n_user} segments (built in {}). \

@@ -13,11 +13,13 @@
 //! The result is never better than a full rebuild (the builder can always
 //! reshuffle history), but it is sound by construction — bounds stay upper
 //! bounds because aggregates only ever add — and the maintenance cost per
-//! page is one loss scan, O(n · k log k).
+//! page is one loss scan: each live segment caches its `f(u_s)`, so the
+//! scan is `n` radix-sorted passes over the page plus a segment, O(n · k)
+//! for a loss scope of `k` items.
 
 use ossm_data::{Itemset, PageStore};
 
-use crate::loss::LossCalculator;
+use crate::loss::{LossCalculator, Scratch};
 use crate::segmentation::Aggregate;
 use crate::ssm::Ossm;
 
@@ -38,6 +40,9 @@ impl std::error::Error for ZeroSegmentBudget {}
 #[derive(Clone, Debug)]
 pub struct IncrementalOssm {
     segments: Vec<Aggregate>,
+    /// `fs[s] = f(segments[s])` under `calc`: the eq. (2) term each merge
+    /// loss would otherwise recompute.
+    fs: Vec<u64>,
     max_segments: usize,
     calc: LossCalculator,
     appended_pages: u64,
@@ -52,6 +57,7 @@ impl IncrementalOssm {
         }
         Ok(IncrementalOssm {
             segments: Vec::new(),
+            fs: Vec::new(),
             max_segments,
             calc,
             appended_pages: 0,
@@ -68,6 +74,7 @@ impl IncrementalOssm {
         );
         IncrementalOssm {
             segments: ossm.segments().to_vec(),
+            fs: calc.pair_min_sums(ossm.segments()),
             max_segments,
             calc,
             appended_pages: 0,
@@ -91,20 +98,28 @@ impl IncrementalOssm {
     // alters a support.
     pub fn append_aggregate(&mut self, aggregate: Aggregate) {
         self.appended_pages += 1;
+        let mut scratch = Scratch::default();
+        let f = self
+            .calc
+            .pair_min_sum_with(aggregate.supports(), &mut scratch);
         if self.segments.len() < self.max_segments {
             self.segments.push(aggregate);
+            self.fs.push(f);
             return;
         }
         // Merge into the closest live segment (smallest eq. 2 loss, ties to
         // the lowest index for determinism).
         let mut best = (u64::MAX, 0usize);
-        for (i, seg) in self.segments.iter().enumerate() {
-            let loss = self.calc.merge_loss(seg, &aggregate);
+        for (i, (seg, &f_seg)) in self.segments.iter().zip(&self.fs).enumerate() {
+            let loss = self
+                .calc
+                .merge_loss_with(seg, f_seg, &aggregate, f, &mut scratch);
             if loss < best.0 {
                 best = (loss, i);
             }
         }
         self.segments[best.1].merge_in(&aggregate);
+        self.fs[best.1] += best.0 + f;
     }
 
     /// Appends a batch of transactions as one aggregate (one logical page).
@@ -220,6 +235,58 @@ mod tests {
         let snap = inc.snapshot();
         assert_eq!(snap.num_transactions(), ossm.num_transactions() + 1);
         assert_eq!(snap.num_segments(), 4);
+    }
+
+    #[test]
+    fn cached_pair_min_sums_track_every_append() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const M: usize = 24;
+        let mut rng = StdRng::seed_from_u64(0x1c);
+        let mut random_aggregate = || {
+            let supports: Vec<u64> = (0..M)
+                .map(|_| {
+                    if rng.gen_bool(0.4) {
+                        0
+                    } else {
+                        rng.gen_range(1..400)
+                    }
+                })
+                .collect();
+            let n = supports.iter().copied().max().unwrap_or(0);
+            Aggregate::new(supports, n)
+        };
+        let seed: Vec<Aggregate> = (0..4).map(|_| random_aggregate()).collect();
+        let stream: Vec<Aggregate> = (0..200).map(|_| random_aggregate()).collect();
+        let calcs = [
+            LossCalculator::all_items(),
+            LossCalculator::scoped(vec![1, 3, 4, 8, 13, 21]),
+        ];
+        for calc in calcs {
+            let seeded =
+                IncrementalOssm::from_ossm(&Ossm::from_aggregates(seed.clone()), 6, calc.clone());
+            let fresh = IncrementalOssm::new(6, calc.clone()).expect("budget > 0");
+            for (mut inc, mut reference) in [(seeded, seed.clone()), (fresh, Vec::new())] {
+                for agg in &stream {
+                    inc.append_aggregate(agg.clone());
+                    // The reference fold: uncached merge losses, ties to
+                    // the lowest index.
+                    if reference.len() < 6 {
+                        reference.push(agg.clone());
+                    } else {
+                        let losses = reference.iter().map(|seg| calc.merge_loss(seg, agg));
+                        let (_, best) = losses.enumerate().map(|(i, l)| (l, i)).min().unwrap();
+                        reference[best].merge_in(agg);
+                    }
+                    let expected: Vec<u64> = inc
+                        .segments
+                        .iter()
+                        .map(|seg| calc.pair_min_sum(seg.supports()))
+                        .collect();
+                    assert_eq!(inc.fs, expected, "cache drifted from f(segment)");
+                    assert_eq!(inc.snapshot().segments(), reference.as_slice());
+                }
+            }
+        }
     }
 
     #[test]

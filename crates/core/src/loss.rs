@@ -12,11 +12,21 @@
 //!
 //! The paper evaluates `f` by the obvious O(m²) pair loop, which makes `m²`
 //! the dominant factor in Greedy's and RC's complexity (Section 5.3). This
-//! module also provides an O(m log m) evaluation: sort `w` ascending; the
-//! element at sorted position `i` is the minimum of exactly `m − 1 − i`
-//! pairs, so `f(w) = Σ_i sorted(w)[i] · (m − 1 − i)`. The two are verified
-//! equal by unit and property tests, and compared in the `loss` ablation
-//! bench.
+//! module evaluates it in one pass instead. A zero entry is the minimum of
+//! its pairs but adds nothing to them, so `f(w)` equals `f` of the `k`
+//! nonzero values of `w`. Sort those ascending; the value at sorted
+//! position `i` is the minimum of exactly `k − 1 − i` pairs, so
+//! `f(w) = Σ_i sorted(w)[i] · (k − 1 − i)`. The sort is an LSD byte radix
+//! sort with one pass per byte of the largest value, so an evaluation
+//! costs O(m + k·⌈log₂₅₆ max⌉) and no comparison sort.
+//!
+//! The segmentation loops never recompute `f` of a segment they hold:
+//! RC, Greedy and [`crate::IncrementalOssm`] cache `f(u_s)` per live
+//! segment, so a merge loss `f(a + b) − f(a) − f(b)` costs one pass over
+//! `a + b` into a reused buffer, and a merged segment's `f` is
+//! `loss + f(a) + f(b)` for free. The naive and fast evaluations are
+//! verified equal by unit and property tests, and compared in the `loss`
+//! ablation bench.
 //!
 //! The *bubble list* optimization (Section 5.3) restricts the pair sum to a
 //! chosen subset of items; [`LossCalculator`] carries that scope.
@@ -26,24 +36,104 @@ use crate::segmentation::Aggregate;
 /// `f(w) = Σ_{x<y} min(w_x, w_y)` by the paper's O(m²) pair loop.
 pub fn pair_min_sum_naive(w: &[u64]) -> u64 {
     let mut total = 0u64;
-    for x in 0..w.len() {
-        for y in (x + 1)..w.len() {
-            total += w[x].min(w[y]);
-        }
+    let mut rest = w;
+    while let Some((&x, tail)) = rest.split_first() {
+        total += tail.iter().map(|&y| x.min(y)).sum::<u64>();
+        rest = tail;
     }
     total
 }
 
-/// `f(w)` in O(m log m) via sorting (see module docs for the identity).
+/// `f(w)` by one radix-sorted pass over the nonzero values of `w` (see
+/// module docs for the identity).
 pub fn pair_min_sum(w: &[u64]) -> u64 {
-    let mut sorted = w.to_vec();
-    sorted.sort_unstable();
-    let m = sorted.len();
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v * (m - 1 - i) as u64)
-        .sum()
+    Scratch::default().pair_min_sum(w.iter().copied())
+}
+
+/// Reusable buffers for evaluating `f`. A segmentation scan owns one and
+/// passes it to every evaluation, so the steady state allocates nothing.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    keys: Vec<u64>,
+    spare: Vec<u64>,
+}
+
+impl Scratch {
+    /// `f` of `values`, zeros dropped before the sort.
+    // INFALLIBLE: `keys` is first resized to `values.len()`, which is exact
+    // for the slice-based iterators every caller passes, and the write
+    // cursor `k` never passes the number of values written so far.
+    fn pair_min_sum(&mut self, values: impl ExactSizeIterator<Item = u64>) -> u64 {
+        // Branch-free compaction: every value is written, but the cursor
+        // only moves past nonzero ones. The OR of the values has the bit
+        // length of their maximum, which is all the sort needs.
+        self.keys.resize(values.len(), 0);
+        let (mut k, mut bits) = (0, 0);
+        for v in values {
+            self.keys[k] = v;
+            k += usize::from(v != 0);
+            bits |= v;
+        }
+        self.keys.truncate(k);
+        radix_sort(&mut self.keys, &mut self.spare, bits);
+        let k = k as u64;
+        self.keys
+            .iter()
+            .zip((0..k).rev())
+            .map(|(&v, r)| v * r)
+            .sum()
+    }
+
+    /// `f` of `values` by the O(m²) pair loop, zeros kept.
+    fn pair_min_sum_naive(&mut self, values: impl Iterator<Item = u64>) -> u64 {
+        self.keys.clear();
+        self.keys.extend(values);
+        pair_min_sum_naive(&self.keys)
+    }
+}
+
+/// Sorts `keys` ascending by least-significant-byte-first radix passes,
+/// one per byte of `bits`, a value with the bit length of the largest key;
+/// `spare` is the scatter buffer.
+///
+/// All histograms come from one read of the keys, and a pass whose byte
+/// is the same for every key is skipped (it would copy the keys
+/// unchanged).
+// INFALLIBLE: every histogram index is a byte (`as u8`, < 256) into a
+// 256-entry array, and every scatter slot `next[b]` stays below the
+// prefix sum of buckets `0..=b`, which is at most
+// `keys.len() == spare.len()`.
+fn radix_sort(keys: &mut Vec<u64>, spare: &mut Vec<u64>, bits: u64) {
+    let passes = (u64::BITS - bits.leading_zeros()).div_ceil(8) as usize;
+    let mut counts = [[0usize; 256]; 8];
+    for &v in keys.iter() {
+        for (p, count) in counts.iter_mut().take(passes).enumerate() {
+            count[(v >> (8 * p)) as u8 as usize] += 1;
+        }
+    }
+    spare.resize(keys.len(), 0);
+    for (p, count) in counts.iter().take(passes).enumerate() {
+        if count.contains(&keys.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = start;
+            start += c;
+        }
+        for &v in keys.iter() {
+            let b = (v >> (8 * p)) as u8 as usize;
+            spare[next[b]] = v;
+            next[b] += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
+}
+
+/// Support of `item` in `w`; an item past the end of `w` has none.
+fn support(w: &[u64], item: u32) -> u64 {
+    w.get(item as usize).copied().unwrap_or(0)
 }
 
 /// Evaluates `f` and merge losses, optionally restricted to a bubble list.
@@ -51,8 +141,8 @@ pub fn pair_min_sum(w: &[u64]) -> u64 {
 pub struct LossCalculator {
     /// `None` = all items; `Some(items)` = only pairs within these item ids.
     scope: Option<Vec<u32>>,
-    /// Use the O(m²) evaluation instead of the sorted one (for the
-    /// ablation bench and cross-validation).
+    /// Use the O(m²) evaluation instead of the radix-sorted one (the
+    /// reference for the ablation bench and cross-validation).
     naive: bool,
 }
 
@@ -85,37 +175,67 @@ impl LossCalculator {
         self.scope.as_ref().map_or(m, Vec::len)
     }
 
-    /// Extracts the scoped support values from a full support vector.
-    fn scoped_values(&self, supports: &[u64]) -> Vec<u64> {
-        match &self.scope {
-            None => supports.to_vec(),
-            Some(items) => items.iter().map(|&i| supports[i as usize]).collect(),
+    /// `f` of `values` under the calculator's evaluation mode.
+    fn eval(&self, values: impl ExactSizeIterator<Item = u64>, scratch: &mut Scratch) -> u64 {
+        if self.naive {
+            scratch.pair_min_sum_naive(values)
+        } else {
+            scratch.pair_min_sum(values)
         }
+    }
+
+    /// `f(w)` over the calculator's scope, reusing `scratch`.
+    pub(crate) fn pair_min_sum_with(&self, supports: &[u64], scratch: &mut Scratch) -> u64 {
+        match &self.scope {
+            None => self.eval(supports.iter().copied(), scratch),
+            Some(items) => self.eval(items.iter().map(|&i| support(supports, i)), scratch),
+        }
+    }
+
+    /// `f` of every input, in input order: the cache a segmentation loop
+    /// starts from.
+    pub(crate) fn pair_min_sums(&self, inputs: &[Aggregate]) -> Vec<u64> {
+        let mut scratch = Scratch::default();
+        inputs
+            .iter()
+            .map(|a| self.pair_min_sum_with(a.supports(), &mut scratch))
+            .collect()
     }
 
     /// `f(w)` over the calculator's scope.
     pub fn pair_min_sum(&self, supports: &[u64]) -> u64 {
-        let w = self.scoped_values(supports);
-        if self.naive {
-            pair_min_sum_naive(&w)
-        } else {
-            pair_min_sum(&w)
-        }
+        self.pair_min_sum_with(supports, &mut Scratch::default())
     }
 
     /// Equation (2) for a pair of segments:
     /// `loss({a, b}) = f(a + b) − f(a) − f(b)`. Always ≥ 0 (Lemma 2), and 0
     /// when the two segments share a configuration (Lemma 1).
     pub fn merge_loss(&self, a: &Aggregate, b: &Aggregate) -> u64 {
-        let fa = self.pair_min_sum(a.supports());
-        let fb = self.pair_min_sum(b.supports());
-        let sum: Vec<u64> = a
-            .supports()
-            .iter()
-            .zip(b.supports())
-            .map(|(x, y)| x + y)
-            .collect();
-        let fsum = self.pair_min_sum(&sum);
+        let mut scratch = Scratch::default();
+        let fa = self.pair_min_sum_with(a.supports(), &mut scratch);
+        let fb = self.pair_min_sum_with(b.supports(), &mut scratch);
+        self.merge_loss_with(a, fa, b, fb, &mut scratch)
+    }
+
+    /// [`Self::merge_loss`] given the cached `fa = f(a)` and `fb = f(b)`:
+    /// one evaluation of `f(a + b)`, with no allocation once `scratch` has
+    /// grown to the scope size.
+    pub(crate) fn merge_loss_with(
+        &self,
+        a: &Aggregate,
+        fa: u64,
+        b: &Aggregate,
+        fb: u64,
+        scratch: &mut Scratch,
+    ) -> u64 {
+        let (a, b) = (a.supports(), b.supports());
+        let fsum = match &self.scope {
+            None => self.eval(a.iter().zip(b).map(|(x, y)| x + y), scratch),
+            Some(items) => self.eval(
+                items.iter().map(|&i| support(a, i) + support(b, i)),
+                scratch,
+            ),
+        };
         fsum - fa - fb
     }
 
@@ -125,10 +245,11 @@ impl LossCalculator {
     where
         I: IntoIterator<Item = &'a Aggregate>,
     {
+        let mut scratch = Scratch::default();
         let mut total_f = 0u64;
         let mut sum: Option<Vec<u64>> = None;
         for seg in segments {
-            total_f += self.pair_min_sum(seg.supports());
+            total_f += self.pair_min_sum_with(seg.supports(), &mut scratch);
             match &mut sum {
                 None => sum = Some(seg.supports().to_vec()),
                 Some(acc) => {
@@ -140,27 +261,40 @@ impl LossCalculator {
         }
         match sum {
             None => 0,
-            Some(total) => self.pair_min_sum(&total) - total_f,
+            Some(total) => self.pair_min_sum_with(&total, &mut scratch) - total_f,
         }
     }
 
     /// Every pairwise merge loss among `inputs`, as `(loss, a, b)` triples
     /// ordered by `(a, b)` — the O(p²·m) matrix Greedy's initialization
     /// consumes.
+    pub fn pairwise_merge_losses(&self, inputs: &[Aggregate]) -> Vec<(u64, usize, usize)> {
+        self.pairwise_merge_losses_with(inputs, &self.pair_min_sums(inputs))
+    }
+
+    /// [`Self::pairwise_merge_losses`] given `fs[i] = f(inputs[i])`.
     ///
     /// Rows are chunked across worker threads (row `a` covers the pairs
-    /// `(a, b)` for all `b > a`); per-chunk results concatenate in row
-    /// order, so the output is identical at any thread count.
-    pub fn pairwise_merge_losses(&self, inputs: &[Aggregate]) -> Vec<(u64, usize, usize)> {
+    /// `(a, b)` for all `b > a`), each chunk with its own scratch;
+    /// per-chunk results concatenate in row order, so the output is
+    /// identical at any thread count.
+    pub(crate) fn pairwise_merge_losses_with(
+        &self,
+        inputs: &[Aggregate],
+        fs: &[u64],
+    ) -> Vec<(u64, usize, usize)> {
         /// Rows per chunk floor: early rows are the longest, so small
         /// chunks would leave the tail workers idle on trivial rows.
         const MIN_ROWS: usize = 4;
         let n = inputs.len();
         ossm_par::map_chunks(n, MIN_ROWS, |r| {
+            let mut scratch = Scratch::default();
             let mut out = Vec::new();
             for a in r {
                 for b in (a + 1)..n {
-                    out.push((self.merge_loss(&inputs[a], &inputs[b]), a, b));
+                    let loss =
+                        self.merge_loss_with(&inputs[a], fs[a], &inputs[b], fs[b], &mut scratch);
+                    out.push((loss, a, b));
                 }
             }
             out
@@ -211,12 +345,66 @@ mod tests {
 
     #[test]
     fn fast_equals_naive_on_random_vectors() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..100 {
-            let len = rng.gen_range(0..30);
-            let w: Vec<u64> = (0..len).map(|_| rng.gen_range(0..100)).collect();
+        // One value of the given shape: small, mostly zero, ≥ 2³² (five
+        // or more radix passes), or sharing its high bytes with every
+        // other value of the shape (constant-byte passes are skipped).
+        let value = |rng: &mut StdRng, shape: usize| -> u64 {
+            match shape {
+                0 => rng.gen_range(0..100),
+                1 if rng.gen_bool(0.85) => 0,
+                1 => rng.gen_range(1..1000),
+                2 if rng.gen_bool(0.2) => 0,
+                2 => rng.gen_range(1u64 << 32..1 << 44),
+                _ => (1 << 40) + rng.gen_range(0..300),
+            }
+        };
+        let naive = LossCalculator::all_items().with_naive_evaluation();
+        let fast = LossCalculator::all_items();
+        // One scratch across every case, so buffers left over from a
+        // longer vector must not leak into a shorter one.
+        let mut scratch = Scratch::default();
+        for case in 0..500 {
+            let len = if case < 10 {
+                case % 2
+            } else {
+                rng.gen_range(0..40)
+            };
+            let shape = case % 5;
+            let vector = |rng: &mut StdRng| -> Vec<u64> {
+                if shape == 4 {
+                    // All equal, zero and large values included.
+                    let shape = rng.gen_range(0..4);
+                    let v = value(rng, shape);
+                    vec![v; len]
+                } else {
+                    (0..len).map(|_| value(rng, shape)).collect()
+                }
+            };
+            let (w, v) = (vector(&mut rng), vector(&mut rng));
             assert_eq!(pair_min_sum(&w), pair_min_sum_naive(&w), "w = {w:?}");
+            let (a, b) = (agg(&w), agg(&v));
+            let mut scope: Vec<u32> = (0..len as u32).filter(|_| rng.gen_bool(0.5)).collect();
+            scope.shuffle(&mut rng);
+            let scoped = LossCalculator::scoped(scope.clone());
+            let scoped_naive = LossCalculator::scoped(scope).with_naive_evaluation();
+            for (calc, reference) in [(&fast, &naive), (&scoped, &scoped_naive)] {
+                assert_eq!(
+                    calc.pair_min_sum(&w),
+                    reference.pair_min_sum(&w),
+                    "w = {w:?}"
+                );
+                let loss = reference.merge_loss(&a, &b);
+                assert_eq!(calc.merge_loss(&a, &b), loss, "a = {w:?}, b = {v:?}");
+                let fa = calc.pair_min_sum_with(&w, &mut scratch);
+                let fb = calc.pair_min_sum_with(&v, &mut scratch);
+                assert_eq!(
+                    calc.merge_loss_with(&a, fa, &b, fb, &mut scratch),
+                    loss,
+                    "a = {w:?}, b = {v:?}"
+                );
+            }
         }
     }
 

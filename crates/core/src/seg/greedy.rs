@@ -4,7 +4,10 @@
 //! pops the globally minimal pair, merges it, and inserts the losses of the
 //! new segment against every survivor. Because the merged segment may have
 //! a *different configuration* than either parent (Example 3 of the paper),
-//! the fresh losses genuinely must be recomputed.
+//! the fresh losses genuinely must be recomputed. Each live segment
+//! carries its cached `f(u_s)`, so a fresh loss is one pass over the merged
+//! pair, and the merged segment's own `f` is the popped loss plus its
+//! parents' `f`s.
 //!
 //! Instead of Figure 2's step 5 ("remove all pairs in the priority queue
 //! involving S_i or S_j") — a linear scan of the heap — we use lazy
@@ -16,7 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::loss::LossCalculator;
+use crate::loss::{LossCalculator, Scratch};
 use crate::segmentation::{Aggregate, Segmentation};
 
 use super::{trivial, validate, SegmentationAlgorithm};
@@ -60,12 +63,15 @@ impl SegmentationAlgorithm for Greedy {
             return t;
         }
         let _seg_span = ossm_obs::span("core.seg.greedy");
-        // Slab of segments by id; `None` = merged away. Ids only grow, so a
-        // heap entry is stale iff either of its ids is dead.
-        let mut slab: Vec<Option<(Aggregate, Vec<usize>)>> = inputs
+        // Slab of segments by id, each with its cached `f`; `None` = merged
+        // away. Ids only grow, so a heap entry is stale iff either of its
+        // ids is dead.
+        let fs = self.calc.pair_min_sums(inputs);
+        let mut slab: Vec<Option<(Aggregate, u64, Vec<usize>)>> = inputs
             .iter()
+            .zip(&fs)
             .enumerate()
-            .map(|(i, a)| Some((a.clone(), vec![i])))
+            .map(|(i, (a, &f))| Some((a.clone(), f, vec![i])))
             .collect();
         let mut alive = slab.len();
 
@@ -78,7 +84,7 @@ impl SegmentationAlgorithm for Greedy {
             // The full pairwise matrix, computed row-chunked in parallel and
             // returned in (a, b) order; pushes stay on this thread so the
             // heap's insertion order is independent of the thread count.
-            let pairs = self.calc.pairwise_merge_losses(inputs);
+            let pairs = self.calc.pairwise_merge_losses_with(inputs, &fs);
             LOSS_EVALS.add(pairs.len() as u64);
             HEAP_PUSHES.add(pairs.len() as u64);
             for (loss, a, b) in pairs {
@@ -87,20 +93,23 @@ impl SegmentationAlgorithm for Greedy {
         }
 
         // Step 2: repeatedly merge the globally closest pair.
+        let mut scratch = Scratch::default();
         while alive > n_user {
             let mut round = ossm_obs::detail_span("core.seg.greedy.round");
             round.watch(&LOSS_EVALS);
             round.watch(&STALE_POPS);
-            let Reverse((_, a, b)) = heap.pop().expect("heap cannot drain before n_user");
+            let Reverse((loss, a, b)) = heap.pop().expect("heap cannot drain before n_user");
             if slab[a].is_none() || slab[b].is_none() {
                 STALE_POPS.incr();
                 continue; // lazy deletion: a stale pair
             }
             // Steps 4–5: merge S_a and S_b into a fresh segment.
-            let (agg_a, mut grp_a) = slab[a].take().expect("checked alive");
-            let (agg_b, mut grp_b) = slab[b].take().expect("checked alive");
+            let (agg_a, f_a, mut grp_a) = slab[a].take().expect("checked alive");
+            let (agg_b, f_b, mut grp_b) = slab[b].take().expect("checked alive");
             let mut merged = agg_a;
             merged.merge_in(&agg_b);
+            let f_merged = loss + f_a + f_b;
+            debug_assert_eq!(f_merged, self.calc.pair_min_sum(merged.supports()));
             grp_a.append(&mut grp_b);
             let new_id = slab.len();
             alive -= 1; // two died, one born
@@ -110,18 +119,20 @@ impl SegmentationAlgorithm for Greedy {
                 // (No point pushing pairs we will never pop once the target
                 // count is reached.)
                 for (id, entry) in slab.iter().enumerate() {
-                    if let Some((agg, _)) = entry {
-                        let loss = self.calc.merge_loss(&merged, agg);
+                    if let Some((agg, f, _)) = entry {
+                        let loss =
+                            self.calc
+                                .merge_loss_with(&merged, f_merged, agg, *f, &mut scratch);
                         LOSS_EVALS.incr();
                         heap.push(Reverse((loss, id, new_id)));
                         HEAP_PUSHES.incr();
                     }
                 }
             }
-            slab.push(Some((merged, grp_a)));
+            slab.push(Some((merged, f_merged, grp_a)));
         }
 
-        let groups: Vec<Vec<usize>> = slab.into_iter().flatten().map(|(_, g)| g).collect();
+        let groups: Vec<Vec<usize>> = slab.into_iter().flatten().map(|(_, _, g)| g).collect();
         Segmentation::from_groups(groups, inputs.len())
     }
 }

@@ -14,8 +14,10 @@
 //! | hybrids   | §5.4   | Random to `n_mid`, then RC/Greedy | [`hybrid`] |
 //!
 //! The `m²` factor is tamed two ways: the bubble list (Section 5.3,
-//! [`crate::bubble`]) shrinks the item scope, and our sorted loss
-//! evaluation ([`crate::loss`]) turns each `m²` into `m log m` outright.
+//! [`crate::bubble`]) shrinks the item scope, and our loss evaluation
+//! ([`crate::loss`]) turns each `m²` into one radix-sorted pass over the
+//! nonzero supports of the merged pair; RC and Greedy cache `f` of every
+//! live segment, so that pass is the whole cost of a merge loss.
 
 use crate::segmentation::{Aggregate, Segmentation};
 

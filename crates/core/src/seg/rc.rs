@@ -5,12 +5,14 @@
 //! equation (2). Relative to Greedy, RC gives up finding the globally
 //! minimal pair (and with it the priority queue); each of the `p − n_user`
 //! iterations costs one scan over the remaining segments, for the paper's
-//! O(p²·m²) total (O(p²·k log k) here, with `k` the loss scope size).
+//! O(p²·m²) total. Here each live segment carries its cached `f(u_s)`, so
+//! every loss in a scan is one radix-sorted pass over the scope of the
+//! merged pair (O(p²·k) in all, with `k` the loss scope size).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::loss::LossCalculator;
+use crate::loss::{LossCalculator, Scratch};
 use crate::segmentation::{Aggregate, Segmentation};
 
 use super::{trivial, validate, SegmentationAlgorithm};
@@ -56,30 +58,38 @@ impl SegmentationAlgorithm for RandomClosest {
         }
         let _seg_span = ossm_obs::span("core.seg.rc");
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // Working set of live segments: (aggregate, original input indices).
-        let mut live: Vec<(Aggregate, Vec<usize>)> = inputs
+        // Working set of live segments: (aggregate, its cached `f`,
+        // original input indices).
+        let fs = self.calc.pair_min_sums(inputs);
+        let mut live: Vec<(Aggregate, u64, Vec<usize>)> = inputs
             .iter()
+            .zip(fs)
             .enumerate()
-            .map(|(i, a)| (a.clone(), vec![i]))
+            .map(|(i, (a, f))| (a.clone(), f, vec![i]))
             .collect();
         while live.len() > n_user {
             let mut round = ossm_obs::detail_span("core.seg.rc.round");
             round.watch(&LOSS_EVALS);
             // Step 2: pick a random segment S1.
             let i = rng.gen_range(0..live.len());
+            let (agg_i, f_i, _) = &live[i];
             // Step 3: find the closest segment S2 (min merge loss; ties to
             // the lowest index so runs are reproducible). The scan chunks
-            // across worker threads; each chunk reports its local best and
-            // the `(loss, j)` tuple min over chunk results reproduces the
-            // serial tie-break exactly, at any thread count.
+            // across worker threads, each with its own scratch; each chunk
+            // reports its local best and the `(loss, j)` tuple min over
+            // chunk results reproduces the serial tie-break exactly, at any
+            // thread count.
             let best = ossm_par::map_chunks(live.len(), MIN_SCAN, |r| {
+                let mut scratch = Scratch::default();
                 let mut local: Option<(u64, usize)> = None;
-                for (j, (agg, _)) in live[r.clone()].iter().enumerate() {
+                for (j, (agg, f, _)) in live[r.clone()].iter().enumerate() {
                     let j = r.start + j;
                     if j == i {
                         continue;
                     }
-                    let loss = self.calc.merge_loss(&live[i].0, agg);
+                    let loss = self
+                        .calc
+                        .merge_loss_with(agg_i, *f_i, agg, *f, &mut scratch);
                     if local.map_or(true, |(bl, bj)| (loss, j) < (bl, bj)) {
                         local = Some((loss, j));
                     }
@@ -90,16 +100,19 @@ impl SegmentationAlgorithm for RandomClosest {
             .flatten()
             .min();
             LOSS_EVALS.add(live.len() as u64 - 1);
-            let (_, j) = best.expect("at least two live segments");
-            // Step 4: merge S1 and S2. Remove the higher index first so the
-            // lower one stays valid under swap_remove.
-            let (agg_removed, mut grp_removed) = live.swap_remove(j.max(i));
-            let (agg_kept, grp_kept) = &mut live[j.min(i)];
+            let (loss, j) = best.expect("at least two live segments");
+            // Step 4: merge S1 and S2, whose `f` is `loss + f(S1) + f(S2)`.
+            // Remove the higher index first so the lower one stays valid
+            // under swap_remove.
+            let (agg_removed, f_removed, mut grp_removed) = live.swap_remove(j.max(i));
+            let (agg_kept, f_kept, grp_kept) = &mut live[j.min(i)];
             agg_kept.merge_in(&agg_removed);
+            *f_kept += loss + f_removed;
+            debug_assert_eq!(*f_kept, self.calc.pair_min_sum(agg_kept.supports()));
             grp_kept.append(&mut grp_removed);
             MERGES.incr();
         }
-        Segmentation::from_groups(live.into_iter().map(|(_, g)| g).collect(), inputs.len())
+        Segmentation::from_groups(live.into_iter().map(|(_, _, g)| g).collect(), inputs.len())
     }
 }
 

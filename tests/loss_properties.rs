@@ -1,5 +1,5 @@
 //! Property tests for the equation-(2) loss quantity (Lemma 2) and the
-//! O(m log m) evaluation's equivalence to the paper's O(m²) pair loop.
+//! radix-sorted evaluation's equivalence to the paper's O(m²) pair loop.
 
 mod testkit;
 
