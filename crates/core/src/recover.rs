@@ -111,12 +111,10 @@ pub fn aggregates_from_scan(scan: &StoreScan) -> Recovery {
 /// Recounts a page's supports from its intact transaction data, or
 /// `None` when an item id falls outside the store's declared domain —
 /// the caller quarantines such a page.
-fn recount(txs: &[ossm_data::Itemset], m: usize) -> Option<(Vec<u64>, u64)> {
+fn recount(txs: &ossm_data::disk::FlatPage, m: usize) -> Option<(Vec<u64>, u64)> {
     let mut supports = vec![0u64; m];
-    for t in txs {
-        for item in t.items() {
-            *supports.get_mut(item.index())? += 1;
-        }
+    for item in txs.items() {
+        *supports.get_mut(item.index())? += 1;
     }
     Some((supports, txs.len() as u64))
 }

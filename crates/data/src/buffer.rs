@@ -9,6 +9,21 @@
 //! [`PageGuard`]s — RAII pins that keep a frame resident for exactly as
 //! long as a counting pass is looking at it.
 //!
+//! # Frames and pins
+//!
+//! A frame holds one decoded page as a [`FlatPage`] (every transaction's
+//! items in one vector plus one end offset per transaction) behind an
+//! `Arc`, so admitting a page costs the `Arc` and the page's two vectors
+//! however many transactions it carries. A guard is a clone of that
+//! `Arc`, and the pin count *is* its strong count: a frame is pinned iff
+//! `Arc::strong_count(&data) > 1`, and dropping a guard unpins with no
+//! bookkeeping of its own. Guards are only created under `&mut` pool
+//! access, so a count read by the pool can only be stale downwards — a
+//! concurrently dropped guard at worst keeps its frame pinned one more
+//! eviction. The one exception is a snapshot [`BufferPoolManager::update`]
+//! copied away from live guards: the frame keeps that old `Arc` too, and
+//! its guards still count as pins until they drop.
+//!
 //! # Replacement policy
 //!
 //! LRU-K with K = 2: the victim is the unpinned frame with the largest
@@ -19,6 +34,13 @@
 //! miner re-reads every pass resident while one-touch scans drain
 //! through a single frame — exactly the scan-resistance classic LRU
 //! lacks.
+//!
+//! The pool keeps every frame's `(class, stamp, frame)` key in an
+//! ordered set, updated on each access, so choosing a victim is a walk
+//! from the front to the first unpinned frame — O(log frames) plus the
+//! pinned frames skipped — instead of a scan of the whole arena. Each
+//! stamp is a distinct tick of the pool's access clock, so the order
+//! has no ties and the victim is the minimum key among unpinned frames.
 //!
 //! # Dirty frames and the WAL
 //!
@@ -32,13 +54,13 @@
 //!
 //! [`DiskStore`]: crate::disk::DiskStore
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use crate::item::Itemset;
+use crate::disk::FlatPage;
+use crate::item::{ItemId, Itemset};
 
 /// Page requests served from a resident frame, all pools combined.
 static POOL_HITS: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.hits");
@@ -87,12 +109,11 @@ pub struct PoolStats {
 
 /// An RAII pin on a decoded page. The frame cannot be evicted while any
 /// guard on it is alive; dropping the guard unpins it. The guard derefs
-/// to the page's transactions, so counting passes iterate it in place —
-/// no copy out of the pool.
+/// to the page's [`FlatPage`], so counting passes iterate its
+/// transactions in place — no copy out of the pool.
 #[derive(Debug)]
 pub struct PageGuard {
-    data: Arc<Vec<Itemset>>,
-    pin: Arc<AtomicU32>,
+    data: Arc<FlatPage>,
     page: u64,
 }
 
@@ -105,7 +126,7 @@ impl PageGuard {
 
     // ENTRYPOINT: public pool API — reached by every out-of-core pass.
     /// The pinned page's transactions.
-    pub fn transactions(&self) -> &[Itemset] {
+    pub fn transactions(&self) -> &FlatPage {
         &self.data
     }
 
@@ -113,34 +134,32 @@ impl PageGuard {
     // owned copy (`DiskStore::read_page`).
     /// Copies the page's transactions out of the pool.
     pub fn to_vec(&self) -> Vec<Itemset> {
-        self.data.as_ref().clone()
+        self.data.to_itemsets()
     }
 }
 
 impl Deref for PageGuard {
-    type Target = [Itemset];
-    fn deref(&self) -> &[Itemset] {
+    type Target = FlatPage;
+    fn deref(&self) -> &FlatPage {
         &self.data
     }
 }
 
-impl Drop for PageGuard {
-    fn drop(&mut self) {
-        // Unpin. Saturating would hide a bookkeeping bug; a guard is
-        // only constructed after its frame's pin was incremented, so
-        // the counter is nonzero here.
-        self.pin.fetch_sub(1, Ordering::AcqRel);
-    }
+/// Guards outstanding on one snapshot the frame holds.
+fn guards_on(data: &Arc<FlatPage>) -> usize {
+    Arc::strong_count(data) - 1
 }
 
 /// One frame of the arena: a decoded page plus replacement and
 /// durability bookkeeping.
 struct Frame {
     page: u64,
-    data: Arc<Vec<Itemset>>,
-    /// Outstanding guards; shared with them so drop-unpin needs no
-    /// back-reference into the pool.
-    pin: Arc<AtomicU32>,
+    /// The page; every clone beyond this one is a [`PageGuard`].
+    data: Arc<FlatPage>,
+    /// Snapshots [`BufferPoolManager::update`] replaced while guards
+    /// still held them, kept so those guards still pin the frame.
+    /// Empty unless a page is updated under a live guard.
+    stale: Vec<Arc<FlatPage>>,
     /// Whether the frame holds changes the disk image lacks.
     dirty: bool,
     /// LSN of the last WAL record that touched this frame (the WAL must
@@ -157,11 +176,11 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(page: u64, data: Vec<Itemset>, bytes: u64, clock: u64) -> Self {
+    fn new(page: u64, data: FlatPage, bytes: u64, clock: u64) -> Self {
         Frame {
             page,
             data: Arc::new(data),
-            pin: Arc::new(AtomicU32::new(0)),
+            stale: Vec::new(),
             dirty: false,
             last_lsn: 0,
             bytes,
@@ -182,16 +201,21 @@ impl Frame {
         }
     }
 
-    fn pinned(&self) -> bool {
-        self.pin.load(Ordering::Acquire) > 0
+    /// Outstanding guards on this frame, old snapshots included.
+    fn pins(&self) -> usize {
+        guards_on(&self.data) + self.stale.iter().map(guards_on).sum::<usize>()
+    }
+
+    fn touch(&mut self, clock: u64) {
+        self.prev = self.recent;
+        self.recent = clock;
+        self.accesses += 1;
     }
 
     fn guard(&self) -> PageGuard {
-        self.pin.fetch_add(1, Ordering::AcqRel);
         POOL_PINS.incr();
         PageGuard {
             data: Arc::clone(&self.data),
-            pin: Arc::clone(&self.pin),
             page: self.page,
         }
     }
@@ -206,6 +230,9 @@ pub struct BufferPoolManager {
     frames: Vec<Frame>,
     /// page id → index into `frames`.
     table: HashMap<u64, usize>,
+    /// Every frame's `(class, stamp, index into frames)`, in eviction
+    /// order: the first unpinned entry is the LRU-K victim.
+    victims: BTreeSet<(u8, u64, usize)>,
     clock: u64,
     stats: PoolStats,
     /// Bytes currently charged to the `mem.data.pool` gauge.
@@ -221,6 +248,7 @@ impl BufferPoolManager {
             capacity: capacity.max(1),
             frames: Vec::new(),
             table: HashMap::new(),
+            victims: BTreeSet::new(),
             clock: 0,
             stats: PoolStats::default(),
             charged: 0,
@@ -260,7 +288,7 @@ impl BufferPoolManager {
         self.table
             .get(&page)
             .and_then(|&idx| self.frames.get(idx))
-            .map_or(0, |f| f.pin.load(Ordering::Acquire))
+            .map_or(0, |f| u32::try_from(f.pins()).unwrap_or(u32::MAX))
     }
 
     // ENTRYPOINT: public pool API — the hot hit path of every page
@@ -271,14 +299,23 @@ impl BufferPoolManager {
     /// [`admit`]: BufferPoolManager::admit
     pub fn get(&mut self, page: u64) -> Option<PageGuard> {
         let idx = *self.table.get(&page)?;
-        let frame = self.frames.get_mut(idx)?;
         self.clock += 1;
-        frame.prev = frame.recent;
-        frame.recent = self.clock;
-        frame.accesses += 1;
+        let guard = self.touch(idx)?;
         self.stats.hits += 1;
         self.stats.pins += 1;
         POOL_HITS.incr();
+        Some(guard)
+    }
+
+    /// Records an access to frame `idx`, re-keying it in the victim
+    /// order, and pins it.
+    fn touch(&mut self, idx: usize) -> Option<PageGuard> {
+        let frame = self.frames.get_mut(idx)?;
+        let (class, stamp) = frame.victim_key();
+        self.victims.remove(&(class, stamp, idx));
+        frame.touch(self.clock);
+        let (class, stamp) = frame.victim_key();
+        self.victims.insert((class, stamp, idx));
         Some(frame.guard())
     }
 
@@ -297,9 +334,9 @@ impl BufferPoolManager {
     pub fn admit(
         &mut self,
         page: u64,
-        data: Vec<Itemset>,
+        data: FlatPage,
         bytes: u64,
-        write_back: impl FnMut(u64, u64, &[Itemset]) -> io::Result<()>,
+        write_back: impl FnMut(u64, u64, &FlatPage) -> io::Result<()>,
     ) -> io::Result<PageGuard> {
         self.clock += 1;
         self.stats.misses += 1;
@@ -307,36 +344,34 @@ impl BufferPoolManager {
         if let Some(&idx) = self.table.get(&page) {
             // Defensive: the caller raced its own miss (admit of an
             // already-resident page). Serve the resident frame.
-            if let Some(frame) = self.frames.get_mut(idx) {
-                frame.prev = frame.recent;
-                frame.recent = self.clock;
-                frame.accesses += 1;
+            if let Some(guard) = self.touch(idx) {
                 self.stats.pins += 1;
-                return Ok(frame.guard());
+                return Ok(guard);
             }
         }
+        let frame = Frame::new(page, data, bytes, self.clock);
+        let (class, stamp) = frame.victim_key();
         if self.frames.len() < self.capacity {
-            let frame = Frame::new(page, data, bytes, self.clock);
+            let idx = self.frames.len();
             self.stats.pins += 1;
             let guard = frame.guard();
-            self.table.insert(page, self.frames.len());
+            self.table.insert(page, idx);
+            self.victims.insert((class, stamp, idx));
             self.frames.push(frame);
             self.charge(bytes);
             return Ok(guard);
         }
-        let victim_idx = self
-            .frames
+        let frames = &self.frames;
+        let victim = self
+            .victims
             .iter()
-            .enumerate()
-            .filter(|(_, f)| !f.pinned())
-            .min_by_key(|(_, f)| f.victim_key())
-            .map(|(idx, _)| idx);
-        let Some(idx) = victim_idx else {
+            .find(|&&(_, _, idx)| frames.get(idx).is_some_and(|f| f.pins() == 0))
+            .copied();
+        let Some(key @ (_, _, idx)) = victim else {
             return Err(io::Error::other(
                 "buffer pool exhausted: every frame is pinned",
             ));
         };
-        let clock = self.clock;
         let Some(victim) = self.frames.get_mut(idx) else {
             return Err(io::Error::other("buffer pool lost its victim frame"));
         };
@@ -352,10 +387,12 @@ impl BufferPoolManager {
         );
         let freed = victim.bytes;
         self.table.remove(&victim.page);
-        *victim = Frame::new(page, data, bytes, clock);
+        self.victims.remove(&key);
+        *victim = frame;
         self.stats.pins += 1;
         let guard = victim.guard();
         self.table.insert(page, idx);
+        self.victims.insert((class, stamp, idx));
         self.discharge(freed);
         self.charge(bytes);
         Ok(guard)
@@ -363,19 +400,27 @@ impl BufferPoolManager {
 
     // ENTRYPOINT: public pool API — the only mutation path; stamps the
     // WAL ordering metadata write-back depends on.
-    /// Mutates the resident `page` in place, marking the frame dirty and
-    /// recording `last_lsn` as the WAL high-water mark its write-back
-    /// must wait for. Outstanding guards keep seeing the pre-update
-    /// snapshot (copy-on-write). Returns `false` if the page is not
-    /// resident.
-    pub fn update(&mut self, page: u64, last_lsn: u64, f: impl FnOnce(&mut Vec<Itemset>)) -> bool {
+    /// Appends transaction `tx` (strictly increasing items) to the
+    /// resident `page`, marking the frame dirty and recording `last_lsn`
+    /// as the WAL high-water mark its write-back must wait for.
+    /// Outstanding guards keep seeing the pre-update snapshot
+    /// (copy-on-write) and keep the frame pinned. Returns `false` if the
+    /// page is not resident or cannot take the transaction (more than
+    /// `u32::MAX` items).
+    pub fn update(&mut self, page: u64, last_lsn: u64, tx: &[ItemId]) -> bool {
         let Some(&idx) = self.table.get(&page) else {
             return false;
         };
         let Some(frame) = self.frames.get_mut(idx) else {
             return false;
         };
-        f(Arc::make_mut(&mut frame.data));
+        if guards_on(&frame.data) > 0 {
+            frame.stale.retain(|s| guards_on(s) > 0);
+            frame.stale.push(Arc::clone(&frame.data));
+        }
+        if !Arc::make_mut(&mut frame.data).push(tx) {
+            return false;
+        }
         frame.dirty = true;
         frame.last_lsn = frame.last_lsn.max(last_lsn);
         true
@@ -389,7 +434,7 @@ impl BufferPoolManager {
     /// the failing frame and any not yet reached stay dirty.
     pub fn flush_dirty(
         &mut self,
-        mut write_back: impl FnMut(u64, u64, &[Itemset]) -> io::Result<()>,
+        mut write_back: impl FnMut(u64, u64, &FlatPage) -> io::Result<()>,
     ) -> io::Result<usize> {
         let mut flushed = 0;
         for frame in &mut self.frames {
@@ -404,7 +449,7 @@ impl BufferPoolManager {
     fn write_back_frame(
         stats: &mut PoolStats,
         frame: &mut Frame,
-        mut write_back: impl FnMut(u64, u64, &[Itemset]) -> io::Result<()>,
+        mut write_back: impl FnMut(u64, u64, &FlatPage) -> io::Result<()>,
     ) -> io::Result<()> {
         write_back(frame.page, frame.last_lsn, &frame.data)?;
         frame.dirty = false;
@@ -440,11 +485,13 @@ impl Drop for BufferPoolManager {
 mod tests {
     use super::*;
 
-    fn page(id: u32) -> Vec<Itemset> {
-        vec![Itemset::new([id])]
+    fn page(id: u32) -> FlatPage {
+        let mut p = FlatPage::default();
+        assert!(p.push(&[ItemId(id)]));
+        p
     }
 
-    fn no_write_back(_: u64, _: u64, _: &[Itemset]) -> io::Result<()> {
+    fn no_write_back(_: u64, _: u64, _: &FlatPage) -> io::Result<()> {
         panic!("no dirty frames expected in this test");
     }
 
@@ -502,7 +549,7 @@ mod tests {
         // Page 0 is pinned: the victim must be page 1 despite page 0
         // being the LRU-K choice.
         drop(pool.admit(2, page(2), 10, no_write_back).expect("admit"));
-        assert_eq!(guard0.transactions(), &page(0)[..], "snapshot intact");
+        assert_eq!(guard0.transactions(), &page(0), "snapshot intact");
         assert!(pool.get(0).is_some(), "pinned page survived");
         assert!(pool.get(1).is_none(), "unpinned page was the victim");
         drop(guard0);
@@ -539,7 +586,7 @@ mod tests {
     fn dirty_victim_is_written_back_before_eviction() {
         let mut pool = BufferPoolManager::new(1);
         drop(pool.admit(7, page(7), 10, no_write_back).expect("admit"));
-        assert!(pool.update(7, 42, |txs| txs.push(Itemset::new([9u32]))));
+        assert!(pool.update(7, 42, &[ItemId(9)]));
         assert!(pool.is_dirty(7));
         let mut written: Vec<(u64, u64, usize)> = Vec::new();
         drop(
@@ -558,7 +605,7 @@ mod tests {
     fn failed_write_back_keeps_the_frame_dirty_and_resident() {
         let mut pool = BufferPoolManager::new(1);
         drop(pool.admit(7, page(7), 10, no_write_back).expect("admit"));
-        assert!(pool.update(7, 1, |txs| txs.push(Itemset::new([9u32]))));
+        assert!(pool.update(7, 1, &[ItemId(9)]));
         let err = pool
             .admit(8, page(8), 10, |_, _, _| Err(io::Error::other("disk gone")))
             .expect_err("write-back failure propagates");
@@ -579,7 +626,7 @@ mod tests {
     fn update_snapshots_do_not_disturb_outstanding_guards() {
         let mut pool = BufferPoolManager::new(1);
         let before = pool.admit(3, page(3), 10, no_write_back).expect("admit");
-        assert!(pool.update(3, 5, |txs| txs.push(Itemset::new([4u32]))));
+        assert!(pool.update(3, 5, &[ItemId(4)]));
         let after = pool.get(3).expect("hit");
         assert_eq!(before.len(), 1, "old guard sees the pre-update snapshot");
         assert_eq!(after.len(), 2, "new guard sees the update");
@@ -597,6 +644,289 @@ mod tests {
         }
         assert_eq!(pool.resident(), 64);
         assert_eq!(pool.stats().evictions, 0);
+    }
+
+    /// A brute-force copy of the pool as it was before the ordered
+    /// victim index: an explicit pin counter per frame and a `min_by_key`
+    /// scan over every frame to pick the victim.
+    mod model {
+        use super::LRU_K;
+        use std::collections::HashMap;
+
+        pub struct Frame {
+            pub page: u64,
+            pub len: usize,
+            pub pins: u32,
+            pub dirty: bool,
+            pub last_lsn: u64,
+            pub bytes: u64,
+            recent: u64,
+            prev: u64,
+            accesses: u64,
+        }
+
+        impl Frame {
+            fn key(&self) -> (u8, u64) {
+                if self.accesses < LRU_K {
+                    (0, self.recent)
+                } else {
+                    (1, self.prev)
+                }
+            }
+
+            fn touch(&mut self, clock: u64) {
+                self.prev = self.recent;
+                self.recent = clock;
+                self.accesses += 1;
+            }
+        }
+
+        /// What an operation did: a guard on frame `idx` (holding a
+        /// snapshot of `len` transactions), or an error message.
+        pub type Outcome = Result<(usize, usize), String>;
+
+        #[derive(Default)]
+        pub struct Pool {
+            pub capacity: usize,
+            pub frames: Vec<Frame>,
+            pub table: HashMap<u64, usize>,
+            clock: u64,
+            pub stats: super::PoolStats,
+            pub charged: u64,
+        }
+
+        impl Pool {
+            pub fn new(capacity: usize) -> Self {
+                Pool {
+                    capacity,
+                    ..Pool::default()
+                }
+            }
+
+            fn pin(&mut self, idx: usize) -> (usize, usize) {
+                self.frames[idx].pins += 1;
+                self.stats.pins += 1;
+                (idx, self.frames[idx].len)
+            }
+
+            pub fn get(&mut self, page: u64) -> Option<(usize, usize)> {
+                let idx = *self.table.get(&page)?;
+                self.clock += 1;
+                self.frames[idx].touch(self.clock);
+                self.stats.hits += 1;
+                Some(self.pin(idx))
+            }
+
+            pub fn admit(
+                &mut self,
+                page: u64,
+                bytes: u64,
+                mut write_back: impl FnMut(u64, u64, usize) -> Result<(), String>,
+            ) -> Outcome {
+                self.clock += 1;
+                self.stats.misses += 1;
+                if let Some(&idx) = self.table.get(&page) {
+                    self.frames[idx].touch(self.clock);
+                    return Ok(self.pin(idx));
+                }
+                let frame = Frame {
+                    page,
+                    len: 1,
+                    pins: 0,
+                    dirty: false,
+                    last_lsn: 0,
+                    bytes,
+                    recent: self.clock,
+                    prev: 0,
+                    accesses: 1,
+                };
+                if self.frames.len() < self.capacity {
+                    self.table.insert(page, self.frames.len());
+                    self.frames.push(frame);
+                    self.charged += bytes;
+                    return Ok(self.pin(self.frames.len() - 1));
+                }
+                let idx = self
+                    .frames
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| f.pins == 0)
+                    .min_by_key(|(_, f)| f.key())
+                    .map(|(idx, _)| idx)
+                    .ok_or_else(|| "buffer pool exhausted: every frame is pinned".to_owned())?;
+                let victim = &mut self.frames[idx];
+                if victim.dirty {
+                    write_back(victim.page, victim.last_lsn, victim.len)?;
+                    victim.dirty = false;
+                    self.stats.write_backs += 1;
+                }
+                self.stats.evictions += 1;
+                self.charged -= victim.bytes;
+                self.table.remove(&victim.page);
+                *victim = frame;
+                self.table.insert(page, idx);
+                self.charged += bytes;
+                Ok(self.pin(idx))
+            }
+
+            pub fn update(&mut self, page: u64, lsn: u64) -> bool {
+                let Some(&idx) = self.table.get(&page) else {
+                    return false;
+                };
+                let f = &mut self.frames[idx];
+                f.len += 1;
+                f.dirty = true;
+                f.last_lsn = f.last_lsn.max(lsn);
+                true
+            }
+
+            pub fn flush_dirty(
+                &mut self,
+                mut write_back: impl FnMut(u64, u64, usize) -> Result<(), String>,
+            ) -> Result<usize, String> {
+                let mut flushed = 0;
+                for f in &mut self.frames {
+                    if f.dirty {
+                        write_back(f.page, f.last_lsn, f.len)?;
+                        f.dirty = false;
+                        self.stats.write_backs += 1;
+                        flushed += 1;
+                    }
+                }
+                Ok(flushed)
+            }
+        }
+    }
+
+    #[test]
+    fn random_traces_match_the_linear_victim_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const PAGES: u64 = 12;
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(1..=6usize);
+            let mut pool = BufferPoolManager::new(capacity);
+            let mut oracle = model::Pool::new(capacity);
+            // Held guards, each beside the model's (frame, snapshot length).
+            let mut held: Vec<(PageGuard, usize, usize)> = Vec::new();
+            let mut lsn = 0u64;
+            for step in 0..400 {
+                let at = format!("seed {seed}, step {step}");
+                let page = rng.gen_range(0..PAGES);
+                let fail = rng.gen_range(0..4u32) == 0;
+                let mut written: Vec<(u64, u64, usize)> = Vec::new();
+                let mut expected: Vec<(u64, u64, usize)> = Vec::new();
+                let got = match rng.gen_range(0..10u32) {
+                    0..=2 => {
+                        let real = pool.get(page);
+                        let want = oracle.get(page);
+                        assert_eq!(real.is_some(), want.is_some(), "{at}: get hit");
+                        real.zip(want).map(Ok)
+                    }
+                    3..=5 => {
+                        let bytes = rng.gen_range(1..100u64);
+                        let real = pool.admit(page, self::page(page as u32), bytes, |p, l, d| {
+                            written.push((p, l, d.len()));
+                            if fail {
+                                Err(io::Error::other("disk gone"))
+                            } else {
+                                Ok(())
+                            }
+                        });
+                        let want = oracle.admit(page, bytes, |p, l, n| {
+                            expected.push((p, l, n));
+                            if fail {
+                                Err("disk gone".to_owned())
+                            } else {
+                                Ok(())
+                            }
+                        });
+                        match (real, want) {
+                            (Ok(g), Ok(w)) => Some(Ok((g, w))),
+                            (Err(e), Err(w)) => Some(Err((e.to_string(), w))),
+                            (real, want) => panic!("{at}: admit {real:?} vs {want:?}"),
+                        }
+                    }
+                    6 => {
+                        lsn += rng.gen_range(1..50u64);
+                        let item = ItemId(rng.gen_range(0..100u32));
+                        assert_eq!(
+                            pool.update(page, lsn, &[item]),
+                            oracle.update(page, lsn),
+                            "{at}: update"
+                        );
+                        None
+                    }
+                    7 => {
+                        let real = pool.flush_dirty(|p, l, d| {
+                            written.push((p, l, d.len()));
+                            if fail {
+                                Err(io::Error::other("disk gone"))
+                            } else {
+                                Ok(())
+                            }
+                        });
+                        let want = oracle.flush_dirty(|p, l, n| {
+                            expected.push((p, l, n));
+                            if fail {
+                                Err("disk gone".to_owned())
+                            } else {
+                                Ok(())
+                            }
+                        });
+                        assert_eq!(real.map_err(|e| e.to_string()), want, "{at}: flush");
+                        None
+                    }
+                    _ => {
+                        if !held.is_empty() {
+                            let (guard, idx, _) = held.swap_remove(rng.gen_range(0..held.len()));
+                            oracle.frames[idx].pins -= 1;
+                            drop(guard);
+                        }
+                        None
+                    }
+                };
+                match got {
+                    Some(Ok((guard, (idx, len)))) => {
+                        assert_eq!(guard.page(), page, "{at}: guard page");
+                        assert_eq!(guard.len(), len, "{at}: guard snapshot");
+                        if rng.gen_bool(0.3) {
+                            held.push((guard, idx, len));
+                        } else {
+                            oracle.frames[idx].pins -= 1;
+                        }
+                    }
+                    Some(Err((real, want))) => assert_eq!(real, want, "{at}: error"),
+                    None => {}
+                }
+                assert_eq!(written, expected, "{at}: write-backs");
+                assert_eq!(pool.stats(), oracle.stats, "{at}: stats");
+                assert_eq!(pool.charged_bytes(), oracle.charged, "{at}: charged bytes");
+                let mut resident: Vec<u64> = pool.table.keys().copied().collect();
+                let mut want: Vec<u64> = oracle.table.keys().copied().collect();
+                resident.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(resident, want, "{at}: resident pages (the victims)");
+                for p in 0..PAGES {
+                    let f = oracle.table.get(&p).map(|&i| &oracle.frames[i]);
+                    assert_eq!(
+                        pool.pin_count(p),
+                        f.map_or(0, |f| f.pins),
+                        "{at}: pins of {p}"
+                    );
+                    assert_eq!(
+                        pool.is_dirty(p),
+                        f.is_some_and(|f| f.dirty),
+                        "{at}: dirty {p}"
+                    );
+                }
+                for (guard, _, len) in &held {
+                    assert_eq!(guard.len(), *len, "{at}: held guard sees its snapshot");
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,9 +49,11 @@ use crate::buffer::{BufferPoolManager, PageGuard, PoolStats};
 use crate::checksum::crc32c;
 use crate::fault;
 use crate::format::{self, Header, MAX_ITEMS, MAX_PAGE_BYTES};
-use crate::item::Itemset;
+use crate::item::{ItemId, Itemset};
 use crate::page::transaction_bytes;
 use crate::wal::WriteAheadLog;
+
+pub use crate::format::{decode_page, encode_page_payload, FlatPage, Transactions};
 
 /// Physical page reads (buffer-pool misses), all [`DiskStore`]s combined.
 static PAGE_READS: ossm_obs::Counter = ossm_obs::Counter::new("data.disk.page_reads");
@@ -101,8 +103,7 @@ pub struct DiskStoreWriter {
     m: u32,
     page_bytes: u32,
     /// Current page under construction.
-    current: Vec<Itemset>,
-    current_bytes: usize,
+    current: FlatPage,
     summaries: Vec<PageSummary>,
 }
 
@@ -133,8 +134,7 @@ impl DiskStoreWriter {
             file,
             m: m as u32,
             page_bytes: page_bytes as u32,
-            current: Vec::new(),
-            current_bytes: 4, // num_tx header
+            current: FlatPage::default(),
             summaries: Vec::new(),
         })
     }
@@ -159,11 +159,14 @@ impl DiskStoreWriter {
                 self.page_bytes
             )));
         }
-        if !self.current.is_empty() && self.current_bytes + cost > self.page_bytes as usize {
+        if !self.current.is_empty()
+            && self.current.payload_bytes() + cost > self.page_bytes as usize
+        {
             self.flush_page()?;
         }
-        self.current_bytes += cost;
-        self.current.push(t.clone());
+        if !self.current.push(t.items()) {
+            return Err(invalid_input("page overflow"));
+        }
         Ok(())
     }
 
@@ -176,7 +179,6 @@ impl DiskStoreWriter {
         fault::write_all_tagged(&mut self.file, "data.disk.write_page", &slot)?;
         self.summaries.push(format::summarize(&self.current));
         self.current.clear();
-        self.current_bytes = 4;
         Ok(())
     }
 
@@ -228,6 +230,8 @@ pub struct DiskStore {
     quarantined: BTreeSet<usize>,
     /// `Some` iff the store was opened read-write.
     rw: Option<RwState>,
+    /// One page slot's bytes, reused by every buffer-pool miss.
+    slot: Vec<u8>,
 }
 
 /// Writes one frame's bytes over its page slot, enforcing the
@@ -239,7 +243,7 @@ fn write_back_frame(
     rw: &mut Option<RwState>,
     page: u64,
     last_lsn: u64,
-    txs: &[Itemset],
+    txs: &FlatPage,
 ) -> io::Result<()> {
     let Some(rw) = rw.as_mut() else {
         return Err(io::Error::other("dirty frame in a read-only store"));
@@ -274,8 +278,7 @@ fn rebuild_summaries(file: &mut std::fs::File, header: &Header) -> io::Result<Ve
                 "page {p} checksum mismatch while rebuilding the index"
             )));
         }
-        let txs = format::decode_page(payload, header.m)?;
-        summaries.push(format::summarize(&txs));
+        summaries.push(format::summarize(&format::decode_page(payload, header.m)?));
     }
     Ok(summaries)
 }
@@ -359,6 +362,7 @@ impl DiskStore {
             stats: IoStats::default(),
             quarantined: BTreeSet::new(),
             rw: None,
+            slot: Vec::new(),
         })
     }
 
@@ -411,6 +415,7 @@ impl DiskStore {
             stats: IoStats::default(),
             quarantined: BTreeSet::new(),
             rw: Some(RwState { wal }),
+            slot: Vec::new(),
         };
         store.replay(&recovery.records)?;
         Ok(store)
@@ -440,7 +445,7 @@ impl DiskStore {
                 guard.page()
             };
             let lsn = self.wal_high_water();
-            let applied = self.pool.update(resident, lsn, |txs| txs.push(t.clone()));
+            let applied = self.pool.update(resident, lsn, t.items());
             if !applied {
                 return Err(io::Error::other("replayed page left the pool mid-replay"));
             }
@@ -551,22 +556,21 @@ impl DiskStore {
             // Pool-resident page buffers are data.page memory.
             let _mem = ossm_obs::alloc_scope("data.page");
             let payload_bytes = self.header.page_bytes as usize;
-            let mut buf = vec![0u8; self.header.slot_bytes() as usize];
+            self.slot.resize(self.header.slot_bytes() as usize, 0);
             self.file
                 .seek(SeekFrom::Start(self.header.page_offset(p as u64)))?;
-            fault::read_exact_tagged(&mut self.file, "data.disk.read_page", &mut buf)?;
+            fault::read_exact_tagged(&mut self.file, "data.disk.read_page", &mut self.slot)?;
+            let (payload, trailer) = self.slot.split_at(payload_bytes.min(self.slot.len()));
             if self.header.version >= format::V2 {
                 // The slot ends in a 4-byte CRC by construction; a short
                 // trailer decodes to a mismatching checksum, not a panic.
-                let stored = format::le_u32(buf.get(payload_bytes..).unwrap_or_default());
-                let payload = buf.get(..payload_bytes).unwrap_or_default();
-                if crc32c(payload) != stored {
+                if crc32c(payload) != format::le_u32(trailer) {
                     checksum_failure(p as u64);
                     self.quarantined.insert(p);
                     return Err(format::bad(format!("page {p} checksum mismatch")));
                 }
             }
-            format::decode_page(buf.get(..payload_bytes).unwrap_or_default(), self.header.m)?
+            format::decode_page(payload, self.header.m)?
         };
         let bytes = self.header.slot_bytes();
         let DiskStore {
@@ -581,22 +585,23 @@ impl DiskStore {
         })
     }
 
-    /// Reads page `p` as an owned vector (a copy out of the pool). Most
+    /// Reads page `p` as owned itemsets (a copy out of the pool). Most
     /// callers should prefer [`DiskStore::fetch_page`] and iterate the
     /// guard in place.
     pub fn read_page(&mut self, p: usize) -> io::Result<Vec<Itemset>> {
         Ok(self.fetch_page(p)?.to_vec())
     }
 
-    /// Streams every transaction through `visit`, page by page. Returns
-    /// the number of pages read for the pass.
-    pub fn scan(&mut self, mut visit: impl FnMut(&Itemset)) -> io::Result<u64> {
+    /// Streams every transaction through `visit`, page by page, as a
+    /// sorted item slice borrowed from the pinned frame. Returns the
+    /// number of pages read for the pass.
+    pub fn scan(&mut self, mut visit: impl FnMut(&[ItemId])) -> io::Result<u64> {
         let mut scan_span = ossm_obs::span("data.disk.scan");
         scan_span.watch(&PAGE_READS);
         let pages = self.num_pages();
         for p in 0..pages {
             let guard = self.fetch_page(p)?;
-            for t in guard.transactions() {
+            for t in guard.iter() {
                 visit(t);
             }
         }
@@ -626,12 +631,7 @@ impl DiskStore {
         }
         let (seq, used) = {
             let guard = self.fetch_page(p)?;
-            let used: usize = 4 + guard
-                .transactions()
-                .iter()
-                .map(transaction_bytes)
-                .sum::<usize>();
-            (guard.len() as u32, used)
+            (guard.len() as u32, guard.payload_bytes())
         };
         if used + transaction_bytes(t) > self.header.page_bytes as usize {
             return Err(invalid_input(format!(
@@ -645,7 +645,7 @@ impl DiskStore {
         };
         rw.wal.append_no_sync(&record)?;
         let lsn = self.wal_high_water();
-        if !self.pool.update(p as u64, lsn, |txs| txs.push(t.clone())) {
+        if !self.pool.update(p as u64, lsn, t.items()) {
             return Err(io::Error::other("appended page left the pool mid-append"));
         }
         match self.summaries.get_mut(p) {
@@ -710,7 +710,7 @@ impl DiskStore {
     pub fn to_dataset(&mut self) -> io::Result<crate::Dataset> {
         let n = usize::try_from(self.num_transactions()).unwrap_or(usize::MAX);
         let mut transactions = Vec::with_capacity(n.min(1 << 24));
-        self.scan(|t| transactions.push(t.clone()))?;
+        self.scan(|t| transactions.push(Itemset::from_sorted(t.to_vec())))?;
         Ok(crate::Dataset::new(self.header.m, transactions))
     }
 }
@@ -740,6 +740,14 @@ mod tests {
         dir.join(name)
     }
 
+    fn flat(txs: &[Itemset]) -> FlatPage {
+        let mut page = FlatPage::default();
+        for t in txs {
+            assert!(page.push(t.items()));
+        }
+        page
+    }
+
     fn sample_dataset() -> crate::Dataset {
         QuestConfig {
             num_transactions: 500,
@@ -757,9 +765,9 @@ mod tests {
         let mut pages: Vec<Vec<u8>> = Vec::new();
         let mut summaries = Vec::new();
         for page in mem.pages() {
-            let txs = &dataset.transactions()[page.range()];
-            let payload = format::encode_page_payload(txs, page_bytes).expect("fits");
-            summaries.push(format::summarize(txs));
+            let txs = flat(&dataset.transactions()[page.range()]);
+            let payload = format::encode_page_payload(&txs, page_bytes).expect("fits");
+            summaries.push(format::summarize(&txs));
             pages.push(payload);
         }
         let mut bytes = Vec::new();
@@ -1032,7 +1040,7 @@ mod tests {
         let tail: Vec<_> = page0.iter().rev().take(2).rev().cloned().collect();
         assert_eq!(tail, vec![Itemset::new([1, 2, 3]), Itemset::new([2, 4])]);
         // The rewritten index agrees with a fresh summarize of the page.
-        let expected = format::summarize(&page0);
+        let expected = format::summarize(&flat(&page0));
         assert_eq!(reopened.summaries()[0], expected);
         assert_ne!(reopened.summaries()[0], before_summary);
         clean(&path);
@@ -1061,7 +1069,7 @@ mod tests {
         assert_eq!(page0.last(), Some(&Itemset::new([7, 8])));
         // The recovered summaries are sound: they match a summarize of
         // the recovered page content.
-        assert_eq!(recovered.summaries()[0], format::summarize(&page0));
+        assert_eq!(recovered.summaries()[0], format::summarize(&flat(&page0)));
         // A second recovery without checkpoint is idempotent.
         drop(recovered);
         let mut again = DiskStore::open_rw(&path, 4).expect("recover again");
@@ -1142,6 +1150,44 @@ mod tests {
     }
 
     #[test]
+    fn stored_payloads_and_summaries_survive_decoding() {
+        // Transactions of every shape: empty, tiny, and one that fills a
+        // whole 256-byte slot (4 + 4 + 4 · 62 bytes).
+        let mut txs: Vec<Itemset> = Vec::new();
+        for i in 0..300u32 {
+            txs.push(match i % 7 {
+                0 => Itemset::empty(),
+                1 => Itemset::new([i % 80]),
+                _ => Itemset::new((0..i % 9).map(|k| (i * 7 + k * 13) % 80)),
+            });
+            if i == 150 {
+                txs.push(Itemset::new(0..62u32));
+            }
+        }
+        let d = crate::Dataset::new(80, txs);
+        let path = tmp("reencode.pages");
+        write_paged(&path, &d, 256).expect("write");
+        let store = DiskStore::open(&path, 1).expect("open");
+        let bytes = std::fs::read(&path).expect("read file");
+        let slot = 256 + format::PAGE_TRAILER as usize;
+        let mut full_slots = 0;
+        for (p, summary) in store.summaries().iter().enumerate() {
+            let at = format::HEADER_V2 as usize + p * slot;
+            let payload = &bytes[at..at + 256];
+            let page = format::decode_page(payload, 80).expect("decodes");
+            full_slots += usize::from(page.payload_bytes() == 256);
+            assert_eq!(
+                format::encode_page_payload(&page, 256).as_deref(),
+                Some(payload),
+                "page {p}"
+            );
+            assert_eq!(&format::summarize(&page), summary, "page {p}");
+        }
+        assert!(full_slots > 0, "the 62-item transaction fills a slot");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn empty_dataset_roundtrips() {
         let path = tmp("empty.pages");
         write_paged(&path, &crate::Dataset::empty(10), 4096).expect("write");
@@ -1198,7 +1244,7 @@ mod tests {
             let mut reopened = DiskStore::open(&path, 2).expect("reopen");
             let page0 = reopened.read_page(0).expect("read");
             assert_eq!(page0.last(), Some(&Itemset::new([3, 4])));
-            assert_eq!(reopened.summaries()[0], format::summarize(&page0));
+            assert_eq!(reopened.summaries()[0], format::summarize(&flat(&page0)));
             clean(&path);
         }
 

@@ -21,6 +21,9 @@
 //! index     : per page: num_tx u32, num_entries u32,
 //!             then num_entries × (item u32, count u32)
 //! ```
+//!
+//! A payload decodes into one [`FlatPage`] — two vectors whatever the
+//! transaction count — which is what a buffer-pool frame holds.
 
 use std::io::{self, Read};
 
@@ -197,54 +200,156 @@ pub(crate) fn read_header<R: Read>(r: &mut R, file_len: u64) -> io::Result<Heade
     Ok(header)
 }
 
-/// Serializes one page's transactions into its fixed-size payload.
-/// Returns `None` when the transactions exceed `page_bytes` (the caller
-/// rejects oversized transactions before ever buffering them).
-pub(crate) fn encode_page_payload(txs: &[Itemset], page_bytes: usize) -> Option<Vec<u8>> {
-    let mut buf = Vec::with_capacity(page_bytes);
-    buf.extend_from_slice(&(txs.len() as u32).to_le_bytes());
-    for t in txs {
-        buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
-        for item in t.items() {
-            buf.extend_from_slice(&item.0.to_le_bytes());
+/// One decoded page, flat: every transaction's items in one vector, and
+/// one end offset per transaction (transaction `i` is
+/// `items[ends[i-1]..ends[i]]`). This is what a buffer-pool frame holds,
+/// so a page miss costs a constant number of allocations rather than
+/// one per transaction. Iterating yields each transaction as a sorted
+/// `&[ItemId]`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FlatPage {
+    items: Vec<ItemId>,
+    ends: Vec<u32>,
+}
+
+impl FlatPage {
+    /// Number of transactions on the page.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the page holds no transaction.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every item occurrence on the page, transaction after transaction.
+    pub fn items(&self) -> &[ItemId] {
+        &self.items
+    }
+
+    /// The page's transactions in order.
+    pub fn iter(&self) -> Transactions<'_> {
+        Transactions {
+            items: &self.items,
+            ends: self.ends.iter(),
+            start: 0,
         }
     }
-    if buf.len() > page_bytes {
+
+    /// Appends one transaction, whose items must be strictly increasing.
+    /// Returns `false`, leaving the page unchanged, if the page would
+    /// exceed `u32::MAX` item occurrences.
+    pub fn push(&mut self, t: &[ItemId]) -> bool {
+        let Ok(end) = u32::try_from(self.items.len() + t.len()) else {
+            return false;
+        };
+        self.items.extend_from_slice(t);
+        self.ends.push(end);
+        true
+    }
+
+    /// Payload bytes the page encodes to: the transaction count, then a
+    /// length word and the items of each transaction.
+    pub fn payload_bytes(&self) -> usize {
+        4 + 4 * self.ends.len() + 4 * self.items.len()
+    }
+
+    /// Copies the transactions out as owned itemsets.
+    pub fn to_itemsets(&self) -> Vec<Itemset> {
+        self.iter()
+            .map(|t| Itemset::new(t.iter().map(|i| i.0)))
+            .collect()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+}
+
+impl<'a> IntoIterator for &'a FlatPage {
+    type Item = &'a [ItemId];
+    type IntoIter = Transactions<'a>;
+    fn into_iter(self) -> Transactions<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`FlatPage`]'s transactions.
+#[derive(Clone, Debug)]
+pub struct Transactions<'a> {
+    items: &'a [ItemId],
+    ends: std::slice::Iter<'a, u32>,
+    start: usize,
+}
+
+impl<'a> Iterator for Transactions<'a> {
+    type Item = &'a [ItemId];
+
+    fn next(&mut self) -> Option<&'a [ItemId]> {
+        let end = *self.ends.next()? as usize;
+        let t = self.items.get(self.start..end)?;
+        self.start = end;
+        Some(t)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Transactions<'_> {}
+
+/// Serializes one page's transactions into its fixed-size payload (the
+/// slot without its CRC trailer). Returns `None` when the transactions
+/// exceed `page_bytes` (the caller rejects oversized transactions before
+/// ever buffering them).
+pub fn encode_page_payload(page: &FlatPage, page_bytes: usize) -> Option<Vec<u8>> {
+    if page.payload_bytes() > page_bytes {
         return None;
+    }
+    let mut buf = Vec::with_capacity(page_bytes);
+    buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
+    for t in page {
+        buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
+        for item in t {
+            buf.extend_from_slice(&item.0.to_le_bytes());
+        }
     }
     buf.resize(page_bytes, 0);
     Some(buf)
 }
 
-/// Decodes a page payload into its transactions, validating structure and
-/// the item domain.
-pub(crate) fn decode_page(buf: &[u8], m: usize) -> io::Result<Vec<Itemset>> {
-    let mut pos = 0usize;
-    let take_u32 = |pos: &mut usize| -> io::Result<u32> {
-        let end = *pos + 4;
-        if end > buf.len() {
-            return Err(bad("page truncated"));
-        }
-        let v = le_u32(&buf[*pos..end]);
-        *pos = end;
-        Ok(v)
-    };
-    let n = take_u32(&mut pos)?;
-    if n as usize > buf.len() / 4 {
+/// Decodes a page payload (the slot without its CRC trailer) into one
+/// [`FlatPage`], validating structure and the item domain: a payload
+/// shorter than its words claim, a transaction count or length the
+/// payload cannot hold, an item outside `0..m`, or items that are not
+/// strictly increasing are all errors.
+pub fn decode_page(buf: &[u8], m: usize) -> io::Result<FlatPage> {
+    if buf.len() > MAX_PAGE_BYTES as usize {
+        return Err(bad(format!(
+            "page payload of {} bytes exceeds the format cap",
+            buf.len()
+        )));
+    }
+    let mut words = buf.chunks_exact(4).map(le_u32);
+    let n = words.next().ok_or_else(|| bad("page truncated"))? as usize;
+    if n > buf.len() / 4 {
         // Each transaction costs at least 4 payload bytes (its len word —
         // empty transactions are legal); an n beyond that is corruption.
         return Err(bad(format!("page claims {n} transactions")));
     }
-    let mut out = Vec::with_capacity(n as usize);
+    // Every word after the count and the n length words can be an item.
+    let mut items = Vec::with_capacity(words.len().saturating_sub(n));
+    let mut ends = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = take_u32(&mut pos)? as usize;
-        if len > (buf.len() - pos) / 4 {
+        let len = words.next().ok_or_else(|| bad("page truncated"))? as usize;
+        if len > words.len() {
             return Err(bad(format!("transaction claims {len} items")));
         }
-        let mut items = Vec::with_capacity(len);
         let mut prev: Option<u32> = None;
-        for _ in 0..len {
-            let id = take_u32(&mut pos)?;
+        for id in words.by_ref().take(len) {
             if id as usize >= m {
                 return Err(bad(format!("page references item {id} outside 0..{m}")));
             }
@@ -254,23 +359,22 @@ pub(crate) fn decode_page(buf: &[u8], m: usize) -> io::Result<Vec<Itemset>> {
             prev = Some(id);
             items.push(ItemId(id));
         }
-        out.push(Itemset::from_sorted(items));
+        // At most MAX_PAGE_BYTES / 4 items: the offset fits in a u32.
+        ends.push(items.len() as u32);
     }
-    Ok(out)
+    Ok(FlatPage { items, ends })
 }
 
 /// The aggregate summary of a page's transactions (what the index stores).
-pub(crate) fn summarize(txs: &[Itemset]) -> PageSummary {
+pub(crate) fn summarize(page: &FlatPage) -> PageSummary {
     let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for t in txs {
-        for item in t.items() {
-            *counts.entry(item.0).or_insert(0) += 1;
-        }
+    for item in page.items() {
+        *counts.entry(item.0).or_insert(0) += 1;
     }
     let mut supports: Vec<(u32, u32)> = counts.into_iter().collect();
     supports.sort_unstable();
     PageSummary {
-        transactions: txs.len() as u32,
+        transactions: page.len() as u32,
         supports,
     }
 }
@@ -338,4 +442,114 @@ pub(crate) fn parse_index(bytes: &[u8], m: usize, num_pages: u64) -> io::Result<
         )));
     }
     Ok(summaries)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A payload of little-endian words, zero-padded to `page_bytes`.
+    fn payload(words: &[u32], page_bytes: usize) -> Vec<u8> {
+        let mut buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        buf.resize(page_bytes.max(buf.len()), 0);
+        buf
+    }
+
+    fn decode_err(buf: &[u8], m: usize) -> String {
+        let err = decode_page(buf, m).expect_err("malformed page");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn every_malformation_class_keeps_its_message() {
+        assert_eq!(decode_err(&[1, 0], 10), "page truncated");
+        assert_eq!(decode_err(&payload(&[1], 4), 10), "page truncated");
+        assert_eq!(decode_err(&payload(&[2, 0], 8), 10), "page truncated");
+        assert_eq!(
+            decode_err(&payload(&[100], 64), 10),
+            "page claims 100 transactions"
+        );
+        assert_eq!(
+            decode_err(&payload(&[1, 15], 64), 10),
+            "transaction claims 15 items"
+        );
+        assert_eq!(
+            decode_err(&payload(&[2, 1, 3, 1, 7], 64), 5),
+            "page references item 7 outside 0..5"
+        );
+        for items in [[3, 3], [4, 3]] {
+            assert_eq!(
+                decode_err(&payload(&[1, 2, items[0], items[1]], 64), 10),
+                "page transaction items not strictly increasing"
+            );
+        }
+        // The last word a transaction may claim is the payload's last.
+        let full = decode_page(
+            &payload(&[1, 14, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], 64),
+            20,
+        )
+        .expect("a transaction filling the page");
+        assert_eq!(full.items().len(), 14);
+    }
+
+    #[test]
+    fn flat_pages_reencode_to_their_payload_bytes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let m = 300;
+        let page_bytes = 512;
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut cases: Vec<FlatPage> = vec![FlatPage::default()];
+        // A page of empty transactions, and one whose single transaction
+        // fills the slot to the last byte.
+        let mut empties = FlatPage::default();
+        for _ in 0..5 {
+            assert!(empties.push(&[]));
+        }
+        cases.push(empties);
+        let mut full = FlatPage::default();
+        let widest: Vec<ItemId> = (0..(page_bytes as u32 - 8) / 4).map(ItemId).collect();
+        assert!(full.push(&widest));
+        cases.push(full);
+        for _ in 0..200 {
+            let mut page = FlatPage::default();
+            loop {
+                let len = rng.gen_range(0..12usize);
+                let mut ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0..m as u32)).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                if page.payload_bytes() + 4 + 4 * ids.len() > page_bytes {
+                    break;
+                }
+                let t: Vec<ItemId> = ids.into_iter().map(ItemId).collect();
+                assert!(page.push(&t));
+            }
+            cases.push(page);
+        }
+        for page in cases {
+            let bytes = encode_page_payload(&page, page_bytes).expect("fits");
+            assert_eq!(bytes.len(), page_bytes);
+            let decoded = decode_page(&bytes, m).expect("decodes");
+            assert_eq!(decoded, page);
+            assert_eq!(encode_page_payload(&decoded, page_bytes), Some(bytes));
+            let summary = summarize(&decoded);
+            assert_eq!(summary.transactions as usize, page.len());
+            let mut dense = vec![0u32; m];
+            for t in &page {
+                for item in t {
+                    dense[item.index()] += 1;
+                }
+            }
+            let expected: Vec<(u32, u32)> =
+                (0..m as u32).zip(dense).filter(|&(_, c)| c > 0).collect();
+            assert_eq!(summary.supports, expected);
+        }
+        assert_eq!(
+            encode_page_payload(&FlatPage::default(), 3),
+            None,
+            "too small"
+        );
+    }
 }

@@ -24,10 +24,9 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::checksum::crc32c;
-use crate::disk::PageSummary;
+use crate::disk::{FlatPage, PageSummary};
 use crate::fault;
 use crate::format;
-use crate::item::Itemset;
 
 /// Triage verdict for one page of a scanned store.
 #[derive(Debug)]
@@ -37,7 +36,7 @@ pub struct PageScan {
     /// The page's aggregate from the index, when the index survived.
     pub index_summary: Option<PageSummary>,
     /// The decoded transactions, when the data survived.
-    pub data: Option<Vec<Itemset>>,
+    pub data: Option<FlatPage>,
 }
 
 impl PageScan {
@@ -200,8 +199,8 @@ pub fn repair_store(src: &Path, dst: &Path) -> io::Result<RepairOutcome> {
     let payload_bytes = scan.page_bytes as usize;
     let mut slots: Vec<Vec<u8>> = Vec::with_capacity(scan.pages.len());
     let mut summaries: Vec<PageSummary> = Vec::with_capacity(scan.pages.len());
-    let empty_payload =
-        format::encode_page_payload(&[], payload_bytes).expect("empty page always fits");
+    let empty_payload = format::encode_page_payload(&FlatPage::default(), payload_bytes)
+        .expect("empty page always fits");
     for page in &scan.pages {
         let (payload, summary) = if let Some(txs) = &page.data {
             outcome.restored += 1;

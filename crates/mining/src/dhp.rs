@@ -58,9 +58,8 @@ fn pair_bucket(a: ItemId, b: ItemId, num_buckets: usize) -> usize {
         % num_buckets
 }
 
-/// Adds every 2-subset of `t` to its bucket of `buckets`.
-pub(crate) fn hash_pairs(t: &Itemset, buckets: &mut [u64]) {
-    let items = t.items();
+/// Adds every 2-subset of transaction `items` to its bucket of `buckets`.
+pub(crate) fn hash_pairs(items: &[ItemId], buckets: &mut [u64]) {
     for (i, &a) in items.iter().enumerate() {
         for &b in items.get(i + 1..).unwrap_or_default() {
             buckets[pair_bucket(a, b, buckets.len())] += 1;
@@ -131,7 +130,7 @@ impl Dhp {
             for item in t.items() {
                 singles[item.index()] += 1;
             }
-            hash_pairs(t, &mut buckets);
+            hash_pairs(t.items(), &mut buckets);
         }
         let l1 = collect_singletons(
             (0..m as u32).map(ItemId),

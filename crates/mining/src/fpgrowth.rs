@@ -139,11 +139,12 @@ impl GlobalTreeMiner {
         }
     }
 
-    /// Inserts one transaction (infrequent items drop out during rank
-    /// encoding, exactly as in the in-memory miner).
-    pub(crate) fn insert(&mut self, t: &Itemset) {
+    /// Inserts one transaction, given as its sorted items (infrequent
+    /// items drop out during rank encoding, exactly as in the in-memory
+    /// miner).
+    pub(crate) fn insert(&mut self, t: &[ItemId]) {
         self.ranked.clear();
-        for i in t.items() {
+        for i in t {
             let r = self.rank_of[i.index()];
             if r != Self::NONE {
                 self.ranked.push(r);
@@ -199,7 +200,7 @@ impl FpGrowth {
             s.watch(&NODES_CREATED);
             let mut miner = GlobalTreeMiner::new(&singles, min_support);
             for t in dataset.transactions() {
-                miner.insert(t);
+                miner.insert(t.items());
             }
             miner
         };

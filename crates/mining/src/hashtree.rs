@@ -141,47 +141,63 @@ impl<'a> HashTree<'a> {
         }
     }
 
-    /// Adds each candidate's occurrences in `transactions` to `counts`.
-    pub fn count(&self, transactions: &[Itemset], counts: &mut [u64]) {
-        assert_eq!(counts.len(), self.candidates.len());
-        let mut walk = Walk {
+    /// Fresh counting state for one pass of this tree over the data:
+    /// zero counts, and no candidate stamped by any transaction yet.
+    pub fn start_pass(&self) -> TreeCounts {
+        TreeCounts {
             path: Vec::with_capacity(self.k),
             tid: 0,
             // Stamps start at u64::MAX ( != any tid).
             last_seen: vec![u64::MAX; self.candidates.len()],
-            counts,
-        };
-        for (tid, t) in transactions.iter().enumerate() {
-            if t.len() < self.k {
-                continue;
-            }
-            walk.tid = tid as u64;
-            self.visit(&self.root, t, 0, &mut walk);
+            counts: vec![0; self.candidates.len()],
         }
     }
 
-    /// Counts the candidates below `node` that `t` contains; `walk.path`
+    /// Adds each candidate's occurrences in `transactions` (sorted item
+    /// slices) to `pass`. A pass may be fed in any number of calls — one
+    /// per page, say — and pays for its stamp vector only once.
+    ///
+    /// # Panics
+    /// Panics if `pass` was started for a tree over a different number
+    /// of candidates.
+    pub fn count<'t>(
+        &self,
+        transactions: impl IntoIterator<Item = &'t [ItemId]>,
+        pass: &mut TreeCounts,
+    ) {
+        assert_eq!(pass.counts.len(), self.candidates.len());
+        for t in transactions {
+            // A fresh id per transaction, across calls, keeps the
+            // partial-depth stamps from ever matching a new transaction.
+            pass.tid += 1;
+            if t.len() >= self.k {
+                self.visit(&self.root, t, 0, pass);
+            }
+        }
+    }
+
+    /// Counts the candidates below `node` that `t` contains; `pass.path`
     /// holds the items consumed to reach `node`, the last at `start − 1`.
-    fn visit(&self, node: &Node, t: &Itemset, start: usize, walk: &mut Walk<'_>) {
+    fn visit(&self, node: &Node, t: &[ItemId], start: usize, pass: &mut TreeCounts) {
         match node {
-            Node::Leaf(list) if walk.path.len() == self.k => {
+            Node::Leaf(list) if pass.path.len() == self.k => {
                 // Only the path itself can match here; equal candidates
                 // (duplicates in the batch) sit next to each other.
-                let path = walk.path.as_slice();
+                let path = pass.path.as_slice();
                 let first = list.partition_point(|&idx| self.candidates[idx].items() < path);
                 for &idx in &list[first..] {
                     if self.candidates[idx].items() != path {
                         break;
                     }
-                    walk.counts[idx] += 1;
+                    pass.counts[idx] += 1;
                 }
             }
             Node::Leaf(list) => {
                 for &idx in list {
-                    if walk.last_seen[idx] != walk.tid {
-                        walk.last_seen[idx] = walk.tid;
-                        if self.candidates[idx].is_subset_of(t) {
-                            walk.counts[idx] += 1;
+                    if pass.last_seen[idx] != pass.tid {
+                        pass.last_seen[idx] = pass.tid;
+                        if self.candidates[idx].is_subset_of_slice(t) {
+                            pass.counts[idx] += 1;
                         }
                     }
                 }
@@ -189,12 +205,12 @@ impl<'a> HashTree<'a> {
             Node::Interior(children) => {
                 // Descend once per usable item position: one that leaves
                 // the k − depth − 1 items a candidate still needs after it.
-                let end = t.len() + walk.path.len() + 1 - self.k;
-                for (j, &item) in t.items()[..end].iter().enumerate().skip(start) {
+                let end = t.len() + pass.path.len() + 1 - self.k;
+                for (j, &item) in t[..end].iter().enumerate().skip(start) {
                     if let Some(child) = &children[bucket(item)] {
-                        walk.path.push(item);
-                        self.visit(child, t, j + 1, walk);
-                        walk.path.pop();
+                        pass.path.push(item);
+                        self.visit(child, t, j + 1, pass);
+                        pass.path.pop();
                     }
                 }
             }
@@ -202,16 +218,25 @@ impl<'a> HashTree<'a> {
     }
 }
 
-/// The state one [`HashTree::count`] call carries down its walks.
-struct Walk<'c> {
+/// The state of one counting pass of a [`HashTree`] (from
+/// [`HashTree::start_pass`]): the candidates' counts so far, plus what
+/// the walks need across transactions — a running transaction id and
+/// each candidate's stamp of the last transaction that tested it in a
+/// partial-depth leaf, so convergent hash paths count it once.
+pub struct TreeCounts {
     /// Transaction items consumed on the way to the current node.
     path: Vec<ItemId>,
-    /// Index of the transaction being walked.
+    /// Id of the transaction being walked.
     tid: u64,
-    /// Per-candidate stamp of the last transaction that tested it in a
-    /// partial-depth leaf, so convergent hash paths count it once.
     last_seen: Vec<u64>,
-    counts: &'c mut [u64],
+    counts: Vec<u64>,
+}
+
+impl TreeCounts {
+    /// The finished counts, in candidate order.
+    pub fn into_counts(self) -> Vec<u64> {
+        self.counts
+    }
 }
 
 /// Counts candidate supports with a hash tree, grouping mixed candidate
@@ -251,13 +276,13 @@ pub fn count_hash_tree(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<
 fn count_group(transactions: &[Itemset], group: &[Itemset]) -> Vec<u64> {
     let tree = HashTree::build(group);
     MEM_HASHTREE.set(tree.memory_bytes() as u64 + crate::support::candidate_bytes(group));
-    // One shared tree, transaction-chunked counting: `count` keeps its
-    // dedup stamps per call, so chunks are independent, and the partial
+    // One shared tree, transaction-chunked counting: each chunk runs a
+    // pass of its own, so chunks are independent, and the partial
     // vectors merge by element-wise sum — identical at any thread count.
     let partials = ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
-        let mut part = vec![0u64; group.len()];
-        tree.count(&transactions[r], &mut part);
-        part
+        let mut pass = tree.start_pass();
+        tree.count(transactions[r].iter().map(Itemset::items), &mut pass);
+        pass.into_counts()
     });
     if partials.is_empty() {
         vec![0u64; group.len()]
@@ -278,12 +303,12 @@ mod tests {
 
     #[test]
     fn counts_simple_pairs() {
-        let txs = vec![set(&[0, 1, 2]), set(&[0, 2]), set(&[1, 2]), set(&[0, 1])];
+        let txs = [set(&[0, 1, 2]), set(&[0, 2]), set(&[1, 2]), set(&[0, 1])];
         let cands = vec![set(&[0, 1]), set(&[0, 2]), set(&[1, 2]), set(&[0, 3])];
         let tree = HashTree::build(&cands);
-        let mut counts = vec![0; cands.len()];
-        tree.count(&txs, &mut counts);
-        assert_eq!(counts, vec![2, 2, 2, 0]);
+        let mut pass = tree.start_pass();
+        tree.count(txs.iter().map(Itemset::items), &mut pass);
+        assert_eq!(pass.into_counts(), vec![2, 2, 2, 0]);
     }
 
     #[test]
@@ -360,10 +385,13 @@ mod tests {
         assert_eq!(&counts[..3], &[1, 1, 1]);
     }
 
-    #[test]
-    fn bucket_collisions_match_linear_scan() {
-        // Items 1 + 64·i all hash to bucket 1, so every candidate of one
-        // size shares a hash path down to a crowded full-depth leaf.
+    /// Candidates of sizes 1–3 over items 1 + 64·i, which all hash to
+    /// bucket 1, so every candidate of one size shares a hash path down
+    /// to a crowded full-depth leaf; every seventh candidate appears
+    /// twice. The transactions are windows of lengths 0..=5 over those
+    /// items, some shorter than the candidates, some holding a
+    /// non-colliding item too.
+    fn colliding_workload() -> (Vec<Itemset>, Vec<Itemset>) {
         let item = |i: u32| 1 + 64 * i;
         let mut cands: Vec<Itemset> = (0..30).map(|a| set(&[item(a)])).collect();
         for a in 0..10 {
@@ -376,8 +404,6 @@ mod tests {
         }
         let duplicates: Vec<Itemset> = cands.iter().step_by(7).cloned().collect();
         cands.extend(duplicates);
-        // Windows of lengths 0..=5 over the colliding items, some shorter
-        // than the candidates, some holding a non-colliding item too.
         let txs: Vec<Itemset> = (0..12u32)
             .flat_map(|s| {
                 (0..=5u32).map(move |len| {
@@ -386,6 +412,12 @@ mod tests {
                 })
             })
             .collect();
+        (cands, txs)
+    }
+
+    #[test]
+    fn bucket_collisions_match_linear_scan() {
+        let (cands, txs) = colliding_workload();
         for k in 1..=3 {
             let group: Vec<Itemset> = cands.iter().filter(|c| c.len() == k).cloned().collect();
             assert_eq!(
@@ -395,6 +427,45 @@ mod tests {
             );
         }
         assert_eq!(count_hash_tree(&txs, &cands), count_linear(&txs, &cands));
+    }
+
+    #[test]
+    fn a_pass_fed_page_by_page_matches_one_shot_counting() {
+        let (cands, txs) = colliding_workload();
+        let d = QuestConfig {
+            num_transactions: 300,
+            num_items: 70,
+            ..QuestConfig::small()
+        }
+        .generate();
+        let mut pairs: Vec<Itemset> = (0..30u32)
+            .flat_map(|a| ((a + 1)..30).map(move |b| set(&[a, b])))
+            .collect();
+        pairs.extend(pairs.clone().into_iter().step_by(5));
+        for (txs, cands) in [(&txs, &cands), (&d.transactions().to_vec(), &pairs)] {
+            for k in 1..=3 {
+                let group: Vec<Itemset> = cands.iter().filter(|c| c.len() == k).cloned().collect();
+                if group.is_empty() {
+                    continue;
+                }
+                let tree = HashTree::build(&group);
+                // Pages of 1, 3, 7 and 64 transactions, plus empty pages:
+                // stamps carried across calls must never match a
+                // transaction of a later page.
+                for page in [1, 3, 7, 64] {
+                    let mut pass = tree.start_pass();
+                    for chunk in txs.chunks(page) {
+                        tree.count(chunk.iter().map(Itemset::items), &mut pass);
+                        tree.count(std::iter::empty(), &mut pass);
+                    }
+                    assert_eq!(
+                        pass.into_counts(),
+                        count_hash_tree(txs, &group),
+                        "k = {k}, {page} transactions per page"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use std::io;
 
 use ossm_core::Ossm;
-use ossm_data::disk::DiskStore;
+use ossm_data::disk::{DiskStore, FlatPage};
 use ossm_data::{ItemId, Itemset};
 use ossm_obs::SpanGuard;
 
@@ -179,7 +179,7 @@ impl<'s> OocRun<'s> {
                 run.passes += 1;
                 let mut counts = vec![0u64; m];
                 run.store.scan(|t| {
-                    for item in t.items() {
+                    for item in t {
                         counts[item.index()] += 1;
                     }
                 })?;
@@ -192,13 +192,12 @@ impl<'s> OocRun<'s> {
     /// One pass over the page file. With `bounds`, a page whose aggregate
     /// vector `relevant` rejects is skipped — fault and all — and
     /// recorded; every other page is fetched through its pool guard and
-    /// its transactions handed to `visit` in place, with no copy out of
-    /// the frame arena.
+    /// handed to `visit` in place, with no copy out of the frame arena.
     fn pass(
         &mut self,
         bounds: Option<&PageBounds<'_>>,
         relevant: impl Fn(&[u64]) -> bool,
-        mut visit: impl FnMut(&[Itemset]),
+        mut visit: impl FnMut(&FlatPage),
     ) -> io::Result<()> {
         self.passes += 1;
         for p in 0..self.store.num_pages() {
@@ -210,7 +209,7 @@ impl<'s> OocRun<'s> {
                 }
             }
             let guard = self.store.fetch_page(p)?;
-            visit(guard.transactions());
+            visit(&guard);
         }
         Ok(())
     }
@@ -271,7 +270,7 @@ fn mine_levels(
             run.pass(
                 bounds.as_ref(),
                 |v| frequent_on_page(v, &singles, min_support) >= 2,
-                |txs| txs.iter().for_each(|t| hash_pairs(t, &mut table)),
+                |page| page.iter().for_each(|t| hash_pairs(t, &mut table)),
             )?;
             Some(admitted_pairs(&l1, &table, min_support))
         }
@@ -289,14 +288,16 @@ fn mine_levels(
         trace: Trace::Off,
     };
     levels.run(l1, level2, &mut patterns, &mut metrics, |_, candidates| {
+        // One tree and one counting state for the whole pass, fed a
+        // page at a time.
         let tree = HashTree::build(candidates);
-        let mut counts = vec![0u64; candidates.len()];
+        let mut counts = tree.start_pass();
         run.pass(
             bounds.as_ref(),
             |v| candidates.iter().any(|c| page_bound(v, c) > 0),
-            |txs| tree.count(txs, &mut counts),
+            |page| tree.count(page, &mut counts),
         )?;
-        Ok(counts)
+        Ok(counts.into_counts())
     })?;
     Ok(run.finish(patterns, metrics))
 }
@@ -412,7 +413,7 @@ impl StreamingFpGrowth {
         run.pass(
             bounds.as_ref(),
             |v| frequent_on_page(v, &singles, min_support) > 0,
-            |txs| txs.iter().for_each(|t| miner.insert(t)),
+            |page| page.iter().for_each(|t| miner.insert(t)),
         )?;
         let mut patterns = FrequentPatterns::new();
         miner.finish(min_support, &mut patterns);
