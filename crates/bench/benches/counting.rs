@@ -1,5 +1,6 @@
 //! Ablation A2: candidate counting back-ends — linear scan vs the
-//! classical Apriori hash tree, across candidate-set sizes.
+//! classical Apriori hash tree, across candidate-set sizes, plus the hash
+//! tree vs the bitmap back-end on a level 2 of the paper's scale.
 //!
 //! Counting dominates Apriori's cost; the OSSM's value is reducing how
 //! many candidates reach this step at all, so the baseline must use the
@@ -10,6 +11,7 @@ use std::hint::black_box;
 
 use ossm_bench::workloads::Workload;
 use ossm_data::Itemset;
+use ossm_mining::bitmap::count_bitmap;
 use ossm_mining::hashtree::count_hash_tree;
 use ossm_mining::support::count_linear;
 
@@ -57,5 +59,38 @@ fn bench_counting(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_counting);
+/// A C2 the size of an unpruned level 2 at m = 1000: every pair of the
+/// 722 most frequent items (260,281 pairs) over 25 000 transactions. Far
+/// past the caches, so each full-depth leaf lookup pays for its memory
+/// reads; the linear scan is left out (≈ 6.5 G subset tests).
+fn bench_c2_scale(c: &mut Criterion) {
+    let dataset = Workload::regular(250, 1000).dataset();
+    let txs = dataset.transactions();
+    let supports = dataset.singleton_supports();
+    let mut items: Vec<u32> = (0..supports.len() as u32).collect();
+    items.sort_by_key(|&i| std::cmp::Reverse(supports[i as usize]));
+    items.truncate(722);
+    items.sort_unstable();
+    let pairs: Vec<Itemset> = items
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| items[i + 1..].iter().map(move |&b| Itemset::new([a, b])))
+        .collect();
+
+    let mut group = c.benchmark_group("count_c2");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::new("hash_tree", pairs.len()),
+        &pairs,
+        |bench, cands| bench.iter(|| black_box(count_hash_tree(black_box(txs), cands))),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("bitmap", pairs.len()),
+        &pairs,
+        |bench, cands| bench.iter(|| black_box(count_bitmap(black_box(txs), cands))),
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_counting, bench_c2_scale);
 criterion_main!(benches);

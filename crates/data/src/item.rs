@@ -236,7 +236,7 @@ impl FromIterator<u32> for Itemset {
 }
 
 /// `a ⊆ b` for strictly increasing slices, by linear merge.
-fn is_sorted_subset(a: &[ItemId], b: &[ItemId]) -> bool {
+pub fn is_sorted_subset(a: &[ItemId], b: &[ItemId]) -> bool {
     if a.len() > b.len() {
         return false;
     }

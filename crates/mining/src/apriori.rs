@@ -135,6 +135,14 @@ impl Apriori {
 /// infrequent `k`-subset. `frequent` must be the complete frequent set of
 /// one level; the output is sorted and duplicate-free.
 pub fn generate_candidates(frequent: &[Itemset]) -> Vec<Itemset> {
+    // Joining two singletons yields a pair whose 1-subsets are those two
+    // frequent singletons, so level 2 needs no prune.
+    let prune = !frequent.iter().all(|f| f.len() == 1);
+    join_and_prune(frequent, prune)
+}
+
+/// `apriori-gen` with the downward-closure prune switched by `prune`.
+fn join_and_prune(frequent: &[Itemset], prune: bool) -> Vec<Itemset> {
     if frequent.is_empty() {
         return Vec::new();
     }
@@ -148,7 +156,7 @@ pub fn generate_candidates(frequent: &[Itemset]) -> Vec<Itemset> {
             match sorted[i].apriori_join(sorted[j]) {
                 Some(candidate) => {
                     // Downward-closure prune: every k-subset must be frequent.
-                    if candidate.proper_subsets().all(|s| lookup.contains(&s)) {
+                    if !prune || candidate.proper_subsets().all(|s| lookup.contains(&s)) {
                         out.push(candidate);
                     }
                 }
@@ -289,6 +297,29 @@ mod tests {
         let l1 = vec![set(&[3]), set(&[1]), set(&[2])];
         let c2 = generate_candidates(&l1);
         assert_eq!(c2, vec![set(&[1, 2]), set(&[1, 3]), set(&[2, 3])]);
+    }
+
+    #[test]
+    fn level_2_without_the_prune_matches_the_generic_path() {
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC2);
+        for round in 0..40 {
+            let m = rng.gen_range(1..200u32);
+            // Random singletons in random order, duplicates included.
+            let mut l1: Vec<Itemset> = (0..m)
+                .filter(|_| rng.gen_range(0..3u32) > 0)
+                .map(|i| set(&[i]))
+                .collect();
+            l1.shuffle(&mut rng);
+            if round % 4 == 0 && !l1.is_empty() {
+                l1.push(l1[0].clone());
+            }
+            assert_eq!(
+                generate_candidates(&l1),
+                join_and_prune(&l1, true),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

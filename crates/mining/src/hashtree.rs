@@ -15,7 +15,20 @@
 //! `LEAF_CAPACITY` candidates) can be reached through several item
 //! positions of one transaction, so its candidates carry a last-seen
 //! transaction stamp and are subset-tested at most once per transaction.
+//!
+//! Once every candidate is inserted the tree is frozen into flat arrays:
+//! each leaf becomes a contiguous run of *slots*, and slot `s` holds its
+//! candidate's `k` items inline (`keys[s·k..(s+1)·k]`) next to the
+//! candidate's index in the caller's slice. A lookup reads only its
+//! leaf's own keys, never the caller's itemsets, and a pass counts in
+//! slot order, so a leaf's counts sit together like its keys; they are
+//! put back in candidate order once, when the pass ends. Full-depth and
+//! partial-depth leaves number their slots separately, so a pass keeps
+//! stamps for partial-depth slots only — at a typical level 2, none.
 
+use std::ops::Range;
+
+use ossm_data::item::is_sorted_subset;
 use ossm_data::{ItemId, Itemset};
 
 /// Fan-out of interior nodes. Sized for the paper's m = 1000 domains: with
@@ -28,62 +41,120 @@ const FANOUT: usize = 64;
 const LEAF_CAPACITY: usize = 24;
 
 /// Bytes of the most recently built hash tree (interior fan-out tables,
-/// leaf lists, and the candidate group it indexes) — the space this back-end
-/// trades for fewer subset tests.
+/// the flat leaf keys and slot indices, and the candidate group it was
+/// built from) — the space this back-end trades for fewer subset tests.
 static MEM_HASHTREE: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.hashtree");
+/// Exact lookups of a hash path in a full-depth leaf.
+static PATH_LOOKUPS: ossm_obs::Counter = ossm_obs::Counter::new("mining.hashtree.path_lookups");
+/// Subset tests of a candidate in a partial-depth leaf (at most one per
+/// candidate and transaction).
+static SUBSET_TESTS: ossm_obs::Counter = ossm_obs::Counter::new("mining.hashtree.subset_tests");
 
 #[inline]
 fn bucket(item: ItemId) -> usize {
     item.index() % FANOUT
 }
 
-enum Node {
-    Interior(Vec<Option<Node>>),
-    Leaf(Vec<usize>),
+/// A node while candidates are inserted: leaves list candidate indices.
+enum Draft {
+    Interior(Vec<Option<Draft>>),
+    Leaf(Vec<u32>),
 }
 
-impl Node {
-    fn new_leaf() -> Node {
-        Node::Leaf(Vec::new())
+impl Draft {
+    fn new_leaf() -> Draft {
+        Draft::Leaf(Vec::new())
+    }
+}
+
+/// A frozen node: a leaf is a run of slots in the [`Slots`] of its depth
+/// class (full or partial).
+enum Node {
+    Interior(Box<[Option<Node>]>),
+    Leaf(Range<u32>),
+}
+
+/// Leaf candidates laid out slot by slot: slot `s` holds the items
+/// `keys[s·k..(s+1)·k]` of candidate `index[s]` of the caller's slice.
+#[derive(Default)]
+struct Slots {
+    keys: Vec<ItemId>,
+    index: Vec<u32>,
+}
+
+impl Slots {
+    /// Appends one leaf's candidates and returns its slot range.
+    fn push_leaf(&mut self, candidates: &[Itemset], leaf: &[u32]) -> Range<u32> {
+        let start = self.index.len() as u32;
+        for &c in leaf {
+            self.keys.extend_from_slice(candidates[c as usize].items());
+        }
+        self.index.extend_from_slice(leaf);
+        start..self.index.len() as u32
+    }
+
+    fn bytes(&self) -> usize {
+        self.keys.len() * std::mem::size_of::<ItemId>()
+            + self.index.len() * std::mem::size_of::<u32>()
     }
 }
 
 /// A hash tree over candidates of uniform size `k`.
-pub struct HashTree<'a> {
-    candidates: &'a [Itemset],
+pub struct HashTree {
     k: usize,
+    num_candidates: usize,
     root: Node,
+    /// Slots of the full-depth leaves, each leaf sorted by items.
+    full: Slots,
+    /// Slots of the leaves above full depth.
+    partial: Slots,
 }
 
-impl<'a> HashTree<'a> {
+impl HashTree {
     /// Builds the tree.
     ///
     /// # Panics
-    /// Panics if candidates are not all of the same non-zero size.
-    pub fn build(candidates: &'a [Itemset]) -> Self {
+    /// Panics if candidates are not all of the same non-zero size, or if
+    /// there are 2³² or more of them.
+    pub fn build(candidates: &[Itemset]) -> Self {
         let k = candidates.first().map_or(1, Itemset::len);
         assert!(k > 0, "hash tree candidates must be non-empty itemsets");
         assert!(
             candidates.iter().all(|c| c.len() == k),
             "hash tree candidates must share one size"
         );
-        let mut tree = HashTree {
-            candidates,
-            k,
-            root: Node::new_leaf(),
-        };
-        for idx in 0..candidates.len() {
-            Self::insert(&mut tree.root, candidates, k, idx, 0);
+        let n = u32::try_from(candidates.len()).expect("hash tree candidates must fit u32 indices");
+        let mut root = Draft::new_leaf();
+        for idx in 0..n {
+            Self::insert(&mut root, candidates, k, idx, 0);
         }
-        Self::sort_full_leaves(&mut tree.root, candidates, k, 0);
-        tree
+        // Nearly every slot of a pair tree is at full depth.
+        let mut full = Slots {
+            keys: Vec::with_capacity(candidates.len() * k),
+            index: Vec::with_capacity(candidates.len()),
+        };
+        let mut partial = Slots::default();
+        let root = Self::freeze(root, candidates, k, 0, &mut full, &mut partial);
+        full.keys.shrink_to_fit();
+        full.index.shrink_to_fit();
+        HashTree {
+            k,
+            num_candidates: candidates.len(),
+            root,
+            full,
+            partial,
+        }
     }
 
     /// Estimated resident bytes of the tree structure: fan-out tables of
-    /// interior nodes plus leaf candidate lists. Deterministic for a
-    /// given candidate group (insertion order is fixed).
+    /// interior nodes plus the flat leaf keys and slot indices.
+    /// Deterministic for a given candidate group (insertion order is
+    /// fixed).
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Node>() + Self::node_bytes(&self.root)
+        std::mem::size_of::<Node>()
+            + Self::node_bytes(&self.root)
+            + self.full.bytes()
+            + self.partial.bytes()
     }
 
     fn node_bytes(node: &Node) -> usize {
@@ -96,60 +167,78 @@ impl<'a> HashTree<'a> {
                         .map(Self::node_bytes)
                         .sum::<usize>()
             }
-            Node::Leaf(list) => list.len() * std::mem::size_of::<usize>(),
+            Node::Leaf(_) => 0,
         }
     }
 
-    fn insert(node: &mut Node, candidates: &[Itemset], k: usize, idx: usize, depth: usize) {
+    fn insert(node: &mut Draft, candidates: &[Itemset], k: usize, idx: u32, depth: usize) {
         match node {
-            Node::Interior(children) => {
-                let b = bucket(candidates[idx].items()[depth]);
-                let child = children[b].get_or_insert_with(Node::new_leaf);
+            Draft::Interior(children) => {
+                let b = bucket(candidates[idx as usize].items()[depth]);
+                let child = children[b].get_or_insert_with(Draft::new_leaf);
                 Self::insert(child, candidates, k, idx, depth + 1);
             }
-            Node::Leaf(list) => {
+            Draft::Leaf(list) => {
                 list.push(idx);
                 // Split an overflowing leaf unless we have consumed all k
                 // items already (then collisions must simply share a leaf).
                 if list.len() > LEAF_CAPACITY && depth < k {
                     let moved = std::mem::take(list);
-                    let mut children: Vec<Option<Node>> = (0..FANOUT).map(|_| None).collect();
+                    let mut children: Vec<Option<Draft>> = (0..FANOUT).map(|_| None).collect();
                     for m in moved {
-                        let b = bucket(candidates[m].items()[depth]);
-                        let child = children[b].get_or_insert_with(Node::new_leaf);
+                        let b = bucket(candidates[m as usize].items()[depth]);
+                        let child = children[b].get_or_insert_with(Draft::new_leaf);
                         Self::insert(child, candidates, k, m, depth + 1);
                     }
-                    *node = Node::Interior(children);
+                    *node = Draft::Interior(children);
                 }
             }
         }
     }
 
-    /// Sorts every full-depth leaf's list by its candidates' items, the
-    /// order the path lookup in [`HashTree::visit`] searches.
-    fn sort_full_leaves(node: &mut Node, candidates: &[Itemset], k: usize, depth: usize) {
-        match node {
-            Node::Interior(children) => {
-                for child in children.iter_mut().flatten() {
-                    Self::sort_full_leaves(child, candidates, k, depth + 1);
-                }
+    /// Lays every leaf below `draft` out in `full` or `partial`, sorting
+    /// each full-depth leaf by its candidates' items — the order the path
+    /// lookup in [`HashTree::visit`] searches.
+    fn freeze(
+        draft: Draft,
+        candidates: &[Itemset],
+        k: usize,
+        depth: usize,
+        full: &mut Slots,
+        partial: &mut Slots,
+    ) -> Node {
+        match draft {
+            Draft::Interior(children) => Node::Interior(
+                children
+                    .into_iter()
+                    .map(|c| c.map(|c| Self::freeze(c, candidates, k, depth + 1, full, partial)))
+                    .collect(),
+            ),
+            Draft::Leaf(mut list) if depth == k => {
+                list.sort_by(|&a, &b| {
+                    candidates[a as usize]
+                        .items()
+                        .cmp(candidates[b as usize].items())
+                });
+                Node::Leaf(full.push_leaf(candidates, &list))
             }
-            Node::Leaf(list) if depth == k => {
-                list.sort_by(|&a, &b| candidates[a].items().cmp(candidates[b].items()));
-            }
-            Node::Leaf(_) => {}
+            Draft::Leaf(list) => Node::Leaf(partial.push_leaf(candidates, &list)),
         }
     }
 
     /// Fresh counting state for one pass of this tree over the data:
-    /// zero counts, and no candidate stamped by any transaction yet.
-    pub fn start_pass(&self) -> TreeCounts {
+    /// zero counts, and no partial-depth slot stamped by any transaction
+    /// yet.
+    pub fn start_pass(&self) -> TreeCounts<'_> {
         TreeCounts {
+            tree: self,
             path: Vec::with_capacity(self.k),
             tid: 0,
             // Stamps start at u64::MAX ( != any tid).
-            last_seen: vec![u64::MAX; self.candidates.len()],
-            counts: vec![0; self.candidates.len()],
+            last_seen: vec![u64::MAX; self.partial.index.len()],
+            counts: vec![0; self.num_candidates],
+            path_lookups: 0,
+            subset_tests: 0,
         }
     }
 
@@ -158,14 +247,16 @@ impl<'a> HashTree<'a> {
     /// per page, say — and pays for its stamp vector only once.
     ///
     /// # Panics
-    /// Panics if `pass` was started for a tree over a different number
-    /// of candidates.
+    /// Panics if `pass` was started for a different tree.
     pub fn count<'t>(
         &self,
         transactions: impl IntoIterator<Item = &'t [ItemId]>,
-        pass: &mut TreeCounts,
+        pass: &mut TreeCounts<'_>,
     ) {
-        assert_eq!(pass.counts.len(), self.candidates.len());
+        assert!(
+            std::ptr::eq(pass.tree, self),
+            "counting pass started for a different hash tree"
+        );
         for t in transactions {
             // A fresh id per transaction, across calls, keeps the
             // partial-depth stamps from ever matching a new transaction.
@@ -174,30 +265,74 @@ impl<'a> HashTree<'a> {
                 self.visit(&self.root, t, 0, pass);
             }
         }
+        PATH_LOOKUPS.add(std::mem::take(&mut pass.path_lookups));
+        SUBSET_TESTS.add(std::mem::take(&mut pass.subset_tests));
+    }
+
+    /// Rearranges counts from slot order (see [`TreeCounts`]) into
+    /// candidate order, in place: a second count vector would raise the
+    /// pass's peak memory.
+    fn candidate_order(&self, mut counts: Vec<u64>) -> Vec<u64> {
+        let full = self.full.index.len();
+        let candidate = |slot: usize| {
+            let index = if slot < full {
+                self.full.index[slot]
+            } else {
+                self.partial.index[slot - full]
+            };
+            index as usize
+        };
+        // Follow each cycle of the permutation, carrying the count that
+        // every write displaces to its own candidate position.
+        let mut moved = vec![false; counts.len()];
+        for start in 0..counts.len() {
+            let (mut slot, mut carry) = (start, counts[start]);
+            while !moved[slot] {
+                moved[slot] = true;
+                slot = candidate(slot);
+                std::mem::swap(&mut carry, &mut counts[slot]);
+            }
+        }
+        counts
     }
 
     /// Counts the candidates below `node` that `t` contains; `pass.path`
     /// holds the items consumed to reach `node`, the last at `start − 1`.
-    fn visit(&self, node: &Node, t: &[ItemId], start: usize, pass: &mut TreeCounts) {
+    fn visit(&self, node: &Node, t: &[ItemId], start: usize, pass: &mut TreeCounts<'_>) {
+        let k = self.k;
         match node {
-            Node::Leaf(list) if pass.path.len() == self.k => {
+            Node::Leaf(slots) if pass.path.len() == k => {
+                pass.path_lookups += 1;
                 // Only the path itself can match here; equal candidates
                 // (duplicates in the batch) sit next to each other.
+                let first = slots.start as usize;
+                let keys = &self.full.keys[first * k..slots.end as usize * k];
                 let path = pass.path.as_slice();
-                let first = list.partition_point(|&idx| self.candidates[idx].items() < path);
-                for &idx in &list[first..] {
-                    if self.candidates[idx].items() != path {
+                let key = |s: usize| &keys[s * k..(s + 1) * k];
+                let (mut lo, mut hi) = (0, slots.len());
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if key(mid) < path {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                for s in lo..slots.len() {
+                    if key(s) != path {
                         break;
                     }
-                    pass.counts[idx] += 1;
+                    pass.counts[first + s] += 1;
                 }
             }
-            Node::Leaf(list) => {
-                for &idx in list {
-                    if pass.last_seen[idx] != pass.tid {
-                        pass.last_seen[idx] = pass.tid;
-                        if self.candidates[idx].is_subset_of_slice(t) {
-                            pass.counts[idx] += 1;
+            Node::Leaf(slots) => {
+                for s in slots.start as usize..slots.end as usize {
+                    if pass.last_seen[s] != pass.tid {
+                        pass.last_seen[s] = pass.tid;
+                        pass.subset_tests += 1;
+                        let key = &self.partial.keys[s * k..(s + 1) * k];
+                        if is_sorted_subset(key, t) {
+                            pass.counts[self.full.index.len() + s] += 1;
                         }
                     }
                 }
@@ -205,7 +340,7 @@ impl<'a> HashTree<'a> {
             Node::Interior(children) => {
                 // Descend once per usable item position: one that leaves
                 // the k − depth − 1 items a candidate still needs after it.
-                let end = t.len() + pass.path.len() + 1 - self.k;
+                let end = t.len() + pass.path.len() + 1 - k;
                 for (j, &item) in t[..end].iter().enumerate().skip(start) {
                     if let Some(child) = &children[bucket(item)] {
                         pass.path.push(item);
@@ -219,23 +354,29 @@ impl<'a> HashTree<'a> {
 }
 
 /// The state of one counting pass of a [`HashTree`] (from
-/// [`HashTree::start_pass`]): the candidates' counts so far, plus what
-/// the walks need across transactions — a running transaction id and
-/// each candidate's stamp of the last transaction that tested it in a
-/// partial-depth leaf, so convergent hash paths count it once.
-pub struct TreeCounts {
+/// [`HashTree::start_pass`]): the counts so far, plus what the walks
+/// need across transactions — a running transaction id and each
+/// partial-depth slot's stamp of the last transaction that tested it, so
+/// convergent hash paths count it once.
+pub struct TreeCounts<'a> {
+    tree: &'a HashTree,
     /// Transaction items consumed on the way to the current node.
     path: Vec<ItemId>,
     /// Id of the transaction being walked.
     tid: u64,
     last_seen: Vec<u64>,
+    /// Counts in slot order — full-depth slots, then partial-depth ones —
+    /// so a leaf's counts sit together like its keys.
     counts: Vec<u64>,
+    /// Work done since the last flush into the obs counters.
+    path_lookups: u64,
+    subset_tests: u64,
 }
 
-impl TreeCounts {
+impl TreeCounts<'_> {
     /// The finished counts, in candidate order.
     pub fn into_counts(self) -> Vec<u64> {
-        self.counts
+        self.tree.candidate_order(self.counts)
     }
 }
 
@@ -279,15 +420,16 @@ fn count_group(transactions: &[Itemset], group: &[Itemset]) -> Vec<u64> {
     // One shared tree, transaction-chunked counting: each chunk runs a
     // pass of its own, so chunks are independent, and the partial
     // vectors merge by element-wise sum — identical at any thread count.
+    // They merge in slot order, so only the sum is rearranged.
     let partials = ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
         let mut pass = tree.start_pass();
         tree.count(transactions[r].iter().map(Itemset::items), &mut pass);
-        pass.into_counts()
+        pass.counts
     });
     if partials.is_empty() {
         vec![0u64; group.len()]
     } else {
-        ossm_par::sum_counts(partials)
+        tree.candidate_order(ossm_par::sum_counts(partials))
     }
 }
 
@@ -466,6 +608,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pair candidates at level-2 scale: every pair over 460 of 600
+    /// items (105,570, about 25 per full-depth cell of the 64 × 64 grid)
+    /// plus every eleventh pair again, over transactions of those items.
+    fn c2_scale_workload() -> (Vec<Itemset>, Vec<Itemset>) {
+        let d = QuestConfig {
+            num_transactions: 1500,
+            num_items: 600,
+            ..QuestConfig::small()
+        }
+        .generate();
+        let mut pairs: Vec<Itemset> = (0..460u32)
+            .flat_map(|a| ((a + 1)..460).map(move |b| set(&[a, b])))
+            .collect();
+        pairs.extend(pairs.clone().into_iter().step_by(11));
+        (pairs, d.transactions().to_vec())
+    }
+
+    #[test]
+    fn c2_scale_pairs_match_the_bitmap_backend() {
+        let (pairs, txs) = c2_scale_workload();
+        assert!(pairs.len() >= 100_000);
+        let tree = HashTree::build(&pairs);
+        assert!(tree.partial.index.is_empty(), "every leaf is at full depth");
+        let counts = count_hash_tree(&txs, &pairs);
+        assert_eq!(counts, crate::bitmap::count_bitmap(&txs, &pairs));
+        assert!(counts.iter().any(|&c| c > 0));
+    }
+
+    /// Tests that mutate the process-wide thread override must not
+    /// interleave.
+    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn counts_are_identical_at_any_thread_count() {
+        let _guard = override_lock();
+        let (pairs, txs) = c2_scale_workload();
+        let (mixed, colliding_txs) = colliding_workload();
+        let mut runs = Vec::new();
+        for threads in [1usize, 2, 8] {
+            ossm_par::set_threads(Some(threads));
+            runs.push((
+                count_hash_tree(&txs, &pairs),
+                count_hash_tree(&colliding_txs, &mixed),
+            ));
+        }
+        ossm_par::set_threads(None);
+        assert!(runs[0] == runs[1] && runs[1] == runs[2]);
+    }
+
+    #[test]
+    fn full_depth_trees_allocate_no_stamps() {
+        // All pairs over 0..100: every root bucket holds more than
+        // LEAF_CAPACITY pairs, so every leaf sits at depth 2.
+        let pairs: Vec<Itemset> = (0..100u32)
+            .flat_map(|a| ((a + 1)..100).map(move |b| set(&[a, b])))
+            .collect();
+        let tree = HashTree::build(&pairs);
+        assert!(tree.start_pass().last_seen.is_empty());
+        assert_eq!(tree.full.index.len(), pairs.len());
+        // A small group stays one partial-depth root leaf, stamped per slot.
+        let small = HashTree::build(&pairs[..LEAF_CAPACITY]);
+        assert_eq!(small.start_pass().last_seen.len(), LEAF_CAPACITY);
     }
 
     #[test]
