@@ -70,10 +70,10 @@ pub fn is_rate_or_quantile(name: &str) -> bool {
 }
 
 /// True for serving-workload metrics (the `live.*` / `req.*` / `srv.*`
-/// families): how many batches the live ingest loop ran, how request
-/// latencies distributed, and how the service's admission control
-/// sheds under load depend on wall clock, pacing, and thread
-/// scheduling, not on the computation. Reported, never gated,
+/// families): how many requests the service and its metrics endpoint
+/// served, how request latencies distributed, and how the service's
+/// admission control sheds under load depend on wall clock, pacing, and
+/// thread scheduling, not on the computation. Reported, never gated,
 /// missing-exempt.
 pub fn is_serving(name: &str) -> bool {
     let base = name
@@ -907,7 +907,7 @@ mod tests {
 
     #[test]
     fn rate_and_quantile_classifier_matches_derived_rows() {
-        assert!(is_rate_or_quantile("counter.live.ingest.batches.per_sec"));
+        assert!(is_rate_or_quantile("counter.live.http.requests.per_sec"));
         assert!(is_rate_or_quantile("histogram.req.ub.latency.p50"));
         assert!(is_rate_or_quantile("histogram.req.ub.latency.p95"));
         assert!(is_rate_or_quantile("histogram.req.ub.latency.p99"));
@@ -917,7 +917,6 @@ mod tests {
 
     #[test]
     fn serving_classifier_matches_live_and_req_families() {
-        assert!(is_serving("counter.live.ingest.batches"));
         assert!(is_serving("counter.live.http.requests"));
         assert!(is_serving("histogram.req.insert.latency.count"));
         assert!(is_serving("histogram.req.ub.latency.sum"));
@@ -945,7 +944,7 @@ mod tests {
     #[test]
     fn serving_and_quantile_rows_report_but_never_gate_or_go_missing() {
         let live = concat!(
-            r#"{"type":"counter","name":"live.ingest.batches","value":100}"#,
+            r#"{"type":"counter","name":"live.http.requests","value":100}"#,
             "\n",
             r#"{"type":"histogram","name":"req.ub.latency","count":800,"sum":640000,"p50":700,"p95":1700,"p99":2000,"buckets":[[512,800]]}"#,
             "\n",

@@ -71,7 +71,9 @@ commands:
             DIR: group-commit WAL ingest where ack means durable,
             epoch-published snapshots, explicit Overloaded shedding;
             --duration=0 serves until interrupted, --metrics additionally
-            exposes Prometheus text at /metrics)
+            exposes Prometheus text at /metrics and JSON at
+            /metrics.json; --port-file gets the service address, then
+            the metrics address on a second line)
   client    ingest --in=FILE [--batch=64] [--batch-id=1]
             [--deadline-ms=1000]
   client    ub --items=1,2,3
@@ -87,17 +89,6 @@ commands:
   obs       dump FILE.jsonl       (render a flight-recorder dump — the
             JSONL file written on panic or injected fault — as a
             human-readable timeline)
-  obs       serve [ADDR] [--duration=SECS] [--port-file=PATH]
-            [--batch=64] [--pace-ms=2] [--items=100] [--queries=8]
-            (run a live ingest workload and expose the registry over
-            HTTP: Prometheus text at /metrics, JSON at /metrics.json,
-            with per-second rates and p50/p95/p99 latency quantiles;
-            default 127.0.0.1:9185, port 0 picks a free port,
-            --duration=0 serves until interrupted)
-  obs       top [--interval=SECS] [--intervals=N] [--batch=64]
-            [--pace-ms=2]   (watch mode: print interval-delta frames —
-            totals, deltas, rates, quantiles — while a live ingest
-            workload runs)
   help
 
 global flags:
@@ -707,9 +698,7 @@ fn repair(opts: &Options) -> Result<String, String> {
 fn obs(opts: &Options, positionals: &[String]) -> Result<(String, i32), String> {
     const OBS_USAGE: &str = "usage: ossm obs diff BASELINE.json CURRENT.json \
          [--count-drift=0.05] [--mem-drift=0.10] [--max-time-regress=F]\n       \
-         ossm obs dump FILE.jsonl\n       \
-         ossm obs serve [ADDR] [--duration=SECS] [--port-file=PATH]\n       \
-         ossm obs top [--interval=SECS] [--intervals=N]";
+         ossm obs dump FILE.jsonl";
     match positionals.split_first() {
         Some((sub, files)) if sub == "diff" => {
             let [baseline_path, current_path] = files else {
@@ -745,220 +734,9 @@ fn obs(opts: &Options, positionals: &[String]) -> Result<(String, i32), String> 
                 ossm_obs::recorder::render_timeline(&text).map_err(|e| format!("{path}: {e}"))?;
             Ok((timeline, 0))
         }
-        Some((sub, rest)) if sub == "serve" => obs_serve(opts, rest).map(|r| (r, 0)),
-        Some((sub, rest)) if sub == "top" => obs_top(opts, rest).map(|r| (r, 0)),
         Some((other, _)) => Err(format!("unknown obs subcommand {other:?}\n{OBS_USAGE}")),
         None => Err(format!("missing obs subcommand\n{OBS_USAGE}")),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Live telemetry: `ossm obs serve` and `ossm obs top`
-// ---------------------------------------------------------------------------
-
-/// Batches appended by the synthetic live-ingest workload.
-static INGEST_BATCHES: ossm_obs::Counter = ossm_obs::Counter::new("live.ingest.batches");
-/// Transactions appended by the synthetic live-ingest workload.
-static INGEST_TRANSACTIONS: ossm_obs::Counter = ossm_obs::Counter::new("live.ingest.transactions");
-
-/// Configuration of the synthetic ingest-and-query workload that backs
-/// `ossm obs serve` / `ossm obs top`: durable appends into a
-/// [`DurableIncrementalOssm`] paced to look like a stream, each batch
-/// followed by timed `ub(X)` probes, so the `req.insert.*` /
-/// `req.ub.*` latency histograms populate under load.
-struct LiveLoad {
-    items: usize,
-    batch: usize,
-    pace: std::time::Duration,
-    queries: usize,
-    seed: u64,
-    dir: PathBuf,
-    /// Remove `dir` when the load finishes (set for the default
-    /// temp-dir location, not for a user-supplied `--dir`).
-    cleanup: bool,
-}
-
-/// What the workload did before it stopped.
-struct LiveLoadReport {
-    batches: u64,
-    transactions: u64,
-}
-
-fn live_load_config(opts: &Options) -> LiveLoad {
-    let dir_s: String = opts.get("dir", String::new());
-    let (dir, cleanup) = if dir_s.is_empty() {
-        let dir = std::env::temp_dir().join(format!("ossm-live-{}", std::process::id()));
-        (dir, true)
-    } else {
-        (PathBuf::from(dir_s), false)
-    };
-    LiveLoad {
-        items: opts.get("items", 100),
-        batch: opts.get("batch", 64),
-        pace: std::time::Duration::from_millis(opts.get("pace-ms", 2)),
-        queries: opts.get("queries", 8),
-        seed: opts.get("seed", 1),
-        dir,
-        cleanup,
-    }
-}
-
-/// Runs the ingest workload until `stop` is set or `deadline` passes.
-fn run_live_load(
-    cfg: &LiveLoad,
-    stop: &std::sync::atomic::AtomicBool,
-    deadline: Option<std::time::Instant>,
-) -> Result<LiveLoadReport, String> {
-    use std::sync::atomic::Ordering;
-
-    let (mut map, _report) = ossm_core::DurableIncrementalOssm::open(
-        &cfg.dir,
-        cfg.items,
-        16,
-        ossm_core::LossCalculator::all_items(),
-    )
-    .map_err(|e| format!("opening live map in {}: {e}", cfg.dir.display()))?;
-    // A fixed pool of paper-shaped transactions, cycled forever: the
-    // load is about latency under a steady stream, not data volume.
-    let dataset = SkewedConfig {
-        num_transactions: cfg.batch.max(1) * 8,
-        num_items: cfg.items,
-        seed: cfg.seed,
-        ..Default::default()
-    }
-    .generate();
-    let transactions = dataset.transactions();
-    let mut report = LiveLoadReport {
-        batches: 0,
-        transactions: 0,
-    };
-    // xorshift64: cheap deterministic query-pattern picks (no global
-    // RNG dependency, reproducible across runs with the same seed).
-    let mut rng = cfg.seed | 1;
-    let mut next_item = |m: usize| {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        (rng % m as u64) as u32
-    };
-    let mut offset = 0usize;
-    loop {
-        if stop.load(Ordering::SeqCst) || deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            break;
-        }
-        let end = (offset + cfg.batch.max(1)).min(transactions.len());
-        map.append_transactions(&transactions[offset..end])
-            .map_err(|e| format!("live append: {e}"))?;
-        INGEST_BATCHES.incr();
-        INGEST_TRANSACTIONS.add((end - offset) as u64);
-        report.batches += 1;
-        report.transactions += (end - offset) as u64;
-        offset = if end == transactions.len() { 0 } else { end };
-        if map.num_segments() > 0 {
-            // Serve a burst of ub(X) queries against the current map —
-            // the read side of the paper's time-for-memory trade, timed
-            // per probe so the latency quantiles mean something.
-            let served = map.snapshot();
-            for _ in 0..cfg.queries {
-                let a = next_item(cfg.items);
-                let b = next_item(cfg.items);
-                let pattern = ossm_data::Itemset::new([a, b]);
-                let _timer = ossm_core::durable::REQ_UB_LATENCY.time();
-                std::hint::black_box(served.upper_bound(&pattern));
-            }
-        }
-        if report.batches % 32 == 0 {
-            map.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
-        }
-        if !cfg.pace.is_zero() {
-            std::thread::sleep(cfg.pace);
-        }
-    }
-    map.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
-    drop(map);
-    if cfg.cleanup {
-        std::fs::remove_dir_all(&cfg.dir).ok();
-    }
-    Ok(report)
-}
-
-/// `ossm obs serve [ADDR]` — expose live metrics over HTTP while an
-/// ingest workload runs on the main thread. `--duration=SECS` bounds the
-/// run (0 = until interrupted); `--port-file=PATH` writes the bound
-/// address, which makes `ADDR` ending in `:0` usable from scripts.
-fn obs_serve(opts: &Options, positionals: &[String]) -> Result<String, String> {
-    if !ossm_obs::ENABLED {
-        return Err(
-            "obs serve needs instrumentation; rebuild with the default `obs` feature".into(),
-        );
-    }
-    let addr = positionals
-        .first()
-        .cloned()
-        .unwrap_or_else(|| opts.get("addr", "127.0.0.1:9185".to_owned()));
-    let server =
-        ossm_obs::MetricsServer::start(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
-    let bound = server.local_addr();
-    let port_file: String = opts.get("port-file", String::new());
-    if !port_file.is_empty() {
-        std::fs::write(&port_file, format!("{bound}\n"))
-            .map_err(|e| format!("writing {port_file}: {e}"))?;
-    }
-    let duration: f64 = opts.get("duration", 0.0);
-    let deadline = (duration > 0.0)
-        .then(|| std::time::Instant::now() + std::time::Duration::from_secs_f64(duration));
-    let cfg = live_load_config(opts);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let load = run_live_load(&cfg, &stop, deadline)?;
-    let scrapes = ossm_obs::registry()
-        .snapshot()
-        .counter("live.http.requests");
-    server.shutdown();
-    Ok(format!(
-        "served live metrics on {bound}: {} scrapes while ingesting {} batches \
-         ({} transactions)\n",
-        scrapes, load.batches, load.transactions,
-    ))
-}
-
-/// `ossm obs top` — watch mode: run the ingest workload on a background
-/// thread and print one interval-delta frame per `--interval` seconds,
-/// `--intervals` times.
-fn obs_top(opts: &Options, _positionals: &[String]) -> Result<String, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    if !ossm_obs::ENABLED {
-        return Err("obs top needs instrumentation; rebuild with the default `obs` feature".into());
-    }
-    let interval: f64 = opts.get("interval", 1.0);
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err(format!("--interval={interval}: expected seconds > 0"));
-    }
-    let intervals: usize = opts.get("intervals", 5);
-    let cfg = live_load_config(opts);
-    let stop = Arc::new(AtomicBool::new(false));
-    let load_stop = Arc::clone(&stop);
-    let loader = std::thread::Builder::new()
-        .name("ossm-live-load".to_string())
-        .spawn(move || run_live_load(&cfg, &load_stop, None))
-        .map_err(|e| format!("spawning load thread: {e}"))?;
-    let mut tracker = ossm_obs::IntervalTracker::new();
-    let mut last_frame = String::new();
-    for _ in 0..intervals {
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-        last_frame = tracker.tick().render_watch();
-        print!("{last_frame}");
-    }
-    stop.store(true, Ordering::SeqCst);
-    let load = loader
-        .join()
-        .map_err(|_| "load thread panicked".to_string())??;
-    Ok(format!(
-        "{last_frame}watched {intervals} intervals of {interval}s while ingesting {} batches \
-         ({} transactions)\n",
-        load.batches, load.transactions,
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -967,9 +745,10 @@ fn obs_top(opts: &Options, _positionals: &[String]) -> Result<String, String> {
 
 /// `ossm serve [ADDR] --dir=DIR` — run the crash-tolerant streaming
 /// ingest + query service over a durable map directory. `--duration=SECS`
-/// bounds the run (0 = until interrupted); `--port-file=PATH` writes the
-/// bound address so `ADDR` ending in `:0` is usable from scripts;
-/// `--metrics=ADDR` additionally exposes the live metrics endpoint.
+/// bounds the run (0 = until interrupted); `--metrics=ADDR` additionally
+/// exposes the live metrics endpoint; `--port-file=PATH` writes the bound
+/// service address, then (with `--metrics`) the bound metrics address on
+/// a second line, so addresses ending in `:0` are usable from scripts.
 fn serve_cmd(opts: &Options, positionals: &[String]) -> Result<String, String> {
     let dir = PathBuf::from(required(opts, "dir")?);
     let addr = positionals
@@ -981,14 +760,8 @@ fn serve_cmd(opts: &Options, positionals: &[String]) -> Result<String, String> {
     cfg.queue_depth = opts.get("queue-depth", cfg.queue_depth);
     cfg.group_max = opts.get("group-max", cfg.group_max);
     cfg.checkpoint_every_groups = opts.get("checkpoint-every", cfg.checkpoint_every_groups);
-    let (handle, recovery) =
-        ossm_serve::serve(&cfg).map_err(|e| format!("starting service: {e}"))?;
-    let bound = handle.local_addr();
-    let port_file: String = opts.get("port-file", String::new());
-    if !port_file.is_empty() {
-        std::fs::write(&port_file, format!("{bound}\n"))
-            .map_err(|e| format!("writing {port_file}: {e}"))?;
-    }
+    // Bind the metrics endpoint first, so a bad `--metrics` address fails
+    // before the map directory is opened.
     let metrics_addr: String = opts.get("metrics", String::new());
     let metrics = if metrics_addr.is_empty() {
         None
@@ -998,6 +771,17 @@ fn serve_cmd(opts: &Options, positionals: &[String]) -> Result<String, String> {
                 .map_err(|e| format!("binding metrics on {metrics_addr}: {e}"))?,
         )
     };
+    let (handle, recovery) =
+        ossm_serve::serve(&cfg).map_err(|e| format!("starting service: {e}"))?;
+    let bound = handle.local_addr();
+    let port_file: String = opts.get("port-file", String::new());
+    if !port_file.is_empty() {
+        let mut addrs = format!("{bound}\n");
+        if let Some(m) = &metrics {
+            addrs.push_str(&format!("{}\n", m.local_addr()));
+        }
+        std::fs::write(&port_file, addrs).map_err(|e| format!("writing {port_file}: {e}"))?;
+    }
     let duration: f64 = opts.get("duration", 0.0);
     let deadline = (duration > 0.0)
         .then(|| std::time::Instant::now() + std::time::Duration::from_secs_f64(duration));
@@ -1752,63 +1536,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_serve_round_trips_live_metrics_during_ingest() {
-        if !ossm_obs::ENABLED {
-            let err = run(&["obs".to_owned(), "serve".to_owned()]).unwrap_err();
-            assert!(
-                err.contains("rebuild with the default `obs` feature"),
-                "{err}"
-            );
-            return;
-        }
-        let port_file = tmp("serve.port");
-        let dir = tmp("serve-load");
-        std::fs::remove_file(&port_file).ok();
-        // The server binds before the workload starts, so a sibling
-        // thread can poll for the written address and scrape mid-run.
-        let pf = port_file.clone();
-        let fetcher = std::thread::spawn(move || -> String {
-            use std::io::{Read as _, Write as _};
-            // Keep scraping until the workload's counters show up — the
-            // first scrape can land before the first batch is ingested.
-            let mut last = String::new();
-            for _ in 0..400 {
-                let addr = std::fs::read_to_string(&pf).unwrap_or_default();
-                let addr = addr.trim().to_owned();
-                if !addr.is_empty() {
-                    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
-                    write!(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").expect("request");
-                    last.clear();
-                    conn.read_to_string(&mut last).expect("response");
-                    if last.contains("ossm_live_ingest_batches_total") {
-                        return last;
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            panic!("no scrape showed ingest counters; last response:\n{last}");
-        });
-        let out = run_ok(&[
-            "obs",
-            "serve",
-            "127.0.0.1:0",
-            "--duration=1.2",
-            &format!("--port-file={}", port_file.to_str().unwrap()),
-            &format!("--dir={}", dir.to_str().unwrap()),
-            "--pace-ms=1",
-            "--items=40",
-        ]);
-        let body = fetcher.join().expect("fetcher thread");
-        assert!(body.contains("# ossm-livemetrics v1"), "{body}");
-        assert!(body.contains("ossm_live_ingest_batches_total"), "{body}");
-        assert!(body.contains("ossm_live_ingest_batches_per_sec"), "{body}");
-        assert!(out.contains("served live metrics"), "{out}");
-        assert!(!out.contains(" 0 scrapes"), "{out}");
-        std::fs::remove_file(&port_file).ok();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn serve_and_client_round_trip() {
         let db = tmp("svc.db");
         let dir = tmp("svc-map");
@@ -1824,31 +1551,38 @@ mod tests {
         ]);
         let dir_s = dir.to_str().unwrap().to_owned();
         let pf_s = port_file.to_str().unwrap().to_owned();
+        // Obs builds also expose the metrics endpoint, whose address is
+        // the port file's second line.
+        let with_metrics = ossm_obs::ENABLED;
         let server = std::thread::spawn(move || -> String {
-            run_ok(&[
-                "serve",
-                "127.0.0.1:0",
-                &format!("--dir={dir_s}"),
-                "--items=30",
-                "--duration=3",
-                &format!("--port-file={pf_s}"),
-            ])
+            let mut args = vec![
+                "serve".to_owned(),
+                "127.0.0.1:0".to_owned(),
+                format!("--dir={dir_s}"),
+                "--items=30".to_owned(),
+                "--duration=3".to_owned(),
+                format!("--port-file={pf_s}"),
+            ];
+            if with_metrics {
+                args.push("--metrics=127.0.0.1:0".to_owned());
+            }
+            run(&args).expect("serve")
         });
-        let addr = {
-            let mut addr = String::new();
+        let addrs: Vec<String> = {
+            let want = if with_metrics { 2 } else { 1 };
+            let mut addrs = Vec::new();
             for _ in 0..400 {
-                addr = std::fs::read_to_string(&port_file)
-                    .unwrap_or_default()
-                    .trim()
-                    .to_owned();
-                if !addr.is_empty() {
+                let text = std::fs::read_to_string(&port_file).unwrap_or_default();
+                addrs = text.lines().map(str::to_owned).collect();
+                if addrs.len() == want && text.ends_with('\n') {
                     break;
                 }
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
-            assert!(!addr.is_empty(), "server never wrote its port file");
-            addr
+            assert_eq!(addrs.len(), want, "server never wrote its port file");
+            addrs
         };
+        let addr = &addrs[0];
         let addr_flag = format!("--addr={addr}");
         let ingest = run_ok(&[
             "client",
@@ -1873,6 +1607,25 @@ mod tests {
         assert!(again.contains("(7 already durable"), "{again}");
         let ub = run_ok(&["client", "ub", "--items=0,1", &addr_flag]);
         assert!(ub.contains("ub({0,1}) = "), "{ub}");
+        if with_metrics {
+            use std::io::{Read as _, Write as _};
+            let mut conn = std::net::TcpStream::connect(&addrs[1]).expect("connect");
+            write!(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").expect("request");
+            let mut body = String::new();
+            conn.read_to_string(&mut body).expect("response");
+            // The registry is process-global: other tests may have added
+            // to the insert counter, never taken from it.
+            let inserted = body
+                .lines()
+                .find_map(|l| l.strip_prefix("ossm_req_insert_transactions_total "))
+                .and_then(|v| v.trim().parse::<f64>().ok());
+            assert!(inserted.is_some_and(|n| n >= 200.0), "{body}");
+            assert!(body.contains("ossm_srv_commit_fsyncs_total"), "{body}");
+            assert!(
+                body.contains("ossm_req_ub_latency{quantile=\"0.5\"}"),
+                "{body}"
+            );
+        }
         let mine = run_ok(&["client", "mine", "--minsup=1", "--top=5", &addr_flag]);
         assert!(mine.contains("items with ub >= 1"), "{mine}");
         let stats = run_ok(&["client", "stats", &addr_flag]);
@@ -1894,39 +1647,6 @@ mod tests {
         );
         std::fs::remove_file(&db).ok();
         std::fs::remove_file(&port_file).ok();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn obs_top_prints_watch_frames() {
-        if !ossm_obs::ENABLED {
-            let err = run(&["obs".to_owned(), "top".to_owned()]).unwrap_err();
-            assert!(
-                err.contains("rebuild with the default `obs` feature"),
-                "{err}"
-            );
-            return;
-        }
-        let dir = tmp("top-load");
-        let out = run_ok(&[
-            "obs",
-            "top",
-            "--interval=0.2",
-            "--intervals=2",
-            &format!("--dir={}", dir.to_str().unwrap()),
-            "--pace-ms=1",
-            "--items=40",
-        ]);
-        assert!(out.contains("ossm-livetop"), "{out}");
-        assert!(out.contains("watched 2 intervals"), "{out}");
-        assert!(out.contains("live.ingest.batches"), "{out}");
-        // Bad intervals are input errors, not panics.
-        assert!(run(&[
-            "obs".to_owned(),
-            "top".to_owned(),
-            "--interval=0".to_owned()
-        ])
-        .is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

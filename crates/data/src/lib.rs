@@ -29,7 +29,6 @@ pub mod io;
 pub mod item;
 pub mod page;
 pub mod repair;
-pub mod sequence;
 pub mod transaction;
 pub mod wal;
 

@@ -18,10 +18,10 @@
 //!   page file through a bounded buffer pool, where the OSSM also saves
 //!   whole passes and skips pages it proves irrelevant.
 //!
-//! Apriori, DHP, constrained Apriori, and both out-of-core level-wise
-//! miners share one level loop (generate → filter → count → collect), so
-//! the filter enters every one of them at the same point: between
-//! candidate generation and counting.
+//! Apriori, DHP, and both out-of-core level-wise miners share one level
+//! loop (generate → filter → count → collect), so the filter enters every
+//! one of them at the same point: between candidate generation and
+//! counting.
 //!
 //! ```
 //! use ossm_data::gen::QuestConfig;
@@ -42,11 +42,8 @@
 
 pub mod apriori;
 pub mod bitmap;
-pub mod constraints;
-pub mod correlations;
 pub mod depth;
 pub mod dhp;
-pub mod episodes;
 pub mod filter;
 pub mod fpgrowth;
 pub mod hashtree;
@@ -56,21 +53,16 @@ mod obs;
 pub mod ooc;
 pub mod partition;
 pub mod patterns;
-pub mod sequences;
 pub mod support;
 pub mod vertical;
 
 pub use apriori::{Apriori, MiningOutcome};
-pub use constraints::{ConstrainedApriori, Constraint};
-pub use correlations::{CorrelatedPair, CorrelationMiner};
 pub use depth::DepthProject;
 pub use dhp::Dhp;
-pub use episodes::{SerialEpisode, SerialEpisodeMiner, WindowLog};
 pub use filter::{CandidateFilter, NoFilter, OssmFilter};
 pub use fpgrowth::FpGrowth;
 pub use metrics::{LevelMetrics, MiningMetrics};
 pub use ooc::{StreamingApriori, StreamingDhp, StreamingFpGrowth, StreamingOutcome};
 pub use partition::Partition;
-pub use sequences::{SequenceDb, SequenceMiner, SequencePattern};
 pub use support::{CountingBackend, FrequentPatterns};
 pub use vertical::{Charm, Eclat, GenMax, VerticalIndex};

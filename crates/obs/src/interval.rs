@@ -3,11 +3,11 @@
 //! deltas and `*.per_sec` rates alongside the cumulative totals.
 //!
 //! This is the substrate of live telemetry: the metrics endpoint diffs
-//! the registry against the previous scrape, and watch mode diffs it
-//! every refresh. The delta math is ungated (pure arithmetic on
-//! snapshots, which exist in both feature configurations); the
-//! [`IntervalTracker`] that pairs a previous snapshot with an
-//! [`Instant`] collapses to a ZST when instrumentation is off.
+//! the registry against the previous scrape. The delta math is ungated
+//! (pure arithmetic on snapshots, which exist in both feature
+//! configurations); the [`IntervalTracker`] that pairs a previous
+//! snapshot with an [`Instant`] collapses to a ZST when instrumentation
+//! is off.
 //!
 //! # Monotone-reset handling
 //!
@@ -250,10 +250,6 @@ mod imp {
     use super::{delta, IntervalDelta};
     use crate::snapshot::Snapshot;
 
-    /// Marker literal for watch-mode output; compiled into enabled
-    /// binaries only, so CI can grep disabled binaries for its absence.
-    pub(crate) const WATCH_MARKER: &str = "ossm-livetop";
-
     /// Pairs the previous registry snapshot with the instant it was
     /// taken; [`IntervalTracker::tick`] yields the delta since then and
     /// advances the baseline.
@@ -289,66 +285,6 @@ mod imp {
             IntervalTracker::new()
         }
     }
-
-    impl IntervalDelta {
-        /// Renders one watch-mode frame: every metric's total, interval
-        /// delta, and per-second rate, plus histogram quantiles.
-        pub fn render_watch(&self) -> String {
-            use std::fmt::Write as _;
-
-            let mut out = format!(
-                "-- live ({WATCH_MARKER}) interval={:.2}s resets={} --\n",
-                self.elapsed_secs(),
-                self.resets,
-            );
-            if !self.counters.is_empty() {
-                out.push_str("counters (total / interval / per_sec)\n");
-                let width = self.counters.keys().map(String::len).max().unwrap_or(0);
-                for (name, c) in &self.counters {
-                    let _ = writeln!(
-                        out,
-                        "  {name:<width$}  {:>10}  {:>8}  {:>10.1}/s",
-                        c.total, c.delta, c.per_sec,
-                    );
-                }
-            }
-            if !self.phases.is_empty() {
-                out.push_str("phases (calls / interval calls / per_sec)\n");
-                let width = self.phases.keys().map(String::len).max().unwrap_or(0);
-                for (name, p) in &self.phases {
-                    let _ = writeln!(
-                        out,
-                        "  {name:<width$}  {:>10}  {:>8}  {:>10.1}/s",
-                        p.calls_total, p.calls_delta, p.calls_per_sec,
-                    );
-                }
-            }
-            if !self.histograms.is_empty() {
-                out.push_str("histograms (count / interval / per_sec / p50 / p95 / p99)\n");
-                let width = self.histograms.keys().map(String::len).max().unwrap_or(0);
-                for (name, h) in &self.histograms {
-                    let q = h.quantiles.unwrap_or_default();
-                    let _ = writeln!(
-                        out,
-                        "  {name:<width$}  {:>10}  {:>8}  {:>10.1}/s  {:>12.0}  {:>12.0}  {:>12.0}",
-                        h.count_total, h.count_delta, h.per_sec, q.p50, q.p95, q.p99,
-                    );
-                }
-            }
-            if !self.gauges.is_empty() {
-                out.push_str("gauges (current / interval delta / peak)\n");
-                let width = self.gauges.keys().map(String::len).max().unwrap_or(0);
-                for (name, g) in &self.gauges {
-                    let _ = writeln!(
-                        out,
-                        "  {name:<width$}  {:>10}  {:>+8}  {:>10}",
-                        g.current, g.delta, g.peak,
-                    );
-                }
-            }
-            out
-        }
-    }
 }
 
 #[cfg(not(feature = "enabled"))]
@@ -376,15 +312,6 @@ mod imp {
     impl Default for IntervalTracker {
         fn default() -> Self {
             IntervalTracker::new()
-        }
-    }
-
-    impl IntervalDelta {
-        /// Always empty (instrumentation disabled) — and free of the
-        /// watch-marker literal, which must not reach disabled binaries.
-        #[inline(always)]
-        pub fn render_watch(&self) -> String {
-            String::new()
         }
     }
 }

@@ -174,7 +174,7 @@ mod live {
     }
 
     #[test]
-    fn latency_spans_feed_watch_frames_with_quantiles() {
+    fn latency_spans_feed_interval_quantiles() {
         let mut tracker = IntervalTracker::new();
         drop(LAT.time());
         LAT.record_nanos(1 << 20);
@@ -182,8 +182,5 @@ mod live {
         let h = &d.histograms["test.interval.latency"];
         assert!(h.count_total >= 2);
         assert!(h.quantiles.is_some());
-        let frame = d.render_watch();
-        assert!(frame.contains("ossm-livetop"), "{frame}");
-        assert!(frame.contains("test.interval.latency"), "{frame}");
     }
 }

@@ -89,14 +89,11 @@ fn live_telemetry_is_compiled_away() {
     drop(LATENCY.time());
     LATENCY.record_nanos(1_000_000);
     assert!(registry().snapshot().is_empty());
-    // …interval ticks are always empty, and watch frames render to
-    // nothing (the frame format would otherwise embed a marker literal
-    // that must not reach disabled binaries).
+    // …and interval ticks are always empty.
     let mut tracker = ossm_obs::IntervalTracker::new();
     let d = tracker.tick();
     assert!(d.is_empty());
     assert_eq!(d.resets, 0);
-    assert_eq!(d.render_watch(), "");
     // The metrics endpoint refuses to start rather than serving blanks.
     let err = ossm_obs::MetricsServer::start("127.0.0.1:0")
         .err()

@@ -43,13 +43,10 @@ pub mod prelude {
     pub use ossm_data::{
         disk::{DiskStore, DiskStoreWriter},
         gen::{AlarmConfig, QuestConfig, SkewedConfig},
-        sequence::{Event, EventSequence},
         Dataset, ItemId, Itemset, PageStore,
     };
     pub use ossm_mining::{
-        Apriori, CandidateFilter, Charm, ConstrainedApriori, Constraint, CorrelationMiner,
-        CountingBackend, DepthProject, Dhp, Eclat, FpGrowth, FrequentPatterns, GenMax,
-        MiningOutcome, NoFilter, OssmFilter, Partition, SequenceDb, SequenceMiner, SequencePattern,
-        SerialEpisode, SerialEpisodeMiner, StreamingApriori, WindowLog,
+        Apriori, CandidateFilter, Charm, CountingBackend, DepthProject, Dhp, Eclat, FpGrowth,
+        FrequentPatterns, GenMax, MiningOutcome, NoFilter, OssmFilter, Partition, StreamingApriori,
     };
 }

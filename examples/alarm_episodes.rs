@@ -14,7 +14,6 @@
 use ossm::prelude::*;
 
 fn main() {
-    use ossm_mining::{SerialEpisodeMiner, WindowLog};
     // The paper's data: ~5000 windows over ~200 alarm types.
     let dataset = AlarmConfig::default().generate();
     let min_support = dataset.absolute_threshold(0.02);
@@ -72,50 +71,4 @@ fn main() {
         },
         report.distinct_configurations
     );
-
-    // Beyond sets: serial episodes — ordered alarm cascades (A before B
-    // inside a window). Build a timestamped sequence with two planted
-    // cascades, window it with event order preserved, and mine with the
-    // same OSSM machinery pruning candidates.
-    let mut events = Vec::new();
-    for t in 0..30_000u64 {
-        events.push(Event {
-            time: t,
-            kind: (t % 17) as u32,
-        });
-        if t % 7 == 0 {
-            // A root-cause alarm (20) followed by its consequence (21).
-            events.push(Event { time: t, kind: 20 });
-            events.push(Event {
-                time: t + 1,
-                kind: 21,
-            });
-        }
-    }
-    let sequence = EventSequence::new(22, events);
-    let log = WindowLog::from_sequence(&sequence, 10, 10);
-    let windows = log.to_dataset();
-    let serial_min = windows.absolute_threshold(0.5);
-    let window_store = PageStore::with_page_count(windows, 30);
-    let (episode_ossm, _) = OssmBuilder::new(10)
-        .strategy(Strategy::Rc)
-        .build(&window_store);
-    let serial =
-        SerialEpisodeMiner::new()
-            .with_max_len(3)
-            .mine(&log, serial_min, Some(&episode_ossm));
-    let mut cascades: Vec<_> = serial
-        .episodes
-        .iter()
-        .filter(|(e, _)| e.len() >= 2)
-        .collect();
-    cascades.sort_by_key(|(_, s)| std::cmp::Reverse(*s));
-    println!(
-        "\nserial episodes over {} windows ({} candidate tests OSSM-pruned):",
-        log.len(),
-        serial.metrics.total_filtered_out()
-    );
-    for (episode, support) in cascades.into_iter().take(5) {
-        println!("  {episode}: {support} windows");
-    }
 }

@@ -1,8 +1,7 @@
 //! Integration tests for the extension systems built around the core
 //! reproduction: the generalized OSSM (footnote 3), incremental
-//! maintenance, disk-resident mining, the episode layer, constrained
-//! mining, and the condensed pattern representations — all composed
-//! end-to-end through the facade crate.
+//! maintenance, disk-resident mining, and the condensed pattern
+//! representations — all composed end-to-end through the facade crate.
 
 use ossm::prelude::*;
 use ossm_core::generalized::bubble_pairs;
@@ -148,63 +147,6 @@ fn disk_pipeline_matches_memory_pipeline_with_io_savings() {
     let mem = Apriori::new().mine(&d, min_support);
     assert_eq!(mem.patterns, plain.patterns);
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn episode_mining_over_windows_with_ossm() {
-    // Build an alarm-like event sequence with a planted co-firing pair.
-    let mut events = Vec::new();
-    for t in 0..4000u64 {
-        events.push(Event {
-            time: t,
-            kind: (t % 17) as u32,
-        });
-        if t % 5 == 0 {
-            // kinds 20 and 21 co-fire every 5 ticks.
-            events.push(Event { time: t, kind: 20 });
-            events.push(Event { time: t, kind: 21 });
-        }
-    }
-    let seq = EventSequence::new(22, events);
-    let windows = seq.windows(10, 10);
-    let min_support = windows.absolute_threshold(0.5);
-
-    let store = PageStore::with_page_count(windows, 16);
-    let (ossm, _) = OssmBuilder::new(8).strategy(Strategy::Rc).build(&store);
-    let plain = Apriori::new().mine(store.dataset(), min_support);
-    let filtered =
-        Apriori::new().mine_filtered(store.dataset(), min_support, &OssmFilter::new(&ossm));
-    assert_eq!(plain.patterns, filtered.patterns);
-    assert!(
-        plain.patterns.contains(&Itemset::new([20, 21])),
-        "the planted parallel episode must be frequent"
-    );
-}
-
-#[test]
-fn constrained_mining_with_ossm_matches_post_filtering() {
-    let d = QuestConfig {
-        num_transactions: 1500,
-        num_items: 60,
-        ..QuestConfig::small()
-    }
-    .generate();
-    let min_support = d.absolute_threshold(0.02);
-    let store = PageStore::with_page_count(d, 15);
-    let (ossm, _) = OssmBuilder::new(6).build(&store);
-
-    let constraint = Constraint::MaxSum {
-        values: (0..60u64).collect(),
-        bound: 50,
-    };
-    let mined = ConstrainedApriori::new()
-        .with_constraint(constraint.clone())
-        .mine_filtered(store.dataset(), min_support, &OssmFilter::new(&ossm));
-    let reference = ossm_mining::constraints::filter_patterns(
-        &Apriori::new().mine(store.dataset(), min_support).patterns,
-        std::slice::from_ref(&constraint),
-    );
-    assert_eq!(mined.patterns, reference);
 }
 
 #[test]

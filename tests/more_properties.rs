@@ -1,11 +1,11 @@
 //! Additional property tests: counting back-ends, persistence codecs,
-//! episode/sequence semantics, and the generators' structural invariants.
+//! and the generators' structural invariants.
 
 mod testkit;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use testkit::{case_rng, mask_itemset, random_dataset};
+use testkit::{case_rng, random_dataset};
 
 use ossm_data::{Dataset, Itemset};
 
@@ -86,96 +86,6 @@ fn ossm_persistence_roundtrips() {
         ossm_core::persist::write_ossm(&mut buf, &min.ossm).expect("write");
         let back = ossm_core::persist::read_ossm(&mut buf.as_slice()).expect("read");
         assert_eq!(back, min.ossm, "case {case}");
-    }
-}
-
-#[test]
-fn serial_episode_containment_matches_brute_force() {
-    use ossm_mining::SerialEpisode;
-    // Brute force: is `episode` a subsequence of `window`?
-    fn is_subsequence(needle: &[u32], hay: &[u32]) -> bool {
-        let mut it = hay.iter();
-        needle.iter().all(|n| it.any(|h| h == n))
-    }
-    for case in 0..CASES {
-        let mut rng = case_rng(0x5055, case);
-        let window: Vec<u32> = (0..rng.gen_range(0usize..12))
-            .map(|_| rng.gen_range(0u32..5))
-            .collect();
-        let episode: Vec<u32> = (0..rng.gen_range(1usize..5))
-            .map(|_| rng.gen_range(0u32..5))
-            .collect();
-        let e = SerialEpisode::new(episode.clone());
-        assert_eq!(
-            e.occurs_in(&window),
-            is_subsequence(&episode, &window),
-            "case {case}"
-        );
-    }
-}
-
-#[test]
-fn sequence_pattern_support_is_antitone_under_extension() {
-    use ossm_mining::{SequenceDb, SequencePattern};
-    for case in 0..CASES {
-        let mut rng = case_rng(0x5056, case);
-        let masks: Vec<Vec<u32>> = (0..rng.gen_range(1usize..15))
-            .map(|_| {
-                (0..rng.gen_range(1usize..5))
-                    .map(|_| rng.gen_range(1u32..64))
-                    .collect()
-            })
-            .collect();
-        let ext = rng.gen_range(0u32..6);
-        let to_sets = |seq: &Vec<u32>| -> Vec<Itemset> {
-            seq.iter().map(|&mask| mask_itemset(6, mask)).collect()
-        };
-        let db = SequenceDb::new(6, masks.iter().map(to_sets).collect());
-        let base = SequencePattern::new(vec![Itemset::singleton(ossm_data::ItemId(ext))]);
-        let extended = SequencePattern::new(vec![
-            Itemset::singleton(ossm_data::ItemId(ext)),
-            Itemset::singleton(ossm_data::ItemId((ext + 1) % 6)),
-        ]);
-        assert!(db.support(&extended) <= db.support(&base), "case {case}");
-        // Union-set bound sanity: support never exceeds the union dataset's
-        // support of the pattern's items.
-        let union = db.union_dataset();
-        assert!(
-            db.support(&extended) <= union.support(&extended.union_items()),
-            "case {case}"
-        );
-    }
-}
-
-#[test]
-fn windowing_preserves_event_mass() {
-    use ossm_data::sequence::{Event, EventSequence};
-    for case in 0..CASES {
-        let mut rng = case_rng(0x5057, case);
-        let times: Vec<u64> = (0..rng.gen_range(0usize..60))
-            .map(|_| rng.gen_range(0u64..200))
-            .collect();
-        let width = rng.gen_range(1u64..20);
-        let events: Vec<Event> = times
-            .iter()
-            .map(|&t| Event {
-                time: t,
-                kind: (t % 7) as u32,
-            })
-            .collect();
-        let n = events.len();
-        let seq = EventSequence::new(7, events);
-        // Tumbling windows: every event lands in exactly one window, so
-        // summed window sizes (with multiplicity collapsed per kind) never
-        // exceed the event count, and each event's kind is present in its
-        // window.
-        let d = seq.windows(width, width);
-        let total_kinds: usize = d.transactions().iter().map(Itemset::len).sum();
-        assert!(total_kinds <= n.max(1), "case {case}");
-        if n > 0 {
-            let occupied: usize = d.transactions().iter().filter(|t| !t.is_empty()).count();
-            assert!(occupied >= 1, "case {case}");
-        }
     }
 }
 
