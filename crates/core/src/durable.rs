@@ -68,12 +68,6 @@ static REQ_INSERT_LATENCY: ossm_obs::Latency = ossm_obs::Latency::new("req.inser
 /// Transactions acknowledged through durable appends.
 static REQ_INSERT_TRANSACTIONS: ossm_obs::Counter =
     ossm_obs::Counter::new("req.insert.transactions");
-/// Wall-clock latency of `ub(X)` upper-bound queries against the served
-/// map. Public and defined once so every layer issuing queries (the
-/// streaming miner's candidate filter, the CLI's live workload) feeds
-/// the same histogram — duplicate statics with one name would shadow
-/// each other in registry snapshots.
-pub static REQ_UB_LATENCY: ossm_obs::Latency = ossm_obs::Latency::new("req.ub.latency");
 
 /// What [`DurableIncrementalOssm::open`] found on disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -81,26 +81,22 @@ impl GeneralizedOssm {
         if pattern.is_empty() {
             return self.base.num_transactions();
         }
-        // Tracked subsets of `pattern` (including pattern itself).
-        let relevant: Vec<&Vec<u64>> = self
-            .tracked
+        // The pattern's item rows plus the rows of its tracked subsets
+        // (including the pattern itself), one entry per segment each.
+        let rows: Vec<&[u64]> = pattern
+            .items()
             .iter()
-            .filter(|(t, _)| t.is_subset_of(pattern))
-            .map(|(_, counts)| counts)
+            .map(|&a| self.base.item_supports(a))
+            .chain(
+                self.tracked
+                    .iter()
+                    .filter(|(t, _)| t.is_subset_of(pattern))
+                    .map(|(_, counts)| counts.as_slice()),
+            )
             .collect();
-        let mut total = 0u64;
-        for (s, seg) in self.base.segments().iter().enumerate() {
-            let sup = seg.supports();
-            let mut min = u64::MAX;
-            for item in pattern.items() {
-                min = min.min(sup[item.index()]);
-            }
-            for counts in &relevant {
-                min = min.min(counts[s]);
-            }
-            total += min;
-        }
-        total
+        (0..self.base.num_segments())
+            .map(|s| rows.iter().map(|r| r[s]).fold(u64::MAX, u64::min))
+            .sum()
     }
 
     /// Whether `pattern` can be pruned at `min_support`.

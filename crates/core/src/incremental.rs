@@ -72,9 +72,10 @@ impl IncrementalOssm {
             max_segments >= ossm.num_segments(),
             "budget must cover the seed OSSM's segments"
         );
+        let segments = ossm.segments().into_vec();
         IncrementalOssm {
-            segments: ossm.segments().to_vec(),
-            fs: calc.pair_min_sums(ossm.segments()),
+            fs: calc.pair_min_sums(&segments),
+            segments,
             max_segments,
             calc,
             appended_pages: 0,
@@ -148,12 +149,13 @@ impl IncrementalOssm {
         }
     }
 
-    /// Snapshots the current map for querying/filtering.
+    /// Snapshots the current map for querying/filtering: one pass that
+    /// lays the live segments out item-major, with no intermediate copy.
     ///
     /// # Panics
     /// Panics if nothing has been appended yet.
     pub fn snapshot(&self) -> Ossm {
-        Ossm::from_aggregates(self.segments.clone())
+        Ossm::from_segments(&self.segments)
     }
 }
 
@@ -283,7 +285,7 @@ mod tests {
                         .map(|seg| calc.pair_min_sum(seg.supports()))
                         .collect();
                     assert_eq!(inc.fs, expected, "cache drifted from f(segment)");
-                    assert_eq!(inc.snapshot().segments(), reference.as_slice());
+                    assert_eq!(*inc.snapshot().segments(), *reference);
                 }
             }
         }

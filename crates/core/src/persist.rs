@@ -303,6 +303,34 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The exact bytes `save` writes for a fixed two-segment map (one
+    /// support above `u32::MAX`), pinned so that a change to how the map
+    /// is held in memory cannot change the file format.
+    #[test]
+    fn saved_bytes_are_pinned() {
+        /// CRC32C of the 88 payload bytes below.
+        const CRC_TRAILER: u32 = 0xFCDE_F7ED;
+        let ossm = Ossm::from_aggregates(vec![
+            Aggregate::new(vec![3, 0, 1 << 33], 7),
+            Aggregate::new(vec![1, 2, 5], 9),
+        ]);
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&V2.to_le_bytes());
+        expected.extend_from_slice(&3u32.to_le_bytes());
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        for v in [7u64, 3, 0, 1 << 33, 9, 1, 2, 5] {
+            expected.extend_from_slice(&v.to_le_bytes());
+        }
+        expected.extend_from_slice(&CRC_TRAILER.to_le_bytes());
+        let dir = std::env::temp_dir().join("ossm-persist-tests");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("pinned.ossm");
+        save(&path, &ossm).expect("save");
+        assert_eq!(std::fs::read(&path).expect("read back"), expected);
+        assert_eq!(load(&path).expect("load"), ossm);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn atomic_save_roundtrips_and_leaves_no_temp_file() {
         let dir = std::env::temp_dir().join("ossm-persist-tests");

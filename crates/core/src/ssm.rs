@@ -14,7 +14,7 @@
 //! between trades space for pruning power, which is the whole game of the
 //! paper.
 
-use ossm_data::{Itemset, PageStore};
+use ossm_data::{ItemId, Itemset, PageStore};
 
 use crate::segmentation::{Aggregate, Segmentation};
 
@@ -26,11 +26,57 @@ static BOUND_PAIR_EVALS: ossm_obs::Counter = ossm_obs::Counter::new("core.bound.
 static BOUND_PRUNED: ossm_obs::Counter = ossm_obs::Counter::new("core.bound.pruned");
 
 /// The optimized segment support map (Section 3, Figure 1's `SSM_n`).
+///
+/// Stored item-major: item `a`'s supports in all `n` segments form one
+/// contiguous row, so eq. (1) for `X` is an elementwise min over `|X|`
+/// rows followed by a sum ([`min_sum`]) — `|X|` sequential streams
+/// instead of `n` scattered gathers per item.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ossm {
     num_items: usize,
-    /// `segments[s]` = aggregate singleton supports of segment `s`.
-    segments: Vec<Aggregate>,
+    /// `rows[a·n + s]` = `sup_s({a})`.
+    rows: Vec<u64>,
+    /// `transactions[s]` = transactions in segment `s`; `n` entries.
+    transactions: Vec<u64>,
+}
+
+/// Eq. (1) over rows of one length: `Σ_s min_{a∈items} row(a)[s]`, or 0
+/// for no items.
+// SOUND: each term is the minimum over every one of `items`' rows at one
+// position, and every position is summed — eq. (1) as stated, with
+// narrower counters widened to `u64` before the sum.
+pub fn min_sum<'r, T>(items: &[ItemId], row: impl Fn(ItemId) -> &'r [T]) -> u64
+where
+    T: Copy + Default + Ord + Into<u64> + 'r,
+{
+    /// Positions whose running minima fit one stack buffer.
+    const CHUNK: usize = 64;
+    match *items {
+        [] => 0,
+        [a] => row(a).iter().map(|&v| v.into()).sum(),
+        [a, b] => row(a)
+            .iter()
+            .zip(row(b))
+            .map(|(&x, &y)| x.min(y).into())
+            .sum(),
+        [a, ref rest @ ..] => {
+            let first = row(a);
+            let mut buf = [T::default(); CHUNK];
+            let mut total = 0;
+            for start in (0..first.len()).step_by(CHUNK) {
+                let end = (start + CHUNK).min(first.len());
+                let mins = &mut buf[..end - start];
+                mins.copy_from_slice(&first[start..end]);
+                for &i in rest {
+                    for (m, &v) in mins.iter_mut().zip(&row(i)[start..end]) {
+                        *m = (*m).min(v);
+                    }
+                }
+                total += mins.iter().map(|&m| m.into()).sum::<u64>();
+            }
+            total
+        }
+    }
 }
 
 impl Ossm {
@@ -39,22 +85,40 @@ impl Ossm {
     /// # Panics
     /// Panics if the aggregates disagree on the item domain or if there are
     /// no segments.
-    // SOUND: stores the given per-segment supports verbatim — eq. (1)
-    // is an upper bound whenever each input support dominates the true
-    // item frequency of its segment, which callers establish (exact
-    // aggregation or explicit widening; see `recover`).
+    // SOUND: stores the given per-segment supports verbatim (transposed
+    // by `from_segments`) — eq. (1) is an upper bound whenever each input
+    // support dominates the true item frequency of its segment, which
+    // callers establish (exact aggregation or explicit widening; see
+    // `recover`).
+    pub fn from_aggregates(segments: Vec<Aggregate>) -> Self {
+        Self::from_segments(&segments)
+    }
+
+    /// [`Ossm::from_aggregates`] without taking ownership: the one
+    /// segment-major to item-major pass, so a caller that keeps its
+    /// segments (the incremental map's snapshot) copies them only once.
+    ///
+    /// # Panics
+    /// As [`Ossm::from_aggregates`].
+    // SOUND: copies every `sup_s({a})` to `rows[a·n + s]` and every
+    // transaction count to its segment — a transpose, no value changes.
     // INFALLIBLE: `segments[0]` sits behind the documented non-empty
     // assert — the only panic here is the advertised contract check.
-    pub fn from_aggregates(segments: Vec<Aggregate>) -> Self {
+    pub(crate) fn from_segments(segments: &[Aggregate]) -> Self {
         assert!(!segments.is_empty(), "an OSSM needs at least one segment");
         let num_items = segments[0].num_items();
         assert!(
             segments.iter().all(|s| s.num_items() == num_items),
             "all segments must share the item domain"
         );
+        let mut rows = Vec::with_capacity(num_items * segments.len());
+        for a in 0..num_items {
+            rows.extend(segments.iter().map(|s| s.supports()[a]));
+        }
         Ossm {
             num_items,
-            segments,
+            rows,
+            transactions: segments.iter().map(Aggregate::transactions).collect(),
         }
     }
 
@@ -71,10 +135,11 @@ impl Ossm {
     /// The degenerate one-segment OSSM over the whole store — the bound a
     /// miner has with no OSSM at all (global singleton supports only).
     pub fn single_segment(store: &PageStore) -> Self {
-        let total = Aggregate::new(store.total_supports(), store.dataset().len() as u64);
+        // With n = 1 each item's row is its global support.
         Ossm {
             num_items: store.num_items(),
-            segments: vec![total],
+            rows: store.total_supports(),
+            transactions: vec![store.dataset().len() as u64],
         }
     }
 
@@ -97,35 +162,32 @@ impl Ossm {
         );
         assert!(num_segments > 0, "an OSSM needs at least one segment");
         let m = dataset.num_items();
-        let mut segments = vec![Aggregate::zero(m); num_segments];
         // SOUND: counts every transaction exactly once in the segment
         // the assignment names, so each support is exact for its
         // segment and eq. (1) holds with equality per item.
-        let mut counts = vec![0u64; num_segments];
-        let mut supports: Vec<Vec<u64>> = vec![vec![0; m]; num_segments];
+        let mut rows = vec![0u64; m * num_segments];
+        let mut transactions = vec![0u64; num_segments];
         for (t, &s) in dataset.transactions().iter().zip(assignment) {
             assert!(
                 s < num_segments,
                 "segment id {s} out of range 0..{num_segments}"
             );
-            counts[s] += 1;
+            transactions[s] += 1;
             for item in t.items() {
-                supports[s][item.index()] += 1;
+                rows[item.index() * num_segments + s] += 1;
             }
-        }
-        for (s, (sup, cnt)) in supports.into_iter().zip(counts).enumerate() {
-            segments[s] = Aggregate::new(sup, cnt);
         }
         Ossm {
             num_items: m,
-            segments,
+            rows,
+            transactions,
         }
     }
 
     /// Number of segments, `n`.
     #[inline]
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        self.transactions.len()
     }
 
     /// Size of the item domain, `m`.
@@ -134,26 +196,52 @@ impl Ossm {
         self.num_items
     }
 
-    /// The per-segment aggregates.
+    /// `item`'s support in every segment, in segment order.
+    ///
+    /// # Panics
+    /// Panics if `item` lies outside the map's domain.
     #[inline]
-    pub fn segments(&self) -> &[Aggregate] {
-        &self.segments
+    pub(crate) fn item_supports(&self, item: ItemId) -> &[u64] {
+        let n = self.num_segments();
+        &self.rows[item.index() * n..(item.index() + 1) * n]
+    }
+
+    /// The number of transactions in every segment, in segment order.
+    #[inline]
+    pub(crate) fn segment_transactions(&self) -> &[u64] {
+        &self.transactions
+    }
+
+    /// The per-segment aggregates, materialized from the item-major rows
+    /// (one pass over the map) for callers that work segment by segment.
+    pub fn segments(&self) -> Box<[Aggregate]> {
+        let n = self.num_segments();
+        self.transactions
+            .iter()
+            .enumerate()
+            .map(|(s, &count)| {
+                Aggregate::new(
+                    self.rows.iter().skip(s).step_by(n).copied().collect(),
+                    count,
+                )
+            })
+            .collect()
     }
 
     /// Total number of transactions covered.
     pub fn num_transactions(&self) -> u64 {
-        self.segments.iter().map(Aggregate::transactions).sum()
+        self.transactions.iter().sum()
     }
 
     /// Global support of a singleton (sum across segments). Total over
     /// the whole id space: an item outside the map's domain was never
     /// observed, so its support is 0 — request handlers may pass ids
     /// straight from the wire without a bounds check.
-    pub fn singleton_support(&self, item: ossm_data::ItemId) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| s.supports().get(item.index()).copied().unwrap_or(0))
-            .sum()
+    pub fn singleton_support(&self, item: ItemId) -> u64 {
+        let n = self.num_segments();
+        self.rows
+            .get(item.index() * n..(item.index() + 1) * n)
+            .map_or(0, |row| row.iter().sum())
     }
 
     /// Equation (1): the OSSM upper bound on `sup(X)`.
@@ -161,40 +249,27 @@ impl Ossm {
     /// For the empty itemset the bound is the number of transactions (the
     /// empty pattern holds everywhere), keeping the bound exact and
     /// monotone for all inputs.
+    ///
+    /// # Panics
+    /// Panics if an item of `pattern` lies outside the map's domain.
     // SOUND: computes Σ_i min_{a∈X} sup_i({a}) exactly as eq. (1)
-    // states it, taking every item's support in every segment, so each
+    // states it, through `min_sum` over every item's full row, so each
     // term is the defined minimum and the sum is the paper's bound.
     pub fn upper_bound(&self, pattern: &Itemset) -> u64 {
         BOUND_EVALS.incr();
         if pattern.is_empty() {
             return self.num_transactions();
         }
-        self.segments
-            .iter()
-            .map(|seg| {
-                let sup = seg.supports();
-                // Branch-free: an early exit on a zero minimum mispredicts
-                // more often than it saves.
-                pattern
-                    .items()
-                    .iter()
-                    .map(|i| sup[i.index()])
-                    .fold(u64::MAX, u64::min)
-            })
-            .sum()
+        min_sum(pattern.items(), |a| self.item_supports(a))
     }
 
     /// Equation (1) specialized to a pair of items — the hot path of
     /// candidate-2-itemset filtering.
-    // SOUND: identical to `upper_bound` for X = {a, b}; `min` of the two
-    // per-segment supports is exactly the eq. (1) term.
-    pub fn upper_bound_pair(&self, a: ossm_data::ItemId, b: ossm_data::ItemId) -> u64 {
+    // SOUND: identical to `upper_bound` for X = {a, b}: the min-sum of
+    // the two items' rows is exactly the eq. (1) sum.
+    pub fn upper_bound_pair(&self, a: ItemId, b: ItemId) -> u64 {
         BOUND_PAIR_EVALS.incr();
-        let (ai, bi) = (a.index(), b.index());
-        self.segments
-            .iter()
-            .map(|s| s.supports()[ai].min(s.supports()[bi]))
-            .sum()
+        min_sum(&[a, b], |i| self.item_supports(i))
     }
 
     /// Whether `pattern` can be pruned at `min_support`: its upper bound is
@@ -208,19 +283,21 @@ impl Ossm {
         pruned
     }
 
-    /// Approximate in-memory size of the structure, in bytes: `n × m`
-    /// support counters. The paper quotes ~0.2 MB for 100 segments × 1000
-    /// items (16-bit counters in their C implementation); we report our
-    /// actual 8-byte counters.
+    /// Approximate in-memory size of the structure, in bytes: the `n × m`
+    /// support counters, stored once as one item-major `u64` row per item
+    /// (the per-segment transaction counts are not counted). The paper
+    /// quotes ~0.2 MB for 100 segments × 1000 items (16-bit counters in
+    /// their C implementation); `u64` keeps a long-running service's
+    /// per-segment supports from ever overflowing.
     pub fn memory_bytes(&self) -> usize {
-        self.segments.len() * self.num_items * std::mem::size_of::<u64>()
+        self.rows.len() * std::mem::size_of::<u64>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ossm_data::{Dataset, ItemId};
+    use ossm_data::Dataset;
 
     fn set(ids: &[u32]) -> Itemset {
         Itemset::new(ids.iter().copied())

@@ -75,20 +75,22 @@ pub fn analyze(ossm: &Ossm) -> VariabilityReport {
     let mut item_cv = vec![0.0f64; m];
     let mut weighted = 0.0f64;
     let mut weight_total = 0.0f64;
+    let transactions = ossm.segment_transactions();
     for (i, cv_slot) in item_cv.iter_mut().enumerate() {
+        let row = ossm.item_supports(ItemId(i as u32));
         // Per-segment occurrence rate of item i.
-        let rates: Vec<f64> = ossm
-            .segments()
+        let rates: Vec<f64> = row
             .iter()
-            .map(|s| {
-                if s.transactions() == 0 {
+            .zip(transactions)
+            .map(|(&sup, &count)| {
+                if count == 0 {
                     0.0
                 } else {
-                    s.supports()[i] as f64 / s.transactions() as f64
+                    sup as f64 / count as f64
                 }
             })
             .collect();
-        let total_support: u64 = ossm.segments().iter().map(|s| s.supports()[i]).sum();
+        let total_support: u64 = row.iter().sum();
         if total_support == 0 || n < 2 {
             continue;
         }

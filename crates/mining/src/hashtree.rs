@@ -25,6 +25,18 @@
 //! put back in candidate order once, when the pass ends. Full-depth and
 //! partial-depth leaves number their slots separately, so a pass keeps
 //! stamps for partial-depth slots only — at a typical level 2, none.
+//!
+//! A walk follows the transaction's items, not the candidates, so an
+//! item no candidate holds would still multiply the paths it explores.
+//! The tree therefore records which items are *live* (occur in some
+//! candidate), and a pass walks each transaction's projection onto them:
+//! every item of every candidate survives the projection, a full-depth
+//! leaf still matches only its exact path, and a partial-depth leaf's
+//! subset test gives the same answer on the projection as on the whole
+//! transaction. A transaction left with fewer than `k` live items is not
+//! walked at all. Counting work thus shrinks with the candidate set, as
+//! eq. (1) pruning intends, though it still follows pairs of live items
+//! in a transaction rather than candidates.
 
 use std::ops::Range;
 
@@ -49,6 +61,9 @@ static PATH_LOOKUPS: ossm_obs::Counter = ossm_obs::Counter::new("mining.hashtree
 /// Subset tests of a candidate in a partial-depth leaf (at most one per
 /// candidate and transaction).
 static SUBSET_TESTS: ossm_obs::Counter = ossm_obs::Counter::new("mining.hashtree.subset_tests");
+/// Transaction items dropped before a walk because no candidate holds
+/// them.
+static ITEMS_SKIPPED: ossm_obs::Counter = ossm_obs::Counter::new("mining.hashtree.items_skipped");
 
 #[inline]
 fn bucket(item: ItemId) -> usize {
@@ -108,6 +123,9 @@ pub struct HashTree {
     full: Slots,
     /// Slots of the leaves above full depth.
     partial: Slots,
+    /// `live[i]`: item `i` occurs in some candidate. Items past the end
+    /// occur in none.
+    live: Vec<bool>,
 }
 
 impl HashTree {
@@ -137,17 +155,26 @@ impl HashTree {
         let root = Self::freeze(root, candidates, k, 0, &mut full, &mut partial);
         full.keys.shrink_to_fit();
         full.index.shrink_to_fit();
+        let mut live = Vec::new();
+        for item in candidates.iter().flat_map(Itemset::items) {
+            if live.len() <= item.index() {
+                live.resize(item.index() + 1, false);
+            }
+            live[item.index()] = true;
+        }
         HashTree {
             k,
             num_candidates: candidates.len(),
             root,
             full,
             partial,
+            live,
         }
     }
 
     /// Estimated resident bytes of the tree structure: fan-out tables of
-    /// interior nodes plus the flat leaf keys and slot indices.
+    /// interior nodes, the flat leaf keys and slot indices, and the
+    /// live-item mask.
     /// Deterministic for a given candidate group (insertion order is
     /// fixed).
     pub fn memory_bytes(&self) -> usize {
@@ -155,6 +182,7 @@ impl HashTree {
             + Self::node_bytes(&self.root)
             + self.full.bytes()
             + self.partial.bytes()
+            + self.live.len()
     }
 
     fn node_bytes(node: &Node) -> usize {
@@ -233,17 +261,20 @@ impl HashTree {
         TreeCounts {
             tree: self,
             path: Vec::with_capacity(self.k),
+            live_items: Vec::new(),
             tid: 0,
             // Stamps start at u64::MAX ( != any tid).
             last_seen: vec![u64::MAX; self.partial.index.len()],
             counts: vec![0; self.num_candidates],
             path_lookups: 0,
             subset_tests: 0,
+            items_skipped: 0,
         }
     }
 
     /// Adds each candidate's occurrences in `transactions` (sorted item
-    /// slices) to `pass`. A pass may be fed in any number of calls — one
+    /// slices) to `pass`, walking each transaction's live items only (see
+    /// the module docs). A pass may be fed in any number of calls — one
     /// per page, say — and pays for its stamp vector only once.
     ///
     /// # Panics
@@ -257,14 +288,25 @@ impl HashTree {
             std::ptr::eq(pass.tree, self),
             "counting pass started for a different hash tree"
         );
+        let mut items = std::mem::take(&mut pass.live_items);
+        let mut skipped = 0;
         for t in transactions {
             // A fresh id per transaction, across calls, keeps the
             // partial-depth stamps from ever matching a new transaction.
             pass.tid += 1;
-            if t.len() >= self.k {
-                self.visit(&self.root, t, 0, pass);
+            items.clear();
+            items.extend(
+                t.iter()
+                    .filter(|i| self.live.get(i.index()).copied().unwrap_or(false)),
+            );
+            skipped += (t.len() - items.len()) as u64;
+            if items.len() >= self.k {
+                self.visit(&self.root, &items, 0, pass);
             }
         }
+        pass.live_items = items;
+        pass.items_skipped += skipped;
+        ITEMS_SKIPPED.add(skipped);
         PATH_LOOKUPS.add(std::mem::take(&mut pass.path_lookups));
         SUBSET_TESTS.add(std::mem::take(&mut pass.subset_tests));
     }
@@ -362,6 +404,8 @@ pub struct TreeCounts<'a> {
     tree: &'a HashTree,
     /// Transaction items consumed on the way to the current node.
     path: Vec<ItemId>,
+    /// The live items of the transaction being walked.
+    live_items: Vec<ItemId>,
     /// Id of the transaction being walked.
     tid: u64,
     last_seen: Vec<u64>,
@@ -371,9 +415,17 @@ pub struct TreeCounts<'a> {
     /// Work done since the last flush into the obs counters.
     path_lookups: u64,
     subset_tests: u64,
+    /// Transaction items dropped as dead over the whole pass.
+    items_skipped: u64,
 }
 
 impl TreeCounts<'_> {
+    /// Transaction items this pass dropped because no candidate holds
+    /// them (summed into `mining.hashtree.items_skipped` as it goes).
+    pub fn items_skipped(&self) -> u64 {
+        self.items_skipped
+    }
+
     /// The finished counts, in candidate order.
     pub fn into_counts(self) -> Vec<u64> {
         self.tree.candidate_order(self.counts)

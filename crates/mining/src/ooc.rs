@@ -35,8 +35,9 @@
 
 use std::io;
 
+use ossm_core::ssm::min_sum;
 use ossm_core::Ossm;
-use ossm_data::disk::{DiskStore, FlatPage};
+use ossm_data::disk::{DiskStore, FlatPage, PageSummary};
 use ossm_data::{ItemId, Itemset};
 use ossm_obs::SpanGuard;
 
@@ -78,37 +79,106 @@ pub struct StreamingOutcome {
 /// Only the zero-bound rule may skip a counting page: supports accumulate
 /// across pages, so skipping at any nonzero threshold would undercount
 /// (the caveat in `DESIGN.md` §13).
+///
+/// Both are laid out item-major, like the [`Ossm`]: item `i`'s supports
+/// on all `P` pages form one row, and which pages it occurs on one
+/// bitset, so a page sum is a min-sum of rows and a pass's page mask is
+/// a few word-wide ANDs per candidate.
 struct PageBounds<'a> {
     ossm: &'a Ossm,
-    /// Per-page dense support vectors from the store's aggregate index.
-    vectors: Vec<Vec<u64>>,
-    slot_bytes: u64,
+    pages: usize,
+    /// `rows[i·P + p]` = `sup_p({i})`; page supports are `u32` by format.
+    rows: Vec<u32>,
+    /// Bit `p` of `present[i·W..(i+1)·W]` (`W = ⌈P/64⌉`): `sup_p({i}) > 0`.
+    present: Vec<u64>,
 }
 
-/// Page vector `v`'s eq. (1) bound on `c`: the least support of any of
-/// its items on that page.
-fn page_bound(v: &[u64], c: &Itemset) -> u64 {
-    c.items()
-        .iter()
-        .map(|i| v.get(i.index()).copied().unwrap_or(0))
-        .min()
-        .unwrap_or(0)
+impl<'a> PageBounds<'a> {
+    /// Built from a store's aggregate index (`summaries` over an
+    /// `m`-item domain): no data-page I/O. A summary entry naming an item
+    /// outside the domain (a damaged index) is ignored, so the bounds
+    /// stay total.
+    fn new(ossm: &'a Ossm, m: usize, summaries: &[PageSummary]) -> Self {
+        let pages = summaries.len();
+        let words = pages.div_ceil(64);
+        let mut rows = vec![0u32; m * pages];
+        let mut present = vec![0u64; m * words];
+        for (p, summary) in summaries.iter().enumerate() {
+            for &(item, count) in &summary.supports {
+                let i = item as usize;
+                if i < m && count > 0 {
+                    rows[i * pages + p] = count;
+                    present[i * words + p / 64] |= 1 << (p % 64);
+                }
+            }
+        }
+        PageBounds {
+            ossm,
+            pages,
+            rows,
+            present,
+        }
+    }
+
+    fn row(&self, item: ItemId) -> &[u32] {
+        &self.rows[item.index() * self.pages..(item.index() + 1) * self.pages]
+    }
+
+    fn present(&self, item: usize) -> &[u64] {
+        let words = self.pages.div_ceil(64);
+        &self.present[item * words..(item + 1) * words]
+    }
+
+    /// The pages a counting pass must read: those where some candidate's
+    /// page bound is nonzero, i.e. all of its items occur.
+    fn pages_holding_any(&self, candidates: &[Itemset]) -> Vec<bool> {
+        let mut any = vec![0u64; self.pages.div_ceil(64)];
+        let mut all = any.clone();
+        for c in candidates {
+            all.fill(u64::MAX);
+            for item in c.items() {
+                for (a, &w) in all.iter_mut().zip(self.present(item.index())) {
+                    *a &= w;
+                }
+            }
+            for (a, &w) in any.iter_mut().zip(&all) {
+                *a |= w;
+            }
+        }
+        self.unpack(&any)
+    }
+
+    /// The pages on which at least `at_least` (1 or 2) frequent items
+    /// occur.
+    fn pages_with_frequent(&self, singles: &[u64], min_support: u64, at_least: usize) -> Vec<bool> {
+        let mut once = vec![0u64; self.pages.div_ceil(64)];
+        let mut twice = once.clone();
+        for (i, _) in singles
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s >= min_support)
+        {
+            for ((o, t), &w) in once.iter_mut().zip(&mut twice).zip(self.present(i)) {
+                *t |= *o & w;
+                *o |= w;
+            }
+        }
+        self.unpack(if at_least >= 2 { &twice } else { &once })
+    }
+
+    fn unpack(&self, bits: &[u64]) -> Vec<bool> {
+        (0..self.pages)
+            .map(|p| bits[p / 64] >> (p % 64) & 1 == 1)
+            .collect()
+    }
 }
 
 impl CandidateFilter for PageBounds<'_> {
     fn may_be_frequent(&self, candidate: &Itemset, min_support: u64) -> bool {
-        // Each ub(X) probe is one served query: time it so the live
-        // req.ub.latency quantiles reflect the paper's time-for-memory
-        // trade under load. The page-sum bound is eq. (1) again, over the
-        // finer page partition — both discharges are exact.
-        let _timer = ossm_core::durable::REQ_UB_LATENCY.time();
+        // The page sum is eq. (1) again, over the finer page partition —
+        // both discharges are exact.
         self.ossm.upper_bound(candidate) >= min_support
-            && self
-                .vectors
-                .iter()
-                .map(|v| page_bound(v, candidate))
-                .sum::<u64>()
-                >= min_support
+            && min_sum(candidate.items(), |i| self.row(i)) >= min_support
     }
 
     fn name(&self) -> &str {
@@ -149,16 +219,7 @@ impl<'s> OocRun<'s> {
                 "the OSSM does not describe this store"
             );
         }
-        // Built from the store's aggregate index: no data-page I/O.
-        let bounds = ossm.map(|ossm| PageBounds {
-            ossm,
-            vectors: store
-                .page_aggregate_vectors()
-                .into_iter()
-                .map(|(v, _)| v)
-                .collect(),
-            slot_bytes: store.slot_bytes(),
-        });
+        let bounds = ossm.map(|ossm| PageBounds::new(ossm, store.num_items(), store.summaries()));
         let mut run = OocRun {
             start_reads: store.io_stats().page_reads,
             passes: 0,
@@ -189,24 +250,19 @@ impl<'s> OocRun<'s> {
         Ok((run, bounds, singles))
     }
 
-    /// One pass over the page file. With `bounds`, a page whose aggregate
-    /// vector `relevant` rejects is skipped — fault and all — and
-    /// recorded; every other page is fetched through its pool guard and
-    /// handed to `visit` in place, with no copy out of the frame arena.
-    fn pass(
-        &mut self,
-        bounds: Option<&PageBounds<'_>>,
-        relevant: impl Fn(&[u64]) -> bool,
-        mut visit: impl FnMut(&FlatPage),
-    ) -> io::Result<()> {
+    /// One pass over the page file. A page that `keep` (computed once
+    /// per pass, from the page bounds) marks `false` is skipped — fault
+    /// and all — and recorded; every other page is fetched through its
+    /// pool guard and handed to `visit` in place, with no copy out of the
+    /// frame arena.
+    fn pass(&mut self, keep: Option<&[bool]>, mut visit: impl FnMut(&FlatPage)) -> io::Result<()> {
         self.passes += 1;
+        let slot_bytes = self.store.slot_bytes();
         for p in 0..self.store.num_pages() {
-            if let Some(b) = bounds {
-                if b.vectors.get(p).is_some_and(|v| !relevant(v)) {
-                    self.skipped_pages += 1;
-                    ossm_data::buffer::record_page_skip(b.slot_bytes);
-                    continue;
-                }
+            if keep.is_some_and(|k| k.get(p) == Some(&false)) {
+                self.skipped_pages += 1;
+                ossm_data::buffer::record_page_skip(slot_bytes);
+                continue;
             }
             let guard = self.store.fetch_page(p)?;
             visit(&guard);
@@ -224,14 +280,6 @@ impl<'s> OocRun<'s> {
             skipped_pages: self.skipped_pages,
         }
     }
-}
-
-/// How many items with a nonzero support in page vector `v` are frequent.
-fn frequent_on_page(v: &[u64], singles: &[u64], min_support: u64) -> usize {
-    v.iter()
-        .zip(singles)
-        .filter(|&(&s, &sup)| s > 0 && sup >= min_support)
-        .count()
 }
 
 /// Level-wise mining over the page file: Apriori, or DHP when `buckets`
@@ -267,11 +315,12 @@ fn mine_levels(
             // noise, and dropping noise keeps every bucket count an upper
             // bound on its pairs' supports.
             let mut table = vec![0u64; n];
-            run.pass(
-                bounds.as_ref(),
-                |v| frequent_on_page(v, &singles, min_support) >= 2,
-                |page| page.iter().for_each(|t| hash_pairs(t, &mut table)),
-            )?;
+            let keep = bounds
+                .as_ref()
+                .map(|b| b.pages_with_frequent(&singles, min_support, 2));
+            run.pass(keep.as_deref(), |page| {
+                page.iter().for_each(|t| hash_pairs(t, &mut table));
+            })?;
             Some(admitted_pairs(&l1, &table, min_support))
         }
         None => None,
@@ -292,11 +341,8 @@ fn mine_levels(
         // page at a time.
         let tree = HashTree::build(candidates);
         let mut counts = tree.start_pass();
-        run.pass(
-            bounds.as_ref(),
-            |v| candidates.iter().any(|c| page_bound(v, c) > 0),
-            |page| tree.count(page, &mut counts),
-        )?;
+        let keep = bounds.as_ref().map(|b| b.pages_holding_any(candidates));
+        run.pass(keep.as_deref(), |page| tree.count(page, &mut counts))?;
         Ok(counts.into_counts())
     })?;
     Ok(run.finish(patterns, metrics))
@@ -410,11 +456,12 @@ impl StreamingFpGrowth {
         let mut miner = GlobalTreeMiner::new(&singles, min_support);
         // A page with no frequent item contributes only empty rank-encoded
         // paths — skip its fault.
-        run.pass(
-            bounds.as_ref(),
-            |v| frequent_on_page(v, &singles, min_support) > 0,
-            |page| page.iter().for_each(|t| miner.insert(t)),
-        )?;
+        let keep = bounds
+            .as_ref()
+            .map(|b| b.pages_with_frequent(&singles, min_support, 1));
+        run.pass(keep.as_deref(), |page| {
+            page.iter().for_each(|t| miner.insert(t));
+        })?;
         let mut patterns = FrequentPatterns::new();
         miner.finish(min_support, &mut patterns);
         Ok(run.finish(patterns, MiningMetrics::default()))
@@ -517,6 +564,33 @@ mod tests {
         );
         assert_eq!(out.page_reads, out.passes * store.num_pages() as u64);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn page_bounds_stay_total_over_out_of_domain_summaries() {
+        // Page 0 names item 7 of a 2-item domain, as a damaged index
+        // might: the entry is ignored and every bound still evaluates.
+        let summaries = [
+            PageSummary {
+                transactions: 4,
+                supports: vec![(0, 3), (1, 2), (7, 5)],
+            },
+            PageSummary {
+                transactions: 4,
+                supports: vec![(1, 4)],
+            },
+        ];
+        let ossm = Ossm::from_aggregates(vec![ossm_core::Aggregate::new(vec![3, 6], 8)]);
+        let bounds = PageBounds::new(&ossm, 2, &summaries);
+        let pair = Itemset::new([0u32, 1]);
+        // Σ_p min(sup_p(0), sup_p(1)) = min(3, 2) + min(0, 4) = 2.
+        assert!(bounds.may_be_frequent(&pair, 2));
+        assert!(!bounds.may_be_frequent(&pair, 3));
+        assert_eq!(bounds.pages_holding_any(&[pair]), [true, false]);
+        assert_eq!(bounds.pages_with_frequent(&[3, 6], 3, 2), [true, false]);
+        // At 4 only item 1 is frequent: on both pages, but alone.
+        assert_eq!(bounds.pages_with_frequent(&[3, 6], 4, 1), [true, true]);
+        assert_eq!(bounds.pages_with_frequent(&[3, 6], 4, 2), [false, false]);
     }
 
     #[test]

@@ -36,12 +36,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ossm_core::durable::REQ_UB_LATENCY;
 use ossm_core::{Aggregate, DurableIncrementalOssm, LossCalculator, Ossm};
 use ossm_data::{ItemId, Itemset};
 
 use crate::protocol::{self, Bound, ErrorCode, Request, Response, Stats};
 
+/// Wall-clock latency of served `ub(X)` queries.
+static REQ_UB_LATENCY: ossm_obs::Latency = ossm_obs::Latency::new("req.ub.latency");
 /// Ingest jobs currently waiting for the committer.
 static QUEUE_DEPTH: ossm_obs::Gauge = ossm_obs::Gauge::new("srv.queue.depth");
 /// Requests per fsync group (the group-commit amortization factor).

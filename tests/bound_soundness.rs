@@ -147,3 +147,56 @@ fn page_and_aggregate_constructions_agree() {
     assert_eq!(via_pages, via_aggregates);
     assert_eq!(via_pages.num_transactions(), store.dataset().len() as u64);
 }
+
+/// The map stores one row per item; eq. (1), its pair form and the
+/// singleton supports must read exactly what a segment-major table of
+/// the same aggregates gives, for 1–120 segments (so the min-sum crosses
+/// its internal chunk boundaries), patterns of 0–4 items, and supports
+/// above `u32::MAX`.
+#[test]
+fn item_major_bounds_match_a_segment_major_reference() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0xB0B5, case);
+        let m = rng.gen_range(1usize..=12);
+        let n = rng.gen_range(1usize..=120);
+        let support = |rng: &mut StdRng| {
+            if rng.gen_bool(0.3) {
+                u64::from(u32::MAX) + rng.gen_range(0u64..1 << 40)
+            } else {
+                rng.gen_range(0u64..50)
+            }
+        };
+        let segments: Vec<Aggregate> = (0..n)
+            .map(|_| {
+                let supports: Vec<u64> = (0..m).map(|_| support(&mut rng)).collect();
+                let transactions = supports.iter().copied().max().unwrap_or(0);
+                Aggregate::new(supports, transactions)
+            })
+            .collect();
+        let ossm = Ossm::from_aggregates(segments.clone());
+        assert_eq!(*ossm.segments(), *segments, "case {case}: round trip");
+        let reference = |x: &Itemset| -> u64 {
+            if x.is_empty() {
+                return segments.iter().map(Aggregate::transactions).sum();
+            }
+            segments
+                .iter()
+                .map(|s| x.items().iter().map(|i| s.supports()[i.index()]).min())
+                .map(|min| min.expect("non-empty pattern"))
+                .sum()
+        };
+        for _ in 0..40 {
+            let len = rng.gen_range(0usize..=4.min(m));
+            let x = Itemset::new((0..len).map(|_| rng.gen_range(0..m as u32)));
+            assert_eq!(ossm.upper_bound(&x), reference(&x), "case {case}: {x}");
+            if let [a, b] = *x.items() {
+                assert_eq!(ossm.upper_bound_pair(a, b), reference(&x), "case {case}");
+            }
+        }
+        for i in 0..=m as u32 {
+            let x = Itemset::singleton(ItemId(i));
+            let expected = if (i as usize) < m { reference(&x) } else { 0 };
+            assert_eq!(ossm.singleton_support(ItemId(i)), expected, "case {case}");
+        }
+    }
+}

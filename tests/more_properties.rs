@@ -40,6 +40,67 @@ fn hash_tree_always_matches_linear_counting() {
     }
 }
 
+/// Transactions over a wider domain than the candidates: the hash tree
+/// walks only the items some candidate holds, and must still count
+/// exactly what the linear scan counts — for k = 1…4, with leaves at
+/// partial and full depth (items 64 apart share a bucket), duplicate
+/// candidates, transactions left shorter than `k` once dead items go,
+/// and one pass fed a page of 1–7 transactions per call. The pass's
+/// `items_skipped` equals a brute-force count of the dead items.
+#[test]
+fn hash_tree_skips_dead_items_without_changing_counts() {
+    use ossm_mining::hashtree::HashTree;
+    use ossm_mining::support::count_linear;
+    for case in 0..CASES {
+        let mut rng = case_rng(0x5055, case);
+        let k = rng.gen_range(1usize..=4);
+        // Live items are drawn from a pool of ids spread over 0..256.
+        let pool: Vec<u32> = (0..rng.gen_range(k..=12))
+            .map(|_| rng.gen_range(0u32..256))
+            .collect();
+        let mut candidates: Vec<Itemset> = (0..rng.gen_range(1usize..80))
+            .map(|_| Itemset::new((0..k).map(|_| pool[rng.gen_range(0..pool.len())])))
+            .filter(|c| c.len() == k)
+            .collect();
+        if candidates.is_empty() {
+            continue;
+        }
+        let duplicates: Vec<Itemset> = candidates.iter().step_by(5).cloned().collect();
+        candidates.extend(duplicates);
+        let transactions: Vec<Itemset> = (0..rng.gen_range(0usize..60))
+            .map(|_| {
+                let len = rng.gen_range(0usize..10);
+                Itemset::new((0..len).map(|_| {
+                    if rng.gen_bool(0.5) {
+                        pool[rng.gen_range(0..pool.len())]
+                    } else {
+                        rng.gen_range(0u32..300)
+                    }
+                }))
+            })
+            .collect();
+        let tree = HashTree::build(&candidates);
+        let mut pass = tree.start_pass();
+        let mut rest = transactions.as_slice();
+        while !rest.is_empty() {
+            let (page, tail) = rest.split_at(rng.gen_range(1usize..8).min(rest.len()));
+            tree.count(page.iter().map(Itemset::items), &mut pass);
+            rest = tail;
+        }
+        let dead: u64 = transactions
+            .iter()
+            .flat_map(Itemset::items)
+            .filter(|&&i| !candidates.iter().any(|c| c.contains(i)))
+            .count() as u64;
+        assert_eq!(pass.items_skipped(), dead, "case {case}");
+        assert_eq!(
+            pass.into_counts(),
+            count_linear(&transactions, &candidates),
+            "case {case}, k = {k}"
+        );
+    }
+}
+
 #[test]
 fn flat_codec_roundtrips() {
     for case in 0..CASES {

@@ -159,3 +159,39 @@ fn noise_pages_are_skipped_not_read_and_the_answer_stands() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn noise_fixture_io_is_pinned_per_miner() {
+    // The noise fixture's I/O, per miner and frame budget, with the
+    // OSSM: (passes, page reads, skipped pages). How the page bounds are
+    // laid out in memory may change; which pages a pass reads may not.
+    let mut txs = Vec::new();
+    for i in 0..150u32 {
+        txs.push(Itemset::new([0, 1 + (i % 2), 3 + (i % 2)]));
+    }
+    for i in 0..150u32 {
+        txs.push(Itemset::new([5 + (i % 15)]));
+    }
+    let d = Dataset::new(20, txs);
+    let ossm = greedy_ossm(&d, 4);
+    let path = tmp_pages("pinned", &d, 256);
+    let mut seen = Vec::new();
+    for miner in ["apriori", "dhp", "fpgrowth"] {
+        for frames in [2, 8] {
+            let out = run(&path, frames, miner, 30, Some(&ossm));
+            seen.push((miner, frames, out.passes, out.page_reads, out.skipped_pages));
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        seen,
+        [
+            ("apriori", 2, 2, 20, 10),
+            ("apriori", 8, 2, 20, 10),
+            ("dhp", 2, 3, 30, 15),
+            ("dhp", 8, 3, 30, 15),
+            ("fpgrowth", 2, 1, 10, 5),
+            ("fpgrowth", 8, 1, 10, 5),
+        ]
+    );
+}
