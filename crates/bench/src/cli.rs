@@ -48,11 +48,6 @@ impl Options {
         (out, positionals)
     }
 
-    /// Parses the process's real arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
     /// A typed `--key=value`, or `default` if absent.
     ///
     /// # Panics

@@ -140,11 +140,6 @@ pub fn enumerate_transaction_configurations(m: usize) -> Vec<Configuration> {
     seen.into_iter().collect()
 }
 
-/// Convenience: the configuration of a segment aggregate.
-pub fn configuration_of(aggregate: &crate::segmentation::Aggregate) -> Configuration {
-    Configuration::of_supports(aggregate.supports())
-}
-
 /// Convenience re-export of footnote 4's tie-break as a comparator:
 /// orders items by `(support desc, id asc)`.
 pub fn canonical_item_cmp(supports: &[u64], a: ItemId, b: ItemId) -> std::cmp::Ordering {

@@ -170,11 +170,6 @@ impl LossCalculator {
         self
     }
 
-    /// Number of items the pair sum ranges over.
-    pub fn scope_len(&self, m: usize) -> usize {
-        self.scope.as_ref().map_or(m, Vec::len)
-    }
-
     /// `f` of `values` under the calculator's evaluation mode.
     fn eval(&self, values: impl ExactSizeIterator<Item = u64>, scratch: &mut Scratch) -> u64 {
         if self.naive {

@@ -20,9 +20,9 @@
 //! bookkeeping of its own. Guards are only created under `&mut` pool
 //! access, so a count read by the pool can only be stale downwards — a
 //! concurrently dropped guard at worst keeps its frame pinned one more
-//! eviction. The one exception is a snapshot [`BufferPoolManager::update`]
-//! copied away from live guards: the frame keeps that old `Arc` too, and
-//! its guards still count as pins until they drop.
+//! eviction. Pages are immutable once admitted, so a frame holds exactly
+//! one `Arc` and the budget of `capacity` frames bounds every decoded page
+//! the pool keeps alive on its own.
 //!
 //! # Replacement policy
 //!
@@ -42,16 +42,6 @@
 //! stamp is a distinct tick of the pool's access clock, so the order
 //! has no ties and the victim is the minimum key among unpinned frames.
 //!
-//! # Dirty frames and the WAL
-//!
-//! A frame mutated through [`BufferPoolManager::update`] is dirty and
-//! carries the LSN of the last WAL record that touched it. Evicting or
-//! flushing a dirty frame calls the owner's write-back closure, which
-//! must enforce the write-ahead rule — flush the WAL at least up to that
-//! LSN *before* the frame's bytes go to disk (see `DESIGN.md` §13). If
-//! write-back fails, the frame stays dirty and resident and the error
-//! propagates: the pool never drops unwritten data on the floor.
-//!
 //! [`DiskStore`]: crate::disk::DiskStore
 
 use std::collections::{BTreeSet, HashMap};
@@ -60,7 +50,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::disk::FlatPage;
-use crate::item::{ItemId, Itemset};
+use crate::item::Itemset;
 
 /// Page requests served from a resident frame, all pools combined.
 static POOL_HITS: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.hits");
@@ -70,8 +60,6 @@ static POOL_MISSES: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.misses
 static POOL_EVICTIONS: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.evictions");
 /// Page guards handed out (pin operations), all pools combined.
 static POOL_PINS: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.pins");
-/// Dirty frames written back to disk, all pools combined.
-static POOL_WRITE_BACKS: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.write_backs");
 /// Page faults skipped outright by an OSSM page-level bound.
 static POOL_SKIPPED_PAGES: ossm_obs::Counter = ossm_obs::Counter::new("data.pool.skipped_pages");
 /// Bytes of I/O avoided by those skipped faults.
@@ -103,8 +91,6 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Guards handed out (each guard is one pin).
     pub pins: u64,
-    /// Dirty frames written back (on eviction or an explicit flush).
-    pub write_backs: u64,
 }
 
 /// An RAII pin on a decoded page. The frame cannot be evicted while any
@@ -145,26 +131,17 @@ impl Deref for PageGuard {
     }
 }
 
-/// Guards outstanding on one snapshot the frame holds.
+/// Guards outstanding on a frame's page: every clone of its `Arc`
+/// beyond the frame's own.
 fn guards_on(data: &Arc<FlatPage>) -> usize {
     Arc::strong_count(data) - 1
 }
 
-/// One frame of the arena: a decoded page plus replacement and
-/// durability bookkeeping.
+/// One frame of the arena: a decoded page plus replacement bookkeeping.
 struct Frame {
     page: u64,
     /// The page; every clone beyond this one is a [`PageGuard`].
     data: Arc<FlatPage>,
-    /// Snapshots [`BufferPoolManager::update`] replaced while guards
-    /// still held them, kept so those guards still pin the frame.
-    /// Empty unless a page is updated under a live guard.
-    stale: Vec<Arc<FlatPage>>,
-    /// Whether the frame holds changes the disk image lacks.
-    dirty: bool,
-    /// LSN of the last WAL record that touched this frame (the WAL must
-    /// be durable at least this far before the frame is written back).
-    last_lsn: u64,
     /// Bytes this frame charges against the arena budget.
     bytes: u64,
     /// Most recent access stamp.
@@ -180,9 +157,6 @@ impl Frame {
         Frame {
             page,
             data: Arc::new(data),
-            stale: Vec::new(),
-            dirty: false,
-            last_lsn: 0,
             bytes,
             recent: clock,
             prev: 0,
@@ -201,11 +175,6 @@ impl Frame {
         }
     }
 
-    /// Outstanding guards on this frame, old snapshots included.
-    fn pins(&self) -> usize {
-        guards_on(&self.data) + self.stale.iter().map(guards_on).sum::<usize>()
-    }
-
     fn touch(&mut self, clock: u64) {
         self.prev = self.recent;
         self.recent = clock;
@@ -222,9 +191,8 @@ impl Frame {
 }
 
 /// A fixed-frame-arena buffer pool: at most `capacity` decoded pages are
-/// resident at once, replaced LRU-K, with pinned frames never evicted
-/// and dirty frames written back through the owner's WAL-ordered
-/// closure. See the module docs for the full discipline.
+/// resident at once, replaced LRU-K, with pinned frames never evicted.
+/// See the module docs for the full discipline.
 pub struct BufferPoolManager {
     capacity: usize,
     frames: Vec<Frame>,
@@ -275,20 +243,12 @@ impl BufferPoolManager {
         self.charged
     }
 
-    /// Whether `page` is resident and holds unwritten changes.
-    pub fn is_dirty(&self, page: u64) -> bool {
-        self.table
-            .get(&page)
-            .and_then(|&idx| self.frames.get(idx))
-            .is_some_and(|f| f.dirty)
-    }
-
     /// Outstanding pin count of `page` (0 when absent).
     pub fn pin_count(&self, page: u64) -> u32 {
         self.table
             .get(&page)
             .and_then(|&idx| self.frames.get(idx))
-            .map_or(0, |f| u32::try_from(f.pins()).unwrap_or(u32::MAX))
+            .map_or(0, |f| u32::try_from(guards_on(&f.data)).unwrap_or(u32::MAX))
     }
 
     // ENTRYPOINT: public pool API — the hot hit path of every page
@@ -319,25 +279,14 @@ impl BufferPoolManager {
         Some(frame.guard())
     }
 
-    // ENTRYPOINT: public pool API — the miss path; owns eviction and
-    // dirty write-back ordering.
+    // ENTRYPOINT: public pool API — the miss path; owns eviction.
     /// Admits a freshly loaded page and returns a pinned guard on it.
     /// `bytes` is what the frame charges against the arena budget.
     ///
     /// When the pool is full, the LRU-K victim among unpinned frames is
-    /// evicted; a dirty victim is first handed to `write_back` as
-    /// `(page, last_lsn, transactions)`. If `write_back` fails the
-    /// victim stays resident and dirty, the new page is **not**
-    /// admitted, and the error propagates — the pool never loses
-    /// unwritten changes. With every frame pinned the admit itself
-    /// fails.
-    pub fn admit(
-        &mut self,
-        page: u64,
-        data: FlatPage,
-        bytes: u64,
-        write_back: impl FnMut(u64, u64, &FlatPage) -> io::Result<()>,
-    ) -> io::Result<PageGuard> {
+    /// evicted. With every frame pinned the admit fails and the page is
+    /// not admitted.
+    pub fn admit(&mut self, page: u64, data: FlatPage, bytes: u64) -> io::Result<PageGuard> {
         self.clock += 1;
         self.stats.misses += 1;
         POOL_MISSES.incr();
@@ -365,7 +314,7 @@ impl BufferPoolManager {
         let victim = self
             .victims
             .iter()
-            .find(|&&(_, _, idx)| frames.get(idx).is_some_and(|f| f.pins() == 0))
+            .find(|&&(_, _, idx)| frames.get(idx).is_some_and(|f| guards_on(&f.data) == 0))
             .copied();
         let Some(key @ (_, _, idx)) = victim else {
             return Err(io::Error::other(
@@ -375,9 +324,6 @@ impl BufferPoolManager {
         let Some(victim) = self.frames.get_mut(idx) else {
             return Err(io::Error::other("buffer pool lost its victim frame"));
         };
-        if victim.dirty {
-            Self::write_back_frame(&mut self.stats, victim, write_back)?;
-        }
         self.stats.evictions += 1;
         POOL_EVICTIONS.incr();
         ossm_obs::recorder::record_event(
@@ -396,71 +342,6 @@ impl BufferPoolManager {
         self.discharge(freed);
         self.charge(bytes);
         Ok(guard)
-    }
-
-    // ENTRYPOINT: public pool API — the only mutation path; stamps the
-    // WAL ordering metadata write-back depends on.
-    /// Appends transaction `tx` (strictly increasing items) to the
-    /// resident `page`, marking the frame dirty and recording `last_lsn`
-    /// as the WAL high-water mark its write-back must wait for.
-    /// Outstanding guards keep seeing the pre-update snapshot
-    /// (copy-on-write) and keep the frame pinned. Returns `false` if the
-    /// page is not resident or cannot take the transaction (more than
-    /// `u32::MAX` items).
-    pub fn update(&mut self, page: u64, last_lsn: u64, tx: &[ItemId]) -> bool {
-        let Some(&idx) = self.table.get(&page) else {
-            return false;
-        };
-        let Some(frame) = self.frames.get_mut(idx) else {
-            return false;
-        };
-        if guards_on(&frame.data) > 0 {
-            frame.stale.retain(|s| guards_on(s) > 0);
-            frame.stale.push(Arc::clone(&frame.data));
-        }
-        if !Arc::make_mut(&mut frame.data).push(tx) {
-            return false;
-        }
-        frame.dirty = true;
-        frame.last_lsn = frame.last_lsn.max(last_lsn);
-        true
-    }
-
-    // ENTRYPOINT: public pool API — checkpoint path; a panic here would
-    // strand dirty frames.
-    /// Writes every dirty frame back through `write_back` (same contract
-    /// as [`admit`](BufferPoolManager::admit)) and marks it clean.
-    /// Returns how many frames were written. Stops at the first error;
-    /// the failing frame and any not yet reached stay dirty.
-    pub fn flush_dirty(
-        &mut self,
-        mut write_back: impl FnMut(u64, u64, &FlatPage) -> io::Result<()>,
-    ) -> io::Result<usize> {
-        let mut flushed = 0;
-        for frame in &mut self.frames {
-            if frame.dirty {
-                Self::write_back_frame(&mut self.stats, frame, &mut write_back)?;
-                flushed += 1;
-            }
-        }
-        Ok(flushed)
-    }
-
-    fn write_back_frame(
-        stats: &mut PoolStats,
-        frame: &mut Frame,
-        mut write_back: impl FnMut(u64, u64, &FlatPage) -> io::Result<()>,
-    ) -> io::Result<()> {
-        write_back(frame.page, frame.last_lsn, &frame.data)?;
-        frame.dirty = false;
-        stats.write_backs += 1;
-        POOL_WRITE_BACKS.incr();
-        ossm_obs::recorder::record_event(
-            "data.pool.write_backs",
-            ossm_obs::recorder::EventKind::Counter,
-            frame.page,
-        );
-        Ok(())
     }
 
     fn charge(&mut self, bytes: u64) {
@@ -484,6 +365,7 @@ impl Drop for BufferPoolManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::ItemId;
 
     fn page(id: u32) -> FlatPage {
         let mut p = FlatPage::default();
@@ -491,18 +373,14 @@ mod tests {
         p
     }
 
-    fn no_write_back(_: u64, _: u64, _: &FlatPage) -> io::Result<()> {
-        panic!("no dirty frames expected in this test");
-    }
-
     #[test]
     fn hit_miss_and_eviction_counters() {
         let mut pool = BufferPoolManager::new(2);
         assert!(pool.get(0).is_none(), "cold pool misses");
-        drop(pool.admit(0, page(0), 100, no_write_back).expect("admit"));
+        drop(pool.admit(0, page(0), 100).expect("admit"));
         assert!(pool.get(0).is_some(), "resident page hits");
-        drop(pool.admit(1, page(1), 100, no_write_back).expect("admit"));
-        drop(pool.admit(2, page(2), 100, no_write_back).expect("admit"));
+        drop(pool.admit(1, page(1), 100).expect("admit"));
+        drop(pool.admit(2, page(2), 100).expect("admit"));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
         assert_eq!(pool.resident(), 2);
@@ -513,14 +391,14 @@ mod tests {
     fn lru_k_prefers_single_touch_victims() {
         let mut pool = BufferPoolManager::new(3);
         // Pages 0 and 1 get two accesses each; page 2 only one.
-        drop(pool.admit(0, page(0), 10, no_write_back).expect("admit"));
-        drop(pool.admit(1, page(1), 10, no_write_back).expect("admit"));
+        drop(pool.admit(0, page(0), 10).expect("admit"));
+        drop(pool.admit(1, page(1), 10).expect("admit"));
         drop(pool.get(0).expect("hit"));
         drop(pool.get(1).expect("hit"));
-        drop(pool.admit(2, page(2), 10, no_write_back).expect("admit"));
+        drop(pool.admit(2, page(2), 10).expect("admit"));
         // Page 2 has the most recent *single* access, but its backward
         // K-distance is infinite: it must be the victim, not page 0.
-        drop(pool.admit(3, page(3), 10, no_write_back).expect("admit"));
+        drop(pool.admit(3, page(3), 10).expect("admit"));
         assert!(pool.get(0).is_some(), "K-history kept page 0");
         assert!(pool.get(1).is_some(), "K-history kept page 1");
         assert!(pool.get(2).is_none(), "single-touch page 2 was evicted");
@@ -532,11 +410,11 @@ mod tests {
         // Access order: 0, 1, 0, 1 — page 0's second-most-recent access
         // (its admit) is older than page 1's, so page 0 is the victim
         // even though their most-recent accesses interleave.
-        drop(pool.admit(0, page(0), 10, no_write_back).expect("admit"));
-        drop(pool.admit(1, page(1), 10, no_write_back).expect("admit"));
+        drop(pool.admit(0, page(0), 10).expect("admit"));
+        drop(pool.admit(1, page(1), 10).expect("admit"));
         drop(pool.get(0).expect("hit"));
         drop(pool.get(1).expect("hit"));
-        drop(pool.admit(2, page(2), 10, no_write_back).expect("admit"));
+        drop(pool.admit(2, page(2), 10).expect("admit"));
         assert!(pool.get(0).is_none(), "page 0 had the oldest K-distance");
         assert!(pool.get(1).is_some());
     }
@@ -544,11 +422,11 @@ mod tests {
     #[test]
     fn pinned_frames_are_never_evicted() {
         let mut pool = BufferPoolManager::new(2);
-        let guard0 = pool.admit(0, page(0), 10, no_write_back).expect("admit");
-        drop(pool.admit(1, page(1), 10, no_write_back).expect("admit"));
+        let guard0 = pool.admit(0, page(0), 10).expect("admit");
+        drop(pool.admit(1, page(1), 10).expect("admit"));
         // Page 0 is pinned: the victim must be page 1 despite page 0
         // being the LRU-K choice.
-        drop(pool.admit(2, page(2), 10, no_write_back).expect("admit"));
+        drop(pool.admit(2, page(2), 10).expect("admit"));
         assert_eq!(guard0.transactions(), &page(0), "snapshot intact");
         assert!(pool.get(0).is_some(), "pinned page survived");
         assert!(pool.get(1).is_none(), "unpinned page was the victim");
@@ -558,21 +436,19 @@ mod tests {
     #[test]
     fn all_frames_pinned_fails_the_admit() {
         let mut pool = BufferPoolManager::new(1);
-        let guard = pool.admit(0, page(0), 10, no_write_back).expect("admit");
-        let err = pool
-            .admit(1, page(1), 10, no_write_back)
-            .expect_err("no unpinned victim");
+        let guard = pool.admit(0, page(0), 10).expect("admit");
+        let err = pool.admit(1, page(1), 10).expect_err("no unpinned victim");
         assert!(err.to_string().contains("pinned"), "{err}");
         drop(guard);
         // Dropping the guard unpins; the admit now succeeds.
-        drop(pool.admit(1, page(1), 10, no_write_back).expect("admit"));
+        drop(pool.admit(1, page(1), 10).expect("admit"));
         assert!(pool.get(1).is_some());
     }
 
     #[test]
     fn guard_drop_unpins() {
         let mut pool = BufferPoolManager::new(1);
-        let g1 = pool.admit(0, page(0), 10, no_write_back).expect("admit");
+        let g1 = pool.admit(0, page(0), 10).expect("admit");
         let g2 = pool.get(0).expect("hit");
         assert_eq!(pool.pin_count(0), 2);
         drop(g1);
@@ -583,64 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn dirty_victim_is_written_back_before_eviction() {
-        let mut pool = BufferPoolManager::new(1);
-        drop(pool.admit(7, page(7), 10, no_write_back).expect("admit"));
-        assert!(pool.update(7, 42, &[ItemId(9)]));
-        assert!(pool.is_dirty(7));
-        let mut written: Vec<(u64, u64, usize)> = Vec::new();
-        drop(
-            pool.admit(8, page(8), 10, |p, lsn, txs| {
-                written.push((p, lsn, txs.len()));
-                Ok(())
-            })
-            .expect("admit with write-back"),
-        );
-        assert_eq!(written, vec![(7, 42, 2)], "updated content was written");
-        assert_eq!(pool.stats().write_backs, 1);
-        assert_eq!(pool.stats().evictions, 1);
-    }
-
-    #[test]
-    fn failed_write_back_keeps_the_frame_dirty_and_resident() {
-        let mut pool = BufferPoolManager::new(1);
-        drop(pool.admit(7, page(7), 10, no_write_back).expect("admit"));
-        assert!(pool.update(7, 1, &[ItemId(9)]));
-        let err = pool
-            .admit(8, page(8), 10, |_, _, _| Err(io::Error::other("disk gone")))
-            .expect_err("write-back failure propagates");
-        assert!(err.to_string().contains("disk gone"), "{err}");
-        assert!(pool.is_dirty(7), "frame stays dirty after the failure");
-        let g = pool.get(7).expect("frame stays resident");
-        assert_eq!(g.len(), 2, "updated content intact");
-        drop(g);
-        assert_eq!(pool.stats().write_backs, 0);
-        assert_eq!(pool.stats().evictions, 0);
-        // The pool is consistent: a later flush drains the frame.
-        let flushed = pool.flush_dirty(|_, _, _| Ok(())).expect("flush");
-        assert_eq!(flushed, 1);
-        assert!(!pool.is_dirty(7));
-    }
-
-    #[test]
-    fn update_snapshots_do_not_disturb_outstanding_guards() {
-        let mut pool = BufferPoolManager::new(1);
-        let before = pool.admit(3, page(3), 10, no_write_back).expect("admit");
-        assert!(pool.update(3, 5, &[ItemId(4)]));
-        let after = pool.get(3).expect("hit");
-        assert_eq!(before.len(), 1, "old guard sees the pre-update snapshot");
-        assert_eq!(after.len(), 2, "new guard sees the update");
-        drop((before, after));
-    }
-
-    #[test]
     fn unbounded_pool_never_evicts() {
         let mut pool = BufferPoolManager::new(usize::MAX);
         for p in 0..64u64 {
-            drop(
-                pool.admit(p, page(p as u32), 10, no_write_back)
-                    .expect("admit"),
-            );
+            drop(pool.admit(p, page(p as u32), 10).expect("admit"));
         }
         assert_eq!(pool.resident(), 64);
         assert_eq!(pool.stats().evictions, 0);
@@ -655,10 +477,7 @@ mod tests {
 
         pub struct Frame {
             pub page: u64,
-            pub len: usize,
             pub pins: u32,
-            pub dirty: bool,
-            pub last_lsn: u64,
             pub bytes: u64,
             recent: u64,
             prev: u64,
@@ -681,9 +500,8 @@ mod tests {
             }
         }
 
-        /// What an operation did: a guard on frame `idx` (holding a
-        /// snapshot of `len` transactions), or an error message.
-        pub type Outcome = Result<(usize, usize), String>;
+        /// What an admit did: a guard on frame `idx`, or an error message.
+        pub type Outcome = Result<usize, String>;
 
         #[derive(Default)]
         pub struct Pool {
@@ -703,13 +521,13 @@ mod tests {
                 }
             }
 
-            fn pin(&mut self, idx: usize) -> (usize, usize) {
+            fn pin(&mut self, idx: usize) -> usize {
                 self.frames[idx].pins += 1;
                 self.stats.pins += 1;
-                (idx, self.frames[idx].len)
+                idx
             }
 
-            pub fn get(&mut self, page: u64) -> Option<(usize, usize)> {
+            pub fn get(&mut self, page: u64) -> Option<usize> {
                 let idx = *self.table.get(&page)?;
                 self.clock += 1;
                 self.frames[idx].touch(self.clock);
@@ -717,12 +535,7 @@ mod tests {
                 Some(self.pin(idx))
             }
 
-            pub fn admit(
-                &mut self,
-                page: u64,
-                bytes: u64,
-                mut write_back: impl FnMut(u64, u64, usize) -> Result<(), String>,
-            ) -> Outcome {
+            pub fn admit(&mut self, page: u64, bytes: u64) -> Outcome {
                 self.clock += 1;
                 self.stats.misses += 1;
                 if let Some(&idx) = self.table.get(&page) {
@@ -731,10 +544,7 @@ mod tests {
                 }
                 let frame = Frame {
                     page,
-                    len: 1,
                     pins: 0,
-                    dirty: false,
-                    last_lsn: 0,
                     bytes,
                     recent: self.clock,
                     prev: 0,
@@ -755,11 +565,6 @@ mod tests {
                     .map(|(idx, _)| idx)
                     .ok_or_else(|| "buffer pool exhausted: every frame is pinned".to_owned())?;
                 let victim = &mut self.frames[idx];
-                if victim.dirty {
-                    write_back(victim.page, victim.last_lsn, victim.len)?;
-                    victim.dirty = false;
-                    self.stats.write_backs += 1;
-                }
                 self.stats.evictions += 1;
                 self.charged -= victim.bytes;
                 self.table.remove(&victim.page);
@@ -767,33 +572,6 @@ mod tests {
                 self.table.insert(page, idx);
                 self.charged += bytes;
                 Ok(self.pin(idx))
-            }
-
-            pub fn update(&mut self, page: u64, lsn: u64) -> bool {
-                let Some(&idx) = self.table.get(&page) else {
-                    return false;
-                };
-                let f = &mut self.frames[idx];
-                f.len += 1;
-                f.dirty = true;
-                f.last_lsn = f.last_lsn.max(lsn);
-                true
-            }
-
-            pub fn flush_dirty(
-                &mut self,
-                mut write_back: impl FnMut(u64, u64, usize) -> Result<(), String>,
-            ) -> Result<usize, String> {
-                let mut flushed = 0;
-                for f in &mut self.frames {
-                    if f.dirty {
-                        write_back(f.page, f.last_lsn, f.len)?;
-                        f.dirty = false;
-                        self.stats.write_backs += 1;
-                        flushed += 1;
-                    }
-                }
-                Ok(flushed)
             }
         }
     }
@@ -809,16 +587,12 @@ mod tests {
             let capacity = rng.gen_range(1..=6usize);
             let mut pool = BufferPoolManager::new(capacity);
             let mut oracle = model::Pool::new(capacity);
-            // Held guards, each beside the model's (frame, snapshot length).
-            let mut held: Vec<(PageGuard, usize, usize)> = Vec::new();
-            let mut lsn = 0u64;
+            // Held guards, each beside the model's frame index.
+            let mut held: Vec<(PageGuard, usize)> = Vec::new();
             for step in 0..400 {
                 let at = format!("seed {seed}, step {step}");
                 let page = rng.gen_range(0..PAGES);
-                let fail = rng.gen_range(0..4u32) == 0;
-                let mut written: Vec<(u64, u64, usize)> = Vec::new();
-                let mut expected: Vec<(u64, u64, usize)> = Vec::new();
-                let got = match rng.gen_range(0..10u32) {
+                let got = match rng.gen_range(0..8u32) {
                     0..=2 => {
                         let real = pool.get(page);
                         let want = oracle.get(page);
@@ -827,61 +601,17 @@ mod tests {
                     }
                     3..=5 => {
                         let bytes = rng.gen_range(1..100u64);
-                        let real = pool.admit(page, self::page(page as u32), bytes, |p, l, d| {
-                            written.push((p, l, d.len()));
-                            if fail {
-                                Err(io::Error::other("disk gone"))
-                            } else {
-                                Ok(())
-                            }
-                        });
-                        let want = oracle.admit(page, bytes, |p, l, n| {
-                            expected.push((p, l, n));
-                            if fail {
-                                Err("disk gone".to_owned())
-                            } else {
-                                Ok(())
-                            }
-                        });
+                        let real = pool.admit(page, self::page(page as u32), bytes);
+                        let want = oracle.admit(page, bytes);
                         match (real, want) {
                             (Ok(g), Ok(w)) => Some(Ok((g, w))),
                             (Err(e), Err(w)) => Some(Err((e.to_string(), w))),
                             (real, want) => panic!("{at}: admit {real:?} vs {want:?}"),
                         }
                     }
-                    6 => {
-                        lsn += rng.gen_range(1..50u64);
-                        let item = ItemId(rng.gen_range(0..100u32));
-                        assert_eq!(
-                            pool.update(page, lsn, &[item]),
-                            oracle.update(page, lsn),
-                            "{at}: update"
-                        );
-                        None
-                    }
-                    7 => {
-                        let real = pool.flush_dirty(|p, l, d| {
-                            written.push((p, l, d.len()));
-                            if fail {
-                                Err(io::Error::other("disk gone"))
-                            } else {
-                                Ok(())
-                            }
-                        });
-                        let want = oracle.flush_dirty(|p, l, n| {
-                            expected.push((p, l, n));
-                            if fail {
-                                Err("disk gone".to_owned())
-                            } else {
-                                Ok(())
-                            }
-                        });
-                        assert_eq!(real.map_err(|e| e.to_string()), want, "{at}: flush");
-                        None
-                    }
                     _ => {
                         if !held.is_empty() {
-                            let (guard, idx, _) = held.swap_remove(rng.gen_range(0..held.len()));
+                            let (guard, idx) = held.swap_remove(rng.gen_range(0..held.len()));
                             oracle.frames[idx].pins -= 1;
                             drop(guard);
                         }
@@ -889,11 +619,15 @@ mod tests {
                     }
                 };
                 match got {
-                    Some(Ok((guard, (idx, len)))) => {
+                    Some(Ok((guard, idx))) => {
                         assert_eq!(guard.page(), page, "{at}: guard page");
-                        assert_eq!(guard.len(), len, "{at}: guard snapshot");
+                        assert_eq!(
+                            guard.transactions(),
+                            &self::page(page as u32),
+                            "{at}: guard contents"
+                        );
                         if rng.gen_bool(0.3) {
-                            held.push((guard, idx, len));
+                            held.push((guard, idx));
                         } else {
                             oracle.frames[idx].pins -= 1;
                         }
@@ -901,7 +635,6 @@ mod tests {
                     Some(Err((real, want))) => assert_eq!(real, want, "{at}: error"),
                     None => {}
                 }
-                assert_eq!(written, expected, "{at}: write-backs");
                 assert_eq!(pool.stats(), oracle.stats, "{at}: stats");
                 assert_eq!(pool.charged_bytes(), oracle.charged, "{at}: charged bytes");
                 let mut resident: Vec<u64> = pool.table.keys().copied().collect();
@@ -916,14 +649,6 @@ mod tests {
                         f.map_or(0, |f| f.pins),
                         "{at}: pins of {p}"
                     );
-                    assert_eq!(
-                        pool.is_dirty(p),
-                        f.is_some_and(|f| f.dirty),
-                        "{at}: dirty {p}"
-                    );
-                }
-                for (guard, _, len) in &held {
-                    assert_eq!(guard.len(), *len, "{at}: held guard sees its snapshot");
                 }
             }
         }

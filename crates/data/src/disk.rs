@@ -1,5 +1,5 @@
-//! Disk-backed page storage with a buffer pool, I/O accounting, and
-//! end-to-end checksums.
+//! Read-only disk-backed page storage with a buffer pool, I/O
+//! accounting, and end-to-end checksums.
 //!
 //! The paper's cost model is page-oriented: transactions live in 4 KB disk
 //! pages, segmentation operates on per-page aggregates, and the reported
@@ -16,13 +16,11 @@
 //!   replacement, RAII [`PageGuard`](crate::buffer::PageGuard) pins),
 //!   counting physical page reads and pool hits, which lets experiments
 //!   report I/O work the way the paper's time-sharing measurements folded
-//!   it into runtime;
-//! * [`DiskStore::open_rw`] additionally accepts in-place appends to
-//!   existing pages, journaled through the crate's
-//!   [`WriteAheadLog`](crate::wal::WriteAheadLog): dirty frames are
-//!   written back only after the WAL is durable past their last
-//!   touching record, and [`DiskStore::checkpoint`] rewrites the
-//!   aggregate index and header to match (see `DESIGN.md` §13).
+//!   it into runtime.
+//!
+//! A store is written once by the writer and only opened read-only
+//! afterwards, so decoded pages are immutable and an evicted frame is
+//! simply dropped.
 //!
 //! # Integrity
 //!
@@ -51,7 +49,6 @@ use crate::fault;
 use crate::format::{self, Header, MAX_ITEMS, MAX_PAGE_BYTES};
 use crate::item::{ItemId, Itemset};
 use crate::page::transaction_bytes;
-use crate::wal::WriteAheadLog;
 
 pub use crate::format::{decode_page, encode_page_payload, FlatPage, Transactions};
 
@@ -211,15 +208,9 @@ pub struct IoStats {
     pub page_reads: u64,
 }
 
-/// Write-mode state: the journal that makes in-place page appends
-/// crash-safe.
-struct RwState {
-    wal: WriteAheadLog,
-}
-
-/// A handle on a paged data file: read-only via [`DiskStore::open`], or
-/// journaled read-write via [`DiskStore::open_rw`]. All page access goes
-/// through a fixed-frame [`BufferPoolManager`].
+/// A read-only handle on a paged data file, opened with
+/// [`DiskStore::open`]. All page access goes through a fixed-frame
+/// [`BufferPoolManager`].
 pub struct DiskStore {
     file: std::fs::File,
     header: Header,
@@ -228,108 +219,8 @@ pub struct DiskStore {
     stats: IoStats,
     /// Pages whose checksum failed on read — their data is not trusted.
     quarantined: BTreeSet<usize>,
-    /// `Some` iff the store was opened read-write.
-    rw: Option<RwState>,
     /// One page slot's bytes, reused by every buffer-pool miss.
     slot: Vec<u8>,
-}
-
-/// Writes one frame's bytes over its page slot, enforcing the
-/// write-ahead rule first: the WAL must be durable at least up to the
-/// frame's last touching record before the page image may change.
-fn write_back_frame(
-    file: &mut std::fs::File,
-    header: &Header,
-    rw: &mut Option<RwState>,
-    page: u64,
-    last_lsn: u64,
-    txs: &FlatPage,
-) -> io::Result<()> {
-    let Some(rw) = rw.as_mut() else {
-        return Err(io::Error::other("dirty frame in a read-only store"));
-    };
-    if last_lsn > rw.wal.len_bytes() {
-        rw.wal.sync()?;
-    }
-    let mut slot = format::encode_page_payload(txs, header.page_bytes as usize)
-        .ok_or_else(|| invalid_input("page overflow during write-back"))?;
-    let crc = crc32c(&slot);
-    slot.extend_from_slice(&crc.to_le_bytes());
-    file.seek(SeekFrom::Start(header.page_offset(page)))?;
-    fault::write_all_tagged(file, "data.disk.write_back", &slot)
-}
-
-/// Recomputes the aggregate index from the CRC-verified page slots —
-/// the recovery path for a crash between a checkpoint's index rewrite
-/// and its header rewrite (the stored index CRC is stale in that
-/// window, but every data page is individually checksummed).
-fn rebuild_summaries(file: &mut std::fs::File, header: &Header) -> io::Result<Vec<PageSummary>> {
-    let payload_bytes = header.page_bytes as usize;
-    let mut summaries = Vec::with_capacity(header.num_pages as usize);
-    let mut buf = vec![0u8; header.slot_bytes() as usize];
-    for p in 0..header.num_pages {
-        file.seek(SeekFrom::Start(header.page_offset(p)))?;
-        fault::read_exact_tagged(file, "data.disk.read_page", &mut buf)?;
-        let payload = buf.get(..payload_bytes).unwrap_or_default();
-        let stored = format::le_u32(buf.get(payload_bytes..).unwrap_or_default());
-        if crc32c(payload) != stored {
-            checksum_failure(p);
-            return Err(format::bad(format!(
-                "page {p} checksum mismatch while rebuilding the index"
-            )));
-        }
-        summaries.push(format::summarize(&format::decode_page(payload, header.m)?));
-    }
-    Ok(summaries)
-}
-
-/// Serializes one journaled append: `[page][page_seq][tx]`, all
-/// little-endian. `page_seq` is the number of transactions already on
-/// the page, which is what makes replay idempotent.
-fn encode_wal_record(page: u64, seq: u32, t: &Itemset) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + 4 * t.len());
-    buf.extend_from_slice(&page.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
-    for item in t.items() {
-        buf.extend_from_slice(&item.0.to_le_bytes());
-    }
-    buf
-}
-
-fn decode_wal_record(buf: &[u8]) -> io::Result<(u64, u32, Itemset)> {
-    if buf.len() < 16 {
-        return Err(format::bad("WAL record shorter than its fixed header"));
-    }
-    let page = format::le_u64(buf.get(..8).unwrap_or_default());
-    let seq = format::le_u32(buf.get(8..12).unwrap_or_default());
-    let len = format::le_u32(buf.get(12..16).unwrap_or_default()) as usize;
-    let Some(items_bytes) = buf.get(16..) else {
-        return Err(format::bad("WAL record truncated"));
-    };
-    if items_bytes.len() != 4 * len {
-        return Err(format::bad("WAL record length disagrees with its payload"));
-    }
-    let items = items_bytes
-        .chunks_exact(4)
-        .map(format::le_u32)
-        .collect::<Vec<u32>>();
-    Ok((page, seq, Itemset::new(items)))
-}
-
-/// Merges one transaction into a page's aggregate summary.
-fn add_to_summary(summary: &mut PageSummary, t: &Itemset) {
-    summary.transactions += 1;
-    for item in t.items() {
-        match summary.supports.binary_search_by_key(&item.0, |&(i, _)| i) {
-            Ok(at) => {
-                if let Some((_, count)) = summary.supports.get_mut(at) {
-                    *count += 1;
-                }
-            }
-            Err(at) => summary.supports.insert(at, (item.0, 1)),
-        }
-    }
 }
 
 impl DiskStore {
@@ -361,106 +252,8 @@ impl DiskStore {
             pool: BufferPoolManager::new(pool_pages),
             stats: IoStats::default(),
             quarantined: BTreeSet::new(),
-            rw: None,
             slot: Vec::new(),
         })
-    }
-
-    /// Opens a v2 store read-write with a pool of `pool_pages` frames:
-    /// [`DiskStore::append_to_page`] journals in-place additions through
-    /// a WAL sibling file (`<path>.wal`), and any intact journal left by
-    /// a crash is replayed into the pool here — recovered pages surface
-    /// as dirty frames whose write-back completes the interrupted work.
-    ///
-    /// If the aggregate index fails its checksum (the crash window of a
-    /// mid-[`checkpoint`](DiskStore::checkpoint) kill), the summaries
-    /// are rebuilt from the CRC-verified page slots instead of failing
-    /// the open.
-    pub fn open_rw(path: &Path, pool_pages: usize) -> io::Result<Self> {
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        let file_len = file.metadata()?.len();
-        let header = format::read_header(&mut file, file_len)?;
-        if !header.header_ok {
-            checksum_failure(0);
-            return Err(format::bad("page-file header checksum mismatch"));
-        }
-        if header.version < format::V2 {
-            return Err(invalid_input(
-                "read-write mode requires a checksummed v2 page file",
-            ));
-        }
-        file.seek(SeekFrom::Start(header.index_offset))?;
-        let mut index = Vec::with_capacity(file_len.saturating_sub(header.index_offset) as usize);
-        file.read_to_end(&mut index)?;
-        let summaries = if crc32c(&index) == header.index_crc {
-            format::parse_index(&index, header.m, header.num_pages)?
-        } else {
-            // A kill between the index rewrite and the header rewrite
-            // leaves a stale CRC; the page slots are individually
-            // checksummed, so the index is recomputable from them.
-            checksum_failure(0);
-            rebuild_summaries(&mut file, &header)?
-        };
-        let mut wal_name = path.as_os_str().to_os_string();
-        wal_name.push(".wal");
-        let (wal, recovery) = WriteAheadLog::open(Path::new(&wal_name))?;
-        let mut store = DiskStore {
-            file,
-            header,
-            summaries,
-            pool: BufferPoolManager::new(pool_pages),
-            stats: IoStats::default(),
-            quarantined: BTreeSet::new(),
-            rw: Some(RwState { wal }),
-            slot: Vec::new(),
-        };
-        store.replay(&recovery.records)?;
-        Ok(store)
-    }
-
-    /// Replays recovered WAL records into the pool as dirty frames.
-    /// Replay is idempotent: a record whose `page_seq` is below the
-    /// page's current transaction count was already written back before
-    /// the crash and is skipped.
-    fn replay(&mut self, records: &[Vec<u8>]) -> io::Result<()> {
-        for record in records {
-            let (page, seq, t) = decode_wal_record(record)?;
-            if page >= self.summaries.len() as u64 {
-                return Err(format::bad("WAL record references a page out of range"));
-            }
-            let resident = {
-                let guard = self.fetch_page(page as usize)?;
-                let have = guard.len() as u64;
-                if have > u64::from(seq) {
-                    continue; // Already on disk: the frame won the race.
-                }
-                if have < u64::from(seq) {
-                    return Err(format::bad(
-                        "WAL replay gap: record sequence ahead of the page image",
-                    ));
-                }
-                guard.page()
-            };
-            let lsn = self.wal_high_water();
-            let applied = self.pool.update(resident, lsn, t.items());
-            if !applied {
-                return Err(io::Error::other("replayed page left the pool mid-replay"));
-            }
-            match self.summaries.get_mut(page as usize) {
-                Some(summary) => add_to_summary(summary, &t),
-                None => return Err(io::Error::other("summary vanished during replay")),
-            }
-        }
-        Ok(())
-    }
-
-    fn wal_high_water(&self) -> u64 {
-        self.rw
-            .as_ref()
-            .map_or(0, |rw| rw.wal.len_bytes() + rw.wal.staged_bytes())
     }
 
     /// Size of the item domain.
@@ -505,8 +298,7 @@ impl DiskStore {
         self.stats
     }
 
-    /// Buffer-pool counters so far (hits, misses, evictions, pins,
-    /// write-backs).
+    /// Buffer-pool counters so far (hits, misses, evictions, pins).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -534,8 +326,8 @@ impl DiskStore {
     /// [`PageGuard`] on it — the frame stays resident until the guard
     /// drops, and the caller iterates the transactions in place. On a
     /// pool miss the page is read from disk, checksum-verified, and
-    /// admitted (possibly evicting the LRU-K victim, with dirty
-    /// write-back ordered behind the WAL). Errors if `p` is out of range
+    /// admitted (possibly evicting the LRU-K victim). Errors if `p` is
+    /// out of range
     /// or the page is corrupt (the page is then quarantined rather than
     /// returned as garbage).
     pub fn fetch_page(&mut self, p: usize) -> io::Result<PageGuard> {
@@ -550,11 +342,13 @@ impl DiskStore {
         }
         self.stats.page_reads += 1;
         PAGE_READS.incr();
+        // Pool-resident page buffers are data.page memory. The scope spans
+        // the admit too, so the victim it evicts is freed where it was
+        // charged and the scope's current value falls with each eviction.
+        let _mem = ossm_obs::alloc_scope("data.page");
         let decoded = {
             let mut span = ossm_obs::detail_span("data.disk.read_page");
             span.attach("page", p as u64);
-            // Pool-resident page buffers are data.page memory.
-            let _mem = ossm_obs::alloc_scope("data.page");
             let payload_bytes = self.header.page_bytes as usize;
             self.slot.resize(self.header.slot_bytes() as usize, 0);
             self.file
@@ -573,16 +367,7 @@ impl DiskStore {
             format::decode_page(payload, self.header.m)?
         };
         let bytes = self.header.slot_bytes();
-        let DiskStore {
-            file,
-            header,
-            pool,
-            rw,
-            ..
-        } = self;
-        pool.admit(p as u64, decoded, bytes, |page, lsn, txs| {
-            write_back_frame(file, header, rw, page, lsn, txs)
-        })
+        self.pool.admit(p as u64, decoded, bytes)
     }
 
     /// Reads page `p` as owned itemsets (a copy out of the pool). Most
@@ -606,104 +391,6 @@ impl DiskStore {
             }
         }
         Ok(pages as u64)
-    }
-
-    /// Appends one transaction to an *existing* page in place, journaled
-    /// through the WAL (read-write stores only). The page must have room
-    /// for the transaction within its fixed slot — the layout's trailing
-    /// index is never displaced. The append is staged: it reaches the
-    /// WAL file immediately but is only durable after
-    /// [`DiskStore::sync_appends`] (or a checkpoint).
-    pub fn append_to_page(&mut self, p: usize, t: &Itemset) -> io::Result<()> {
-        if self.rw.is_none() {
-            return Err(invalid_input("append_to_page requires open_rw"));
-        }
-        if let Some(max) = t.items().last() {
-            if max.0 as usize >= self.header.m {
-                return Err(invalid_input(format!(
-                    "item {max} outside domain 0..{}",
-                    self.header.m
-                )));
-            }
-        }
-        if self.quarantined.contains(&p) {
-            return Err(invalid_input(format!("page {p} is quarantined")));
-        }
-        let (seq, used) = {
-            let guard = self.fetch_page(p)?;
-            (guard.len() as u32, guard.payload_bytes())
-        };
-        if used + transaction_bytes(t) > self.header.page_bytes as usize {
-            return Err(invalid_input(format!(
-                "transaction does not fit in page {p}'s remaining {} bytes",
-                self.header.page_bytes as usize - used
-            )));
-        }
-        let record = encode_wal_record(p as u64, seq, t);
-        let Some(rw) = self.rw.as_mut() else {
-            return Err(invalid_input("append_to_page requires open_rw"));
-        };
-        rw.wal.append_no_sync(&record)?;
-        let lsn = self.wal_high_water();
-        if !self.pool.update(p as u64, lsn, t.items()) {
-            return Err(io::Error::other("appended page left the pool mid-append"));
-        }
-        match self.summaries.get_mut(p) {
-            Some(summary) => add_to_summary(summary, t),
-            None => return Err(io::Error::other("summary vanished during append")),
-        }
-        Ok(())
-    }
-
-    /// Makes every staged append durable (one grouped WAL fsync).
-    pub fn sync_appends(&mut self) -> io::Result<()> {
-        match self.rw.as_mut() {
-            Some(rw) => rw.wal.sync(),
-            None => Err(invalid_input("sync_appends requires open_rw")),
-        }
-    }
-
-    /// Durably folds all journaled appends into the page file: syncs the
-    /// WAL, writes every dirty frame back, fsyncs the data, rewrites the
-    /// aggregate index and header to match, fsyncs again, and finally
-    /// empties the WAL. A kill anywhere in this sequence recovers on the
-    /// next [`DiskStore::open_rw`] — the WAL is only reset after the
-    /// snapshot it describes is durable.
-    pub fn checkpoint(&mut self) -> io::Result<()> {
-        if self.rw.is_none() {
-            return Err(invalid_input("checkpoint requires open_rw"));
-        }
-        self.sync_appends()?;
-        let DiskStore {
-            file,
-            header,
-            pool,
-            rw,
-            ..
-        } = self;
-        pool.flush_dirty(|page, lsn, txs| write_back_frame(file, header, rw, page, lsn, txs))?;
-        fault::sync_data_tagged(&self.file, "data.disk.sync")?;
-        let index = format::encode_index(&self.summaries);
-        let index_crc = crc32c(&index);
-        self.file.seek(SeekFrom::Start(self.header.index_offset))?;
-        fault::write_all_tagged(&mut self.file, "data.disk.write_index", &index)?;
-        self.file
-            .set_len(self.header.index_offset + index.len() as u64)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        let new_header = format::encode_header_v2(
-            self.header.m as u32,
-            self.header.page_bytes,
-            self.header.num_pages,
-            self.header.index_offset,
-            index_crc,
-        );
-        fault::write_all_tagged(&mut self.file, "data.disk.write_header", &new_header)?;
-        self.header.index_crc = index_crc;
-        fault::sync_data_tagged(&self.file, "data.disk.sync")?;
-        match self.rw.as_mut() {
-            Some(rw) => rw.wal.reset(),
-            None => Err(invalid_input("checkpoint requires open_rw")),
-        }
     }
 
     /// Materializes the whole store as an in-memory [`crate::Dataset`].
@@ -987,168 +674,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Writes `pages` pages of six 44-byte filler transactions each
-    /// (domain 100, 308-byte pages), leaving 40 bytes of slack per page
-    /// so the rw tests have room for in-place appends. Returns the
-    /// transaction count.
-    fn slack_store(path: &Path, pages: usize) -> u64 {
-        let mut w = DiskStoreWriter::create(path, 100, 308).expect("create");
-        for i in 0..(pages * 6) as u32 {
-            w.append(&Itemset::new((0..10u32).map(|k| k + 3 * i)))
-                .expect("append");
-        }
-        w.finalize().expect("finalize");
-        (pages * 6) as u64
-    }
-
-    fn wal_path(path: &Path) -> std::path::PathBuf {
-        let mut name = path.as_os_str().to_os_string();
-        name.push(".wal");
-        std::path::PathBuf::from(name)
-    }
-
-    fn clean(path: &Path) {
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(wal_path(path)).ok();
-    }
-
-    #[test]
-    fn journaled_appends_survive_a_checkpoint_and_reopen() {
-        let path = tmp("rw-roundtrip.pages");
-        clean(&path);
-        let before = slack_store(&path, 2);
-        let mut store = DiskStore::open_rw(&path, 4).expect("open rw");
-        assert_eq!(store.num_transactions(), before);
-        let before_summary = store.summaries()[0].clone();
-        store
-            .append_to_page(0, &Itemset::new([1, 2, 3]))
-            .expect("append");
-        store
-            .append_to_page(0, &Itemset::new([2, 4]))
-            .expect("append");
-        assert_eq!(
-            store.num_transactions(),
-            before + 2,
-            "summaries track appends"
-        );
-        store.checkpoint().expect("checkpoint");
-        drop(store);
-        // Reopen read-only: the appends are in the page file proper.
-        let mut reopened = DiskStore::open(&path, 4).expect("reopen");
-        assert_eq!(reopened.num_transactions(), before + 2);
-        let page0 = reopened.read_page(0).expect("read");
-        let tail: Vec<_> = page0.iter().rev().take(2).rev().cloned().collect();
-        assert_eq!(tail, vec![Itemset::new([1, 2, 3]), Itemset::new([2, 4])]);
-        // The rewritten index agrees with a fresh summarize of the page.
-        let expected = format::summarize(&flat(&page0));
-        assert_eq!(reopened.summaries()[0], expected);
-        assert_ne!(reopened.summaries()[0], before_summary);
-        clean(&path);
-    }
-
-    #[test]
-    fn kill_before_checkpoint_recovers_from_the_wal() {
-        let path = tmp("rw-kill.pages");
-        clean(&path);
-        let n = slack_store(&path, 2);
-        let disk_image = std::fs::read(&path).expect("snapshot");
-        let mut store = DiskStore::open_rw(&path, 4).expect("open rw");
-        store
-            .append_to_page(0, &Itemset::new([7, 8]))
-            .expect("append");
-        store.append_to_page(1, &Itemset::new([9])).expect("append");
-        store.sync_appends().expect("sync");
-        // Kill: drop without checkpoint. The page file never changed
-        // (dirty frames lived only in the pool), the WAL has both
-        // records.
-        drop(store);
-        assert_eq!(std::fs::read(&path).expect("reread"), disk_image);
-        let mut recovered = DiskStore::open_rw(&path, 4).expect("recover");
-        assert_eq!(recovered.num_transactions(), n + 2);
-        let page0 = recovered.read_page(0).expect("read");
-        assert_eq!(page0.last(), Some(&Itemset::new([7, 8])));
-        // The recovered summaries are sound: they match a summarize of
-        // the recovered page content.
-        assert_eq!(recovered.summaries()[0], format::summarize(&flat(&page0)));
-        // A second recovery without checkpoint is idempotent.
-        drop(recovered);
-        let mut again = DiskStore::open_rw(&path, 4).expect("recover again");
-        assert_eq!(again.num_transactions(), n + 2);
-        assert_eq!(again.read_page(0).expect("read"), page0);
-        // Checkpoint drains the WAL; a further reopen replays nothing.
-        again.checkpoint().expect("checkpoint");
-        drop(again);
-        let final_store = DiskStore::open_rw(&path, 4).expect("open after checkpoint");
-        assert_eq!(final_store.num_transactions(), n + 2);
-        clean(&path);
-    }
-
-    #[test]
-    fn eviction_of_a_dirty_frame_writes_it_back_through_the_wal() {
-        let path = tmp("rw-evict.pages");
-        clean(&path);
-        slack_store(&path, 2);
-        // Pool of one frame: touching another page evicts the dirty one.
-        let mut store = DiskStore::open_rw(&path, 1).expect("open rw");
-        store
-            .append_to_page(0, &Itemset::new([5, 6]))
-            .expect("append");
-        assert_eq!(store.pool_stats().write_backs, 0);
-        let _ = store.read_page(1).expect("read evicts page 0");
-        assert_eq!(
-            store.pool_stats().write_backs,
-            1,
-            "dirty victim written back"
-        );
-        // The write-back went through the full CRC'd slot rewrite: a
-        // plain read-only open (stale index CRC is fine — the index was
-        // not rewritten, only the page slot) still verifies the page.
-        let page0 = store.read_page(0).expect("reread");
-        assert_eq!(page0.last(), Some(&Itemset::new([5, 6])));
-        clean(&path);
-    }
-
-    #[test]
-    fn append_to_page_validates_domain_fit_and_mode() {
-        let path = tmp("rw-validate.pages");
-        clean(&path);
-        slack_store(&path, 2);
-        let mut ro = DiskStore::open(&path, 2).expect("open ro");
-        assert!(ro.append_to_page(0, &Itemset::new([1])).is_err(), "ro mode");
-        assert!(ro.checkpoint().is_err());
-        assert!(ro.sync_appends().is_err());
-        drop(ro);
-        let mut rw = DiskStore::open_rw(&path, 2).expect("open rw");
-        assert!(
-            rw.append_to_page(0, &Itemset::new([150])).is_err(),
-            "domain"
-        );
-        let pages = rw.num_pages();
-        assert!(
-            rw.append_to_page(pages, &Itemset::new([1])).is_err(),
-            "range"
-        );
-        // Fill page 0's slack, then one more append must fail cleanly
-        // without corrupting the store.
-        let filler = Itemset::new([1, 2]);
-        let mut appended = 0;
-        while rw.append_to_page(0, &filler).is_ok() {
-            appended += 1;
-            assert!(appended < 100, "page never fills?");
-        }
-        assert!(appended > 0, "at least one filler fit");
-        rw.checkpoint().expect("checkpoint still clean");
-        drop(rw);
-        let mut check = DiskStore::open(&path, 2).expect("reopen");
-        let page0 = check.read_page(0).expect("read");
-        assert_eq!(
-            page0.iter().filter(|t| **t == filler).count(),
-            appended,
-            "every accepted append landed exactly once"
-        );
-        clean(&path);
-    }
-
     #[test]
     fn stored_payloads_and_summaries_survive_decoding() {
         // Transactions of every shape: empty, tiny, and one that fills a
@@ -1218,34 +743,6 @@ mod tests {
             // The half-written file must not open as a valid store.
             assert!(DiskStore::open(&path, 1).is_err());
             std::fs::remove_file(&path).ok();
-        }
-
-        #[test]
-        fn failed_write_back_keeps_the_frame_dirty_and_recoverable() {
-            let _lock = crate::fault::tests::serialize_tests();
-            let path = tmp("wb-fault.pages");
-            clean(&path);
-            slack_store(&path, 2);
-            let mut store = DiskStore::open_rw(&path, 4).expect("open rw");
-            store
-                .append_to_page(0, &Itemset::new([3, 4]))
-                .expect("append");
-            let mut plan = FaultPlan::new();
-            plan.fail_write("data.disk.write_back", 1);
-            let guard = plan.arm();
-            let err = store.checkpoint().expect_err("write-back fault surfaces");
-            assert!(err.to_string().contains("injected"), "{err}");
-            assert_eq!(guard.fired(), 1);
-            drop(guard);
-            // The frame stayed dirty and the pool consistent: a retry
-            // completes the checkpoint and the append is durable.
-            store.checkpoint().expect("retry succeeds");
-            drop(store);
-            let mut reopened = DiskStore::open(&path, 2).expect("reopen");
-            let page0 = reopened.read_page(0).expect("read");
-            assert_eq!(page0.last(), Some(&Itemset::new([3, 4])));
-            assert_eq!(reopened.summaries()[0], format::summarize(&flat(&page0)));
-            clean(&path);
         }
 
         #[test]

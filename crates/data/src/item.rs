@@ -112,11 +112,6 @@ impl Itemset {
         is_sorted_subset(&self.items, &other.items)
     }
 
-    /// Whether `self ⊆ other` where `other` is a sorted slice of ids.
-    pub fn is_subset_of_slice(&self, other: &[ItemId]) -> bool {
-        is_sorted_subset(&self.items, other)
-    }
-
     /// Union of two itemsets.
     pub fn union(&self, other: &Itemset) -> Itemset {
         let mut items = Vec::with_capacity(self.items.len() + other.items.len());

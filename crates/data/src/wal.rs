@@ -252,12 +252,6 @@ impl WriteAheadLog {
         }
     }
 
-    /// Bytes staged by [`append_no_sync`](WriteAheadLog::append_no_sync)
-    /// and not yet covered by a successful sync.
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged
-    }
-
     /// Discards staged (unsynced) bytes so the next append lands at the
     /// durable prefix. Poisons the log if the truncate/seek fails.
     fn rollback(&mut self) {
@@ -392,10 +386,8 @@ mod tests {
         let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
         wal.append_no_sync(b"alpha").expect("stage");
         wal.append_no_sync(b"beta").expect("stage");
-        assert_eq!(wal.staged_bytes(), (8 + 5) + (8 + 4));
         assert_eq!(wal.len_bytes(), 8, "nothing durable before the sync");
         wal.sync().expect("group commit");
-        assert_eq!(wal.staged_bytes(), 0);
         assert_eq!(wal.len_bytes(), 8 + (8 + 5) + (8 + 4));
         drop(wal);
         let (_, rec) = WriteAheadLog::open(&path).expect("reopen");

@@ -34,8 +34,6 @@ pub struct Dhp {
     pub num_buckets: usize,
     /// Counting back-end for levels ≥ 2.
     pub backend: CountingBackend,
-    /// Whether to trim items/transactions between levels.
-    pub trimming: bool,
 }
 
 impl Default for Dhp {
@@ -43,7 +41,6 @@ impl Default for Dhp {
         Dhp {
             num_buckets: 32_768,
             backend: CountingBackend::LinearScan,
-            trimming: true,
         }
     }
 }
@@ -165,14 +162,13 @@ impl Dhp {
             trace: Trace::Dhp,
         };
         let count = |k, batch: &[Itemset]| {
-            if self.trimming {
+            let trimmed = {
                 let _s = ossm_obs::span("mining.dhp.trim");
-                let data = work.as_deref().unwrap_or(dataset.transactions());
-                work = Some(trim(data, batch, k));
-            }
+                trim(work.as_deref().unwrap_or(dataset.transactions()), batch, k)
+            };
+            let data = work.insert(trimmed);
             let mut s = ossm_obs::span("mining.dhp.count");
             s.attach("candidates", batch.len() as u64);
-            let data = work.as_deref().unwrap_or(dataset.transactions());
             Ok(count_with(self.backend, data, batch))
         };
         levels
@@ -276,22 +272,6 @@ mod tests {
                 <= plain.metrics.candidate_2_itemsets_counted(),
             "Section 7: the OSSM removes candidates the hash table admits"
         );
-    }
-
-    #[test]
-    fn trimming_off_is_still_correct() {
-        let d = quest(250, 25);
-        let on = Dhp {
-            trimming: true,
-            ..Dhp::default()
-        }
-        .mine(&d, 6);
-        let off = Dhp {
-            trimming: false,
-            ..Dhp::default()
-        }
-        .mine(&d, 6);
-        assert_eq!(on.patterns, off.patterns);
     }
 
     #[test]

@@ -65,6 +65,11 @@ pub struct StreamingOutcome {
     pub skipped_pages: u64,
 }
 
+/// Bytes of the most recently built out-of-core page index (the item-major
+/// page rows and presence bitsets of `PageBounds`) — page-derived memory
+/// that lives outside the buffer pool's frame budget.
+static MEM_PAGE_BOUNDS: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.page_bounds");
+
 /// Page-granular equation (1) over an OSSM-described store. The page
 /// partition is a refinement of any segmentation, so the
 /// physical-maximum bound holds per page; it is used two ways:
@@ -99,10 +104,13 @@ impl<'a> PageBounds<'a> {
     /// outside the domain (a damaged index) is ignored, so the bounds
     /// stay total.
     fn new(ossm: &'a Ossm, m: usize, summaries: &[PageSummary]) -> Self {
+        let _mem = ossm_obs::alloc_scope("mining.page_bounds");
         let pages = summaries.len();
         let words = pages.div_ceil(64);
         let mut rows = vec![0u32; m * pages];
         let mut present = vec![0u64; m * words];
+        MEM_PAGE_BOUNDS
+            .set((std::mem::size_of_val(&rows[..]) + std::mem::size_of_val(&present[..])) as u64);
         for (p, summary) in summaries.iter().enumerate() {
             for &(item, count) in &summary.supports {
                 let i = item as usize;

@@ -26,12 +26,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Largest non-empty bucket's lower bound — a cheap "max is at least
-    /// this" indicator.
-    pub fn max_bucket_bound(&self) -> u64 {
-        self.buckets.last().map_or(0, |&(lo, _)| lo)
-    }
 }
 
 /// One gauge's state at snapshot time: the level it sits at now and the
