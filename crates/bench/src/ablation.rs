@@ -4,9 +4,10 @@
 //! *quality* and *work*, which Criterion cannot express:
 //!
 //! * **A1 (loss evaluation)** — time per merge loss of the paper's O(m²)
-//!   pair loop, of the radix-sorted `merge_loss`, and of the one `f(a + b)`
-//!   pass the segmentation loops pay with `f` cached, at paper-scale m,
-//!   plus equality spot-checks.
+//!   pair loop, of the linear `merge_loss`, and of the one `f(a + b)` pass
+//!   the segmentation loops pay with `f` cached, at paper-scale m over
+//!   page-scale, paper-scale and large supports, plus equality
+//!   spot-checks.
 //! * **A3 (heuristic quality)** — eq. (2) loss of Greedy / RC / Random /
 //!   hybrids against the *exhaustive optimum* on small page counts, where
 //!   the optimum is computable (Example 4's combinatorics).
@@ -28,41 +29,73 @@ use ossm_data::Itemset;
 
 use crate::cli::Options;
 use crate::runner::timed;
-use crate::table::{fmt_duration, Table};
+use crate::table::Table;
 use crate::workloads::{Workload, WorkloadKind};
 
-/// A1: naive vs radix-sorted loss evaluation timing.
+/// A1: naive vs linear loss evaluation timing.
 ///
 /// Three ways to get one eq. (2) merge loss: the paper's pair loop, the
-/// public `merge_loss` (three radix-sorted `f` evaluations), and what RC,
-/// Greedy and the incremental map pay per pair now that they cache `f` of
-/// each live segment: one `f(a + b)` of a precomputed sum.
+/// public `merge_loss` (three linear `f` evaluations), and what RC, Greedy
+/// and the incremental map pay per pair now that they cache `f` of each
+/// live segment: one `f(a + b)` of a precomputed sum. Rows cover page-scale
+/// supports, the paper-scale range and values past 2¹⁶, so both of `f`'s
+/// identities (support histogram, radix sort) are timed; the `f(a + b)`
+/// column names the one that ran, read from `core.loss.{hist,radix}_evals`.
 pub fn loss_evaluation(opts: &Options) -> String {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "### Ablation A1 — equation (2) evaluation: O(m²) pair loop vs radix-sorted pass\n\n\
-         Time per merge loss of two random aggregates (supports uniform in 0..1000): the \
-         median of {SAMPLES} interleaved bursts of at least {} ms each, after a warm-up.\n",
+        "### Ablation A1 — equation (2) evaluation: O(m²) pair loop vs linear pass\n\n\
+         Time per merge loss of two random aggregates with supports uniform in the given \
+         range: the median of {SAMPLES} interleaved bursts of at least {} ms each, after a \
+         warm-up. `f(a + b)` names the identity the cached evaluation used: the support \
+         histogram (`hist`) or the radix sort (`radix`).\n",
         MIN_BURST.as_millis()
     );
     let mut table = Table::new([
         "m",
-        "naive pair loop",
-        "radix merge_loss",
-        "per pair, f cached",
+        "supports",
+        "f(a + b)",
+        "naive pair loop (µs)",
+        "merge_loss (µs)",
+        "per pair, f cached (µs)",
         "naive / cached",
     ]);
     let seed: u64 = opts.get("seed", 7);
     let mut rng = StdRng::seed_from_u64(seed);
-    for m in [100usize, 400, 1000, 2000] {
-        let a = Aggregate::new((0..m).map(|_| rng.gen_range(0..1000)).collect(), 1000);
-        let b = Aggregate::new((0..m).map(|_| rng.gen_range(0..1000)).collect(), 1000);
+    let hist_evals = || {
+        ossm_obs::registry()
+            .snapshot()
+            .counter("core.loss.hist_evals")
+    };
+    let (page, paper, large) = (0..100u64, 0..1000u64, 1 << 16..1 << 17);
+    for (m, range) in [
+        (100usize, &page),
+        (1000, &page),
+        (100, &paper),
+        (400, &paper),
+        (1000, &paper),
+        (2000, &paper),
+        (100, &large),
+        (1000, &large),
+    ] {
+        let mut aggregate = || {
+            let v: Vec<u64> = (0..m).map(|_| rng.gen_range(range.clone())).collect();
+            Aggregate::new(v, range.end)
+        };
+        let (a, b) = (aggregate(), aggregate());
         let naive_calc = LossCalculator::all_items().with_naive_evaluation();
         let fast_calc = LossCalculator::all_items();
         let (fa, fb) = (pair_min_sum(a.supports()), pair_min_sum(b.supports()));
         let sum = a.merged(&b);
+        let before = hist_evals();
+        black_box(pair_min_sum(sum.supports()));
+        let path = match (ossm_obs::ENABLED, hist_evals() > before) {
+            (false, _) => "-",
+            (true, true) => "hist",
+            (true, false) => "radix",
+        };
         let [t_naive, t_fast, t_cached] = median_times([
             &mut || naive_calc.merge_loss(&a, &b),
             &mut || fast_calc.merge_loss(&a, &b),
@@ -70,9 +103,11 @@ pub fn loss_evaluation(opts: &Options) -> String {
         ]);
         table.row([
             m.to_string(),
-            fmt_duration(t_naive),
-            fmt_duration(t_fast),
-            fmt_duration(t_cached),
+            format!("{}..{}", range.start, range.end),
+            path.to_owned(),
+            micros(t_naive),
+            micros(t_fast),
+            micros(t_cached),
             format!(
                 "{:.1}x",
                 t_naive.as_secs_f64() / t_cached.as_secs_f64().max(1e-12)
@@ -81,6 +116,12 @@ pub fn loss_evaluation(opts: &Options) -> String {
     }
     out.push_str(&table.to_markdown());
     out
+}
+
+/// A duration in microseconds with two decimals: A1's per-pair times sit
+/// between a fraction of a microsecond and a few milliseconds.
+fn micros(d: Duration) -> String {
+    format!("{:.2}", d.as_secs_f64() * 1e6)
 }
 
 /// Timed bursts per evaluation in ablation A1.
@@ -319,7 +360,7 @@ mod tests {
     #[test]
     fn loss_evaluation_reports_agreeing_methods() {
         let r = loss_evaluation(&tiny());
-        assert!(r.contains("O(m²) pair loop vs radix-sorted pass"));
+        assert!(r.contains("O(m²) pair loop vs linear pass"));
         assert!(r.contains("2000"));
     }
 

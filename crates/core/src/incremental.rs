@@ -14,8 +14,8 @@
 //! reshuffle history), but it is sound by construction — bounds stay upper
 //! bounds because aggregates only ever add — and the maintenance cost per
 //! page is one loss scan: each live segment caches its `f(u_s)`, so the
-//! scan is `n` radix-sorted passes over the page plus a segment, O(n · k)
-//! for a loss scope of `k` items.
+//! scan is `n` linear passes over the page plus a segment, O(n · k) for a
+//! loss scope of `k` items.
 
 use ossm_data::{Itemset, PageStore};
 

@@ -12,8 +12,9 @@
 //! * segment configurations and the lossless-merge theory of Section 4 —
 //!   [`config`], [`minimize`] (Theorem 1, Corollary 1);
 //! * the accuracy-loss quantity of equation (2), in both the paper's O(m²)
-//!   form and a one-pass form (radix sort of the nonzero supports, with
-//!   `f` cached per live segment by the segmentation loops) — [`loss`];
+//!   form and a linear form (a support histogram, or a radix sort of the
+//!   nonzero supports when they are large, with `f` cached per live
+//!   segment by the segmentation loops) — [`loss`];
 //! * the constrained-segmentation heuristics Greedy, RC, Random, and the
 //!   Random-RC / Random-Greedy hybrids — [`seg`];
 //! * the bubble list — [`bubble`]; the Figure 7 recipe — [`recipe`];

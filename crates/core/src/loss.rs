@@ -12,18 +12,30 @@
 //!
 //! The paper evaluates `f` by the obvious O(m²) pair loop, which makes `m²`
 //! the dominant factor in Greedy's and RC's complexity (Section 5.3). This
-//! module evaluates it in one pass instead. A zero entry is the minimum of
-//! its pairs but adds nothing to them, so `f(w)` equals `f` of the `k`
-//! nonzero values of `w`. Sort those ascending; the value at sorted
-//! position `i` is the minimum of exactly `k − 1 − i` pairs, so
-//! `f(w) = Σ_i sorted(w)[i] · (k − 1 − i)`. The sort is an LSD byte radix
-//! sort with one pass per byte of the largest value, so an evaluation
-//! costs O(m + k·⌈log₂₅₆ max⌉) and no comparison sort.
+//! module evaluates it in linear time instead. A zero entry is the minimum
+//! of its pairs but adds nothing to them, so `f(w)` equals `f` of the `k`
+//! nonzero values of `w`, and one of two exact identities finishes the
+//! job:
+//!
+//! * **Layer cake.** `min(a, b) = Σ_{t≥1} [a ≥ t][b ≥ t]`, so
+//!   `f(w) = Σ_{t≥1} C(c_t, 2)` with `c_t = #{x : w_x ≥ t}`. A histogram
+//!   of the values and one descending suffix pass over `1..=max` give
+//!   every `c_t`: O(m + max), no sort, no scatter. This is the path for
+//!   page-scale supports, where `max` is at most a small multiple of `k`.
+//! * **Sorted ranks.** Sort the values ascending; the value at sorted
+//!   position `i` is the minimum of exactly `k − 1 − i` pairs, so
+//!   `f(w) = Σ_i sorted(w)[i] · (k − 1 − i)`. The sort is an LSD byte
+//!   radix sort with one pass per byte of the largest value,
+//!   O(m + k·⌈log₂₅₆ max⌉). This is the fallback for large values, where
+//!   the layer cake's suffix pass would be longer than the sort.
+//!
+//! Both are integer sums of the same quantity, so the choice changes no
+//! value; `core.loss.{hist,radix}_evals` count how often each ran.
 //!
 //! The segmentation loops never recompute `f` of a segment they hold:
 //! RC, Greedy and [`crate::IncrementalOssm`] cache `f(u_s)` per live
 //! segment, so a merge loss `f(a + b) − f(a) − f(b)` costs one pass over
-//! `a + b` into a reused buffer, and a merged segment's `f` is
+//! `a + b` into reused buffers, and a merged segment's `f` is
 //! `loss + f(a) + f(b)` for free. The naive and fast evaluations are
 //! verified equal by unit and property tests, and compared in the `loss`
 //! ablation bench.
@@ -44,44 +56,102 @@ pub fn pair_min_sum_naive(w: &[u64]) -> u64 {
     total
 }
 
-/// `f(w)` by one radix-sorted pass over the nonzero values of `w` (see
-/// module docs for the identity).
+/// `f(w)` without the pair loop (see module docs for the two identities).
 pub fn pair_min_sum(w: &[u64]) -> u64 {
     Scratch::default().pair_min_sum(w.iter().copied())
 }
 
+/// Evaluations by the layer-cake identity.
+static HIST_EVALS: ossm_obs::Counter = ossm_obs::Counter::new("core.loss.hist_evals");
+/// Evaluations by the radix-sorted identity (large values).
+static RADIX_EVALS: ossm_obs::Counter = ossm_obs::Counter::new("core.loss.radix_evals");
+
+/// The layer-cake identity runs when the largest value is at most this
+/// many times the number of nonzero values. Its cost is one histogram
+/// increment per value plus one suffix step per possible value, while the
+/// radix sort pays a count and a scatter per value and byte. Timed on
+/// both sides of the choice, the two cost the same near a span of 4 at
+/// m = 1000 and near 8 at m = 240; ablation A1 times both paths.
+const HIST_SPAN: u64 = 4;
+
 /// Reusable buffers for evaluating `f`. A segmentation scan owns one and
 /// passes it to every evaluation, so the steady state allocates nothing.
+///
+/// It also tallies which identity each evaluation took and adds the
+/// tallies to `core.loss.{hist,radix}_evals` when dropped, so a scan pays
+/// two counter updates rather than one per evaluation.
 #[derive(Default)]
 pub(crate) struct Scratch {
     keys: Vec<u64>,
     spare: Vec<u64>,
+    /// `hist[t]` = how many values equal `t`; all zero between
+    /// evaluations.
+    hist: Vec<u32>,
+    hist_evals: u64,
+    radix_evals: u64,
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        HIST_EVALS.add(self.hist_evals);
+        RADIX_EVALS.add(self.radix_evals);
+    }
 }
 
 impl Scratch {
-    /// `f` of `values`, zeros dropped before the sort.
+    /// `f` of `values`, zeros dropped first.
     // INFALLIBLE: `keys` is first resized to `values.len()`, which is exact
     // for the slice-based iterators every caller passes, and the write
     // cursor `k` never passes the number of values written so far.
     fn pair_min_sum(&mut self, values: impl ExactSizeIterator<Item = u64>) -> u64 {
         // Branch-free compaction: every value is written, but the cursor
-        // only moves past nonzero ones. The OR of the values has the bit
-        // length of their maximum, which is all the sort needs.
+        // only moves past nonzero ones.
         self.keys.resize(values.len(), 0);
-        let (mut k, mut bits) = (0, 0);
+        let (mut k, mut max) = (0, 0);
         for v in values {
             self.keys[k] = v;
             k += usize::from(v != 0);
-            bits |= v;
+            max = max.max(v);
         }
         self.keys.truncate(k);
-        radix_sort(&mut self.keys, &mut self.spare, bits);
-        let k = k as u64;
-        self.keys
-            .iter()
-            .zip((0..k).rev())
-            .map(|(&v, r)| v * r)
-            .sum()
+        if max <= HIST_SPAN.saturating_mul(k as u64) && u32::try_from(k).is_ok() {
+            self.hist_evals += 1;
+            // `max ≤ 4·k` fits `usize`: `keys` already holds `k` values of
+            // 8 bytes each.
+            self.layer_cake(max as usize)
+        } else {
+            self.radix_evals += 1;
+            radix_sort(&mut self.keys, &mut self.spare, max);
+            let k = k as u64;
+            self.keys
+                .iter()
+                .zip((0..k).rev())
+                .map(|(&v, r)| v * r)
+                .sum()
+        }
+    }
+
+    /// `f` of the nonzero `keys`, all at most `max`, as `Σ_t C(c_t, 2)`
+    /// with `c_t` the number of keys ≥ `t`. Leaves `hist` all zero.
+    // INFALLIBLE: `hist` is grown to `max + 1` entries before the fill and
+    // every key is at most `max`, which is a key itself when nonzero, so
+    // `c ≥ 1` inside the suffix pass. A count cannot overflow `u32`
+    // because the caller checked that the number of keys fits one.
+    fn layer_cake(&mut self, max: usize) -> u64 {
+        if self.hist.len() <= max {
+            self.hist.resize(max + 1, 0);
+        }
+        for &v in &self.keys {
+            self.hist[v as usize] += 1;
+        }
+        // Descending suffix pass: `c` is `c_t`, at least 1 from `t = max`
+        // on, and taking each count restores the all-zero invariant.
+        let (mut c, mut total) = (0u64, 0u64);
+        for count in self.hist[1..=max].iter_mut().rev() {
+            c += u64::from(std::mem::take(count));
+            total += c * (c - 1) / 2;
+        }
+        total
     }
 
     /// `f` of `values` by the O(m²) pair loop, zeros kept.
@@ -93,8 +163,7 @@ impl Scratch {
 }
 
 /// Sorts `keys` ascending by least-significant-byte-first radix passes,
-/// one per byte of `bits`, a value with the bit length of the largest key;
-/// `spare` is the scatter buffer.
+/// one per byte of `max`, the largest key; `spare` is the scatter buffer.
 ///
 /// All histograms come from one read of the keys, and a pass whose byte
 /// is the same for every key is skipped (it would copy the keys
@@ -103,8 +172,8 @@ impl Scratch {
 // 256-entry array, and every scatter slot `next[b]` stays below the
 // prefix sum of buckets `0..=b`, which is at most
 // `keys.len() == spare.len()`.
-fn radix_sort(keys: &mut Vec<u64>, spare: &mut Vec<u64>, bits: u64) {
-    let passes = (u64::BITS - bits.leading_zeros()).div_ceil(8) as usize;
+fn radix_sort(keys: &mut Vec<u64>, spare: &mut Vec<u64>, max: u64) {
+    let passes = (u64::BITS - max.leading_zeros()).div_ceil(8) as usize;
     let mut counts = [[0usize; 256]; 8];
     for &v in keys.iter() {
         for (p, count) in counts.iter_mut().take(passes).enumerate() {
@@ -141,8 +210,8 @@ fn support(w: &[u64], item: u32) -> u64 {
 pub struct LossCalculator {
     /// `None` = all items; `Some(items)` = only pairs within these item ids.
     scope: Option<Vec<u32>>,
-    /// Use the O(m²) evaluation instead of the radix-sorted one (the
-    /// reference for the ablation bench and cross-validation).
+    /// Use the O(m²) evaluation instead of the linear one (the reference
+    /// for the ablation bench and cross-validation).
     naive: bool,
 }
 
@@ -399,6 +468,107 @@ mod tests {
                     loss,
                     "a = {w:?}, b = {v:?}"
                 );
+            }
+        }
+    }
+
+    /// A vector of `len` values in one of the shapes that straddle the
+    /// choice between the two identities; `None` where the shape needs
+    /// more values than `len`.
+    fn straddling(rng: &mut rand::rngs::StdRng, len: usize, shape: usize) -> Option<Vec<u64>> {
+        use rand::Rng;
+        // `k` nonzero values at random positions, the largest `max`.
+        fn place(rng: &mut rand::rngs::StdRng, w: &mut [u64], k: usize, max: u64) {
+            for (i, v) in w.iter_mut().enumerate().take(k) {
+                *v = if i == 0 { max } else { rng.gen_range(1..=max) };
+            }
+            rand::seq::SliceRandom::shuffle(w, rng);
+        }
+        let mut w = vec![0u64; len];
+        let k = rng.gen_range(1..=len.max(1));
+        match shape {
+            0 => {} // all zeros
+            1 if len > 0 => {
+                let max = rng.gen_range(1..1 << 40);
+                place(rng, &mut w, 1, max);
+            }
+            2 if len > 0 => w.fill(rng.gen_range(1..1 << 40)),
+            // `max` exactly at the histogram's limit, then one above it.
+            3 if len > 0 => place(rng, &mut w, k, HIST_SPAN * k as u64),
+            4 if len > 0 => place(rng, &mut w, k, HIST_SPAN * k as u64 + 1),
+            5 if len > 0 => {
+                for v in &mut w {
+                    *v = if rng.gen_bool(0.2) {
+                        0
+                    } else {
+                        rng.gen_range(1 << 32..1 << 44)
+                    };
+                }
+                w[rng.gen_range(0..len)] = 1 << 32;
+            }
+            6 => {
+                for v in &mut w {
+                    *v = rng.gen_range(0..100);
+                }
+            }
+            _ => return None,
+        }
+        Some(w)
+    }
+
+    #[test]
+    fn both_identities_match_the_pair_loop_around_the_threshold() {
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20);
+        let naive = LossCalculator::all_items().with_naive_evaluation();
+        let fast = LossCalculator::all_items();
+        // One scratch for every case, first filled by a long vector with a
+        // large histogram, so nothing it leaves may leak into later ones.
+        let mut scratch = Scratch::default();
+        let long: Vec<u64> = (1..=1000).map(|v| v * HIST_SPAN).collect();
+        assert_eq!(
+            scratch.pair_min_sum(long.iter().copied()),
+            pair_min_sum_naive(&long)
+        );
+        assert_eq!(scratch.hist_evals, 1);
+        for len in (0..=64).chain([1000]) {
+            for shape in 0..7 {
+                let Some(w) = straddling(&mut rng, len, shape) else {
+                    continue;
+                };
+                let Some(v) = straddling(&mut rng, len, shape) else {
+                    continue;
+                };
+                let expected = pair_min_sum_naive(&w);
+                let before = (scratch.hist_evals, scratch.radix_evals);
+                assert_eq!(
+                    scratch.pair_min_sum(w.iter().copied()),
+                    expected,
+                    "w = {w:?}"
+                );
+                assert!(scratch.hist.iter().all(|&c| c == 0), "histogram left dirty");
+                let took_hist = scratch.hist_evals > before.0;
+                assert_ne!(took_hist, scratch.radix_evals > before.1);
+                match shape {
+                    0 | 3 => assert!(took_hist, "shape {shape}, w = {w:?}"),
+                    4 | 5 => assert!(!took_hist, "shape {shape}, w = {w:?}"),
+                    _ => {}
+                }
+                let mut scope: Vec<u32> = (0..len as u32).filter(|_| rng.gen_bool(0.5)).collect();
+                scope.shuffle(&mut rng);
+                let scoped = LossCalculator::scoped(scope.clone());
+                let scoped_naive = LossCalculator::scoped(scope).with_naive_evaluation();
+                let (a, b) = (agg(&w), agg(&v));
+                for (calc, reference) in [(&fast, &naive), (&scoped, &scoped_naive)] {
+                    let fa = calc.pair_min_sum_with(&w, &mut scratch);
+                    let fb = calc.pair_min_sum_with(&v, &mut scratch);
+                    assert_eq!(fa, reference.pair_min_sum(&w), "w = {w:?}");
+                    assert_eq!(
+                        calc.merge_loss_with(&a, fa, &b, fb, &mut scratch),
+                        reference.merge_loss(&a, &b),
+                        "a = {w:?}, b = {v:?}"
+                    );
+                }
             }
         }
     }

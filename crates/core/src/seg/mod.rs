@@ -15,9 +15,10 @@
 //!
 //! The `m²` factor is tamed two ways: the bubble list (Section 5.3,
 //! [`crate::bubble`]) shrinks the item scope, and our loss evaluation
-//! ([`crate::loss`]) turns each `m²` into one radix-sorted pass over the
-//! nonzero supports of the merged pair; RC and Greedy cache `f` of every
-//! live segment, so that pass is the whole cost of a merge loss.
+//! ([`crate::loss`]) turns each `m²` into one linear pass over the merged
+//! pair's supports (a support histogram, or a radix sort for large
+//! values); RC and Greedy cache `f` of every live segment, so that pass is
+//! the whole cost of a merge loss.
 
 use crate::segmentation::{Aggregate, Segmentation};
 

@@ -6,8 +6,8 @@
 //! minimal pair (and with it the priority queue); each of the `p − n_user`
 //! iterations costs one scan over the remaining segments, for the paper's
 //! O(p²·m²) total. Here each live segment carries its cached `f(u_s)`, so
-//! every loss in a scan is one radix-sorted pass over the scope of the
-//! merged pair (O(p²·k) in all, with `k` the loss scope size).
+//! every loss in a scan is one linear pass over the scope of the merged
+//! pair (O(p²·k) in all, with `k` the loss scope size).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -30,7 +30,8 @@ use std::sync::OnceLock;
 
 /// Fork-join jobs that actually spawned worker threads.
 static JOBS: ossm_obs::Counter = ossm_obs::Counter::new("par.jobs");
-/// Chunks executed on spawned workers.
+/// Chunks executed by fork-join jobs, the one on the calling thread
+/// included.
 static CHUNKS: ossm_obs::Counter = ossm_obs::Counter::new("par.chunks");
 /// Maps that ran inline (one thread configured or only one chunk of work).
 static SERIAL: ossm_obs::Counter = ossm_obs::Counter::new("par.serial");
@@ -100,9 +101,10 @@ pub fn chunk_ranges(len: usize, min_chunk: usize, max_chunks: usize) -> Vec<Rang
 /// Applies `f` to balanced chunks of `0..len` and returns the per-chunk
 /// results **in chunk order**.
 ///
-/// Chunks run on scoped worker threads when more than one thread is
-/// configured and the range splits into more than one chunk of at least
-/// `min_chunk` elements; otherwise the whole map runs inline. Combining the
+/// When more than one thread is configured and the range splits into more
+/// than one chunk of at least `min_chunk` elements, every chunk but the
+/// last runs on a scoped worker thread and the last runs on the calling
+/// thread; otherwise the whole map runs inline. Combining the
 /// returned vector with any associative merge yields a value independent of
 /// the thread count.
 pub fn map_chunks<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
@@ -110,43 +112,52 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let ranges = chunk_ranges(len, min_chunk, thread_count());
+    let mut ranges = chunk_ranges(len, min_chunk, thread_count());
     if ranges.len() <= 1 {
         SERIAL.incr();
         return ranges.into_iter().map(f).collect();
     }
     JOBS.incr();
     CHUNKS.add(ranges.len() as u64);
+    let last = ranges.pop().expect("more than one chunk");
     std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = ranges
             .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    // A root span in the worker's (fresh) thread-local span
-                    // stack: traces show one lane per worker.
-                    let mut lane = ossm_obs::detail_span("par.worker");
-                    lane.attach("chunk_start", r.start as u64);
-                    lane.attach("chunk_len", r.len() as u64);
-                    // Per-worker event lane in the flight recorder: each
-                    // worker stamps its chunk start, tagged with its own
-                    // thread id, so postmortems show which workers ran.
-                    ossm_obs::recorder::record_event(
-                        "par.worker",
-                        ossm_obs::recorder::EventKind::Worker,
-                        r.start as u64,
-                    );
-                    f(r)
-                })
-            })
+            .map(|r| scope.spawn(move || run_chunk(f, r)))
             .collect();
-        // Joining in spawn order makes the output order — and therefore any
-        // order-sensitive fold the caller runs — deterministic.
-        handles
+        // The caller would only wait for the workers, so it runs the last
+        // chunk itself: a job spawns one thread fewer than it has chunks.
+        let last = run_chunk(f, last);
+        // Joining in spawn order, then appending the caller's chunk, makes
+        // the output order — and therefore any order-sensitive fold the
+        // caller runs — deterministic.
+        let mut out: Vec<T> = handles
             .into_iter()
             .map(|h| h.join().expect("ossm-par worker panicked"))
-            .collect()
+            .collect();
+        out.push(last);
+        out
     })
+}
+
+/// Runs one chunk of a fork-join job under its own `par.worker` span.
+fn run_chunk<T>(f: impl Fn(Range<usize>) -> T, r: Range<usize>) -> T {
+    // A worker lane in the trace: on a spawned thread this is the root of
+    // its fresh thread-local span stack; on the caller it nests under the
+    // caller's open span.
+    let mut lane = ossm_obs::detail_span("par.worker");
+    lane.attach("chunk_start", r.start as u64);
+    lane.attach("chunk_len", r.len() as u64);
+    // Per-worker event lane in the flight recorder: each chunk stamps its
+    // start, tagged with the running thread's id, so postmortems show
+    // which threads ran.
+    ossm_obs::recorder::record_event(
+        "par.worker",
+        ossm_obs::recorder::EventKind::Worker,
+        r.start as u64,
+    );
+    f(r)
 }
 
 /// Element-wise sum of equal-length partial count vectors, folded in chunk
@@ -225,6 +236,19 @@ mod tests {
         let ids = map_chunks(100, 1, |_| std::thread::current().id());
         set_threads(None);
         assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn the_caller_runs_the_last_chunk_of_a_job() {
+        let _guard = override_lock();
+        set_threads(Some(2));
+        let caller = std::thread::current().id();
+        let runs = map_chunks(100, 1, |r| (r.start, std::thread::current().id()));
+        set_threads(None);
+        assert_eq!(runs.len(), 2);
+        assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "chunk order");
+        let on_caller: Vec<bool> = runs.iter().map(|&(_, id)| id == caller).collect();
+        assert_eq!(on_caller, [false, true]);
     }
 
     #[test]

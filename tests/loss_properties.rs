@@ -1,5 +1,5 @@
 //! Property tests for the equation-(2) loss quantity (Lemma 2) and the
-//! radix-sorted evaluation's equivalence to the paper's O(m²) pair loop.
+//! linear evaluation's equivalence to the paper's O(m²) pair loop.
 
 mod testkit;
 
@@ -177,4 +177,122 @@ fn opposite_configurations_cost() {
     let a = Aggregate::new(vec![10, 5, 1], 10);
     let b = Aggregate::new(vec![1, 5, 10], 10);
     assert!(calc.merge_loss(&a, &b) > 0);
+}
+
+/// 24 aggregates over 48 items on which eq. (2) takes both of its
+/// evaluation identities: even inputs hold page-scale supports (below
+/// 40, about 30 % of them zero), which the support histogram evaluates, and
+/// odd inputs add one support past 2²⁰, which sends every evaluation that
+/// involves them to the radix sort. Input `i` covers `2^(24 + i)`
+/// transactions, so bits 24.. of a merged segment's count name its
+/// members.
+fn two_path_inputs() -> Vec<Aggregate> {
+    let mut rng = case_rng(0x2020, 0);
+    (0..24)
+        .map(|i| {
+            let mut v: Vec<u64> = (0..48)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        0
+                    } else {
+                        rng.gen_range(1u64..40)
+                    }
+                })
+                .collect();
+            if i % 2 == 1 {
+                let j = rng.gen_range(0usize..48);
+                v[j] = (1 << 20) + rng.gen_range(0u64..1000);
+            }
+            Aggregate::new(v, 1 << (24 + i))
+        })
+        .collect()
+}
+
+/// Groups with members ascending, groups ordered by first member.
+fn canonical(seg: &Segmentation) -> Vec<Vec<usize>> {
+    let mut groups = seg.groups().to_vec();
+    for g in &mut groups {
+        g.sort_unstable();
+    }
+    groups.sort();
+    groups
+}
+
+/// The segmentations and eq. (2) losses every strategy produced before
+/// the support-histogram evaluation existed, on inputs whose evaluations
+/// take both identities: the evaluation changed, no result did.
+#[test]
+fn segmentations_are_pinned_across_both_evaluation_paths() {
+    use ossm_core::seg::{hybrid::random_greedy, Greedy, RandomClosest, SegmentationAlgorithm};
+    let inputs = two_path_inputs();
+    let calc = LossCalculator::all_items();
+    let counter = |name| ossm_obs::registry().snapshot().counter(name);
+    let (hist_before, radix_before) = (
+        counter("core.loss.hist_evals"),
+        counter("core.loss.radix_evals"),
+    );
+    let check = |algo: &dyn SegmentationAlgorithm, groups: &[&[usize]], loss: u64| {
+        let seg = algo.segment(&inputs, 6);
+        assert_eq!(canonical(&seg), groups, "{}", algo.name());
+        assert_eq!(
+            calc.segmentation_loss(&inputs, &seg),
+            loss,
+            "{}",
+            algo.name()
+        );
+    };
+    check(
+        &RandomClosest::new(calc.clone(), 5),
+        &[
+            &[0, 5, 9, 10, 11, 16, 22, 23],
+            &[1, 7],
+            &[2, 3, 8, 12, 21],
+            &[4, 19],
+            &[6, 13, 20],
+            &[14, 15, 17, 18],
+        ],
+        7_436_055,
+    );
+    check(
+        &Greedy::new(calc.clone()),
+        &[
+            &[0, 2, 9, 16],
+            &[1, 6, 7, 17, 18],
+            &[3, 8, 21],
+            &[4, 13, 19, 20],
+            &[5, 12, 22, 23],
+            &[10, 11, 14, 15],
+        ],
+        4_280_069,
+    );
+    check(
+        &random_greedy(calc.clone(), 12, 5),
+        &[
+            &[0, 2, 6, 11, 18, 20],
+            &[1, 7, 13, 22],
+            &[3, 4, 21, 23],
+            &[5, 14, 16, 19],
+            &[8, 9, 10, 12],
+            &[15, 17],
+        ],
+        4_295_132,
+    );
+    let mut inc = ossm_core::IncrementalOssm::new(6, calc.clone()).expect("budget > 0");
+    for a in &inputs {
+        inc.append_aggregate(a.clone());
+    }
+    let members: Vec<u64> = inc
+        .snapshot()
+        .segments()
+        .iter()
+        .map(|s| s.transactions() >> 24)
+        .collect();
+    assert_eq!(
+        members,
+        [17_921, 12_587_010, 589_956, 3_154_184, 34_832, 393_312]
+    );
+    if ossm_obs::ENABLED {
+        assert!(counter("core.loss.hist_evals") > hist_before);
+        assert!(counter("core.loss.radix_evals") > radix_before);
+    }
 }
