@@ -37,12 +37,14 @@ impl Table {
         self
     }
 
-    /// Renders as a markdown table.
+    /// Renders as a markdown table. Widths are counted in chars, the unit
+    /// `{:<w$}` pads by, so a `µs` cell lines up like an ASCII one.
     pub fn to_markdown(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        let width = |c: &String| c.chars().count();
+        let mut widths: Vec<usize> = self.header.iter().map(width).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
-                *w = (*w).max(c.len());
+                *w = (*w).max(width(c));
             }
         }
         let mut out = String::new();
@@ -126,6 +128,20 @@ mod tests {
         assert!(md.starts_with("| algo   | speedup |\n"));
         assert!(md.contains("| Greedy | 5.9x    |"));
         assert_eq!(md.lines().count(), 4);
+    }
+
+    #[test]
+    fn pads_multi_byte_cells_by_chars() {
+        let mut t = Table::new(["time (µs)", "n"]);
+        t.row(["12.5", "3"]).row(["7 µs", "10"]);
+        let md = t.to_markdown();
+        assert_eq!(
+            md,
+            "| time (µs) | n  |\n\
+             | --------- | -- |\n\
+             | 12.5      | 3  |\n\
+             | 7 µs      | 10 |\n"
+        );
     }
 
     #[test]

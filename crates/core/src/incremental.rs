@@ -46,6 +46,9 @@ pub struct IncrementalOssm {
     max_segments: usize,
     calc: LossCalculator,
     appended_pages: u64,
+    /// Loss-scan buffers kept across appends; its tallies are flushed at
+    /// the end of each append, and a clone of the map starts a fresh one.
+    scratch: Scratch,
 }
 
 impl IncrementalOssm {
@@ -61,6 +64,7 @@ impl IncrementalOssm {
             max_segments,
             calc,
             appended_pages: 0,
+            scratch: Scratch::default(),
         })
     }
 
@@ -79,6 +83,7 @@ impl IncrementalOssm {
             max_segments,
             calc,
             appended_pages: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -99,28 +104,27 @@ impl IncrementalOssm {
     // alters a support.
     pub fn append_aggregate(&mut self, aggregate: Aggregate) {
         self.appended_pages += 1;
-        let mut scratch = Scratch::default();
-        let f = self
-            .calc
-            .pair_min_sum_with(aggregate.supports(), &mut scratch);
+        let scratch = &mut self.scratch;
+        let f = self.calc.pair_min_sum_with(aggregate.supports(), scratch);
         if self.segments.len() < self.max_segments {
             self.segments.push(aggregate);
             self.fs.push(f);
-            return;
-        }
-        // Merge into the closest live segment (smallest eq. 2 loss, ties to
-        // the lowest index for determinism).
-        let mut best = (u64::MAX, 0usize);
-        for (i, (seg, &f_seg)) in self.segments.iter().zip(&self.fs).enumerate() {
-            let loss = self
-                .calc
-                .merge_loss_with(seg, f_seg, &aggregate, f, &mut scratch);
-            if loss < best.0 {
-                best = (loss, i);
+        } else {
+            // Merge into the closest live segment (smallest eq. 2 loss,
+            // ties to the lowest index for determinism).
+            let mut best = (u64::MAX, 0usize);
+            for (i, (seg, &f_seg)) in self.segments.iter().zip(&self.fs).enumerate() {
+                let loss = self
+                    .calc
+                    .merge_loss_with(seg, f_seg, &aggregate, f, scratch);
+                if loss < best.0 {
+                    best = (loss, i);
+                }
             }
+            self.segments[best.1].merge_in(&aggregate);
+            self.fs[best.1] += best.0 + f;
         }
-        self.segments[best.1].merge_in(&aggregate);
-        self.fs[best.1] += best.0 + f;
+        scratch.flush();
     }
 
     /// Appends a batch of transactions as one aggregate (one logical page).

@@ -78,8 +78,8 @@ const HIST_SPAN: u64 = 4;
 /// passes it to every evaluation, so the steady state allocates nothing.
 ///
 /// It also tallies which identity each evaluation took and adds the
-/// tallies to `core.loss.{hist,radix}_evals` when dropped, so a scan pays
-/// two counter updates rather than one per evaluation.
+/// tallies to `core.loss.{hist,radix}_evals` when flushed or dropped, so
+/// a scan pays two counter updates rather than one per evaluation.
 #[derive(Default)]
 pub(crate) struct Scratch {
     keys: Vec<u64>,
@@ -93,12 +93,32 @@ pub(crate) struct Scratch {
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        HIST_EVALS.add(self.hist_evals);
-        RADIX_EVALS.add(self.radix_evals);
+        self.flush();
+    }
+}
+
+/// A clone starts empty: the buffers are scratch space, and the tallies
+/// belong to the evaluations the original made, which it flushes itself.
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scratch").finish_non_exhaustive()
     }
 }
 
 impl Scratch {
+    /// Adds the tallies so far to `core.loss.{hist,radix}_evals` and
+    /// zeroes them, for an owner that outlives many scans.
+    pub(crate) fn flush(&mut self) {
+        HIST_EVALS.add(std::mem::take(&mut self.hist_evals));
+        RADIX_EVALS.add(std::mem::take(&mut self.radix_evals));
+    }
+
     /// `f` of `values`, zeros dropped first.
     // INFALLIBLE: `keys` is first resized to `values.len()`, which is exact
     // for the slice-based iterators every caller passes, and the write
@@ -514,6 +534,20 @@ mod tests {
             _ => return None,
         }
         Some(w)
+    }
+
+    #[test]
+    fn flushed_and_cloned_scratch_hold_no_tallies() {
+        let mut scratch = Scratch::default();
+        scratch.pair_min_sum([3u64, 1, 2].into_iter());
+        scratch.pair_min_sum([1u64 << 40, 1].into_iter());
+        assert_eq!((scratch.hist_evals, scratch.radix_evals), (1, 1));
+        // A clone must not add the original's evaluations a second time.
+        let copy = scratch.clone();
+        assert_eq!((copy.hist_evals, copy.radix_evals), (0, 0));
+        scratch.flush();
+        assert_eq!((scratch.hist_evals, scratch.radix_evals), (0, 0));
+        assert!(scratch.keys.capacity() > 0, "flushing keeps the buffers");
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod levelwise;
 pub mod metrics;
 mod obs;
 pub mod ooc;
+mod pairs;
 pub mod partition;
 pub mod patterns;
 pub mod support;

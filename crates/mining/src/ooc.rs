@@ -29,6 +29,14 @@
 //!   frequent item at all (their transactions rank-encode to empty paths
 //!   and would not touch the tree).
 //!
+//! Apriori and DHP count level 2 in a pair table over the batch's live
+//! items (`crate::pairs`): one `u64` cell per pair of items some candidate
+//! holds, so a transaction costs `C(n, 2)` increments over its `n` live
+//! items and no hash-tree walk. A batch whose table would be large next
+//! to its candidate count, and every level `k ≥ 3`, is counted by the
+//! [`HashTree`]. Either way a page the pass skips holds no candidate, so
+//! every candidate's count stays exact.
+//!
 //! Each `mine` reports the patterns plus pass, page-read, and page-skip
 //! counts, so the disk-oriented experiments can show the I/O effect the
 //! in-memory miners cannot.
@@ -47,6 +55,7 @@ use crate::fpgrowth::GlobalTreeMiner;
 use crate::hashtree::HashTree;
 use crate::levelwise::{collect_singletons, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
+use crate::pairs::PairTable;
 use crate::support::FrequentPatterns;
 
 /// Result of a disk-resident mining run.
@@ -344,12 +353,21 @@ fn mine_levels(
         max_len: None,
         trace: Trace::Off,
     };
-    levels.run(l1, level2, &mut patterns, &mut metrics, |_, candidates| {
-        // One tree and one counting state for the whole pass, fed a
-        // page at a time.
+    levels.run(l1, level2, &mut patterns, &mut metrics, |k, candidates| {
+        // A skipped page holds no candidate, so every candidate's count
+        // is still exact whichever structure counts the pass.
+        let keep = bounds.as_ref().map(|b| b.pages_holding_any(candidates));
+        // Pairs go to a table over the live items when it is small
+        // enough, fed a page at a time.
+        if k == 2 {
+            if let Some(mut table) = PairTable::build(candidates) {
+                run.pass(keep.as_deref(), |page| table.count(page))?;
+                return Ok(table.into_counts(candidates));
+            }
+        }
+        // Otherwise one tree and one counting state for the whole pass.
         let tree = HashTree::build(candidates);
         let mut counts = tree.start_pass();
-        let keep = bounds.as_ref().map(|b| b.pages_holding_any(candidates));
         run.pass(keep.as_deref(), |page| tree.count(page, &mut counts))?;
         Ok(counts.into_counts())
     })?;

@@ -1,0 +1,220 @@
+//! Level-2 counting in a table with one counter per pair of live items.
+//!
+//! Level 2's candidates are pairs of frequent items, so there are at most
+//! `C(|L1|, 2)` of them (the tight bound of Geerts, Goethals and Van den
+//! Bussche). A table with one cell per pair of the *live* items — those
+//! some candidate holds — is therefore never larger than Apriori's own
+//! C2, and counting a transaction is `C(n, 2)` increments over its `n`
+//! live items, with no hash walk and no subset test.
+//!
+//! The live items are ranked in item order, so a sorted transaction
+//! projects to increasing ranks. The table is upper-triangular: row `r`
+//! holds the pairs `(r, s)` with `s > r`, and starts at cell
+//! `r·(2L − r − 1)/2` for `L` live items. A candidate's count is read
+//! back from its own cell once the pass ends.
+//!
+//! When eq. (1) leaves few candidates over many live items, most cells
+//! would count pairs no candidate names; [`PairTable::build`] declines
+//! such a batch, and the caller counts it with the hash tree instead.
+
+use ossm_data::{ItemId, Itemset};
+
+/// A batch gets a table when its `C(L, 2)` cells are at most this many
+/// per candidate: at 8 B a cell, 4 cells are no more than the ≥ 32 B
+/// each candidate [`Itemset`] already occupies.
+const CELLS_PER_CANDIDATE: usize = 4;
+/// …or at most this many cells in all (64 KiB): small live-item sets,
+/// such as those DHP's bucket test admits, count in a table however
+/// few candidates they carry.
+const MIN_CELLS: usize = 8192;
+
+/// Rank of an item no candidate holds.
+const DEAD: u32 = u32::MAX;
+
+/// Bytes of the most recently built pair table (its cells and its item →
+/// rank map).
+static MEM_PAIR_TABLE: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.pair_table");
+/// Cells incremented: one per pair of live items in a counted
+/// transaction.
+static INCREMENTS: ossm_obs::Counter = ossm_obs::Counter::new("mining.pairs.increments");
+
+/// First cell of row `r` in the upper-triangular table over `live`
+/// ranks: rows `0..r` hold `(L−1) + (L−2) + … + (L−r)` cells.
+fn row_start(r: usize, live: usize) -> usize {
+    r * (2 * live - r - 1) / 2
+}
+
+/// The cell of the rank pair `a < b`.
+fn cell(a: usize, b: usize, live: usize) -> usize {
+    row_start(a, live) + (b - a - 1)
+}
+
+/// Pair supports over one pass, one `u64` cell per pair of live items.
+pub(crate) struct PairTable {
+    /// `rank[i]`: item `i`'s rank among the live items, or [`DEAD`].
+    /// Items past the end are dead.
+    rank: Vec<u32>,
+    live: usize,
+    cells: Vec<u64>,
+    /// The live ranks of the transaction being counted.
+    ranks: Vec<u32>,
+}
+
+impl PairTable {
+    /// A zeroed table for a batch of pair `candidates`, or `None` when
+    /// the batch's live items would need more than
+    /// `max(CELLS_PER_CANDIDATE·|candidates|, MIN_CELLS)` cells.
+    ///
+    /// # Panics
+    /// Panics if a candidate is not a pair.
+    pub(crate) fn build(candidates: &[Itemset]) -> Option<Self> {
+        let _mem = ossm_obs::alloc_scope("mining.pair_table");
+        let mut rank = Vec::new();
+        for c in candidates {
+            assert_eq!(c.len(), 2, "a pair table counts pairs");
+            for item in c.items() {
+                if rank.len() <= item.index() {
+                    rank.resize(item.index() + 1, DEAD);
+                }
+                rank[item.index()] = 0;
+            }
+        }
+        let mut live = 0;
+        for r in rank.iter_mut().filter(|r| **r != DEAD) {
+            *r = live;
+            live += 1;
+        }
+        let live = live as usize;
+        let size = live * live.saturating_sub(1) / 2;
+        if size > (CELLS_PER_CANDIDATE * candidates.len()).max(MIN_CELLS) {
+            return None;
+        }
+        let cells = vec![0u64; size];
+        MEM_PAIR_TABLE
+            .set((std::mem::size_of_val(&cells[..]) + std::mem::size_of_val(&rank[..])) as u64);
+        Some(PairTable {
+            rank,
+            live,
+            cells,
+            ranks: Vec::new(),
+        })
+    }
+
+    /// Adds every pair of live items in each of `transactions` (sorted
+    /// item slices). A pass may be fed in any number of calls — one per
+    /// page, say.
+    pub(crate) fn count<'t>(&mut self, transactions: impl IntoIterator<Item = &'t [ItemId]>) {
+        let live = self.live;
+        let mut increments = 0u64;
+        for t in transactions {
+            self.ranks.clear();
+            self.ranks.extend(
+                t.iter()
+                    .filter_map(|i| self.rank.get(i.index()).copied())
+                    .filter(|&r| r != DEAD),
+            );
+            let n = self.ranks.len();
+            if n < 2 {
+                continue;
+            }
+            increments += (n * (n - 1) / 2) as u64;
+            for (j, &a) in self.ranks.iter().enumerate() {
+                let a = a as usize;
+                let start = row_start(a, live);
+                let row = &mut self.cells[start..start + (live - a - 1)];
+                for &b in &self.ranks[j + 1..] {
+                    row[b as usize - a - 1] += 1;
+                }
+            }
+        }
+        INCREMENTS.add(increments);
+    }
+
+    /// The counts of `candidates` — the batch the table was built for —
+    /// in candidate order.
+    pub(crate) fn into_counts(self, candidates: &[Itemset]) -> Vec<u64> {
+        candidates
+            .iter()
+            .map(|c| {
+                let [a, b] = [0, 1].map(|i| self.rank[c.items()[i].index()] as usize);
+                self.cells[cell(a, b, self.live)]
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    #[test]
+    fn row_offsets_enumerate_every_pair_once_in_order() {
+        for live in 1..=70usize {
+            let mut expected = 0;
+            for a in 0..live {
+                assert_eq!(row_start(a, live), expected, "row {a} of {live}");
+                for b in a + 1..live {
+                    assert_eq!(cell(a, b, live), expected, "({a}, {b}) of {live}");
+                    expected += 1;
+                }
+            }
+            assert_eq!(expected, live * (live - 1) / 2);
+        }
+    }
+
+    #[test]
+    fn counts_match_a_naive_pair_map() {
+        // Every live-item count from 1 to 70, over items spaced so that
+        // ranks and item ids differ, with dead items interleaved.
+        for live in 1..=70u32 {
+            let items: Vec<u32> = (0..live).map(|i| 3 * i + 1).collect();
+            let candidates: Vec<Itemset> = items
+                .iter()
+                .enumerate()
+                .flat_map(|(x, &a)| items[x + 1..].iter().map(move |&b| Itemset::new([a, b])))
+                .collect();
+            // A single live item forms no pair.
+            if candidates.is_empty() {
+                continue;
+            }
+            let transactions: Vec<Itemset> = (0..40u32)
+                .map(|t| Itemset::new((0..3 * live + 2).filter(|i| (i * 7 + t) % 5 < 2)))
+                .collect();
+            let mut table = PairTable::build(&candidates).expect("all pairs fit");
+            assert_eq!(table.cells.len(), candidates.len());
+            table.count(transactions.iter().map(Itemset::items));
+            let counts = table.into_counts(&candidates);
+
+            let mut naive: BTreeMap<(ItemId, ItemId), u64> = BTreeMap::new();
+            for t in &transactions {
+                let t = t.items();
+                for (x, &a) in t.iter().enumerate() {
+                    for &b in &t[x + 1..] {
+                        *naive.entry((a, b)).or_default() += 1;
+                    }
+                }
+            }
+            for (c, &n) in candidates.iter().zip(&counts) {
+                let key = (c.items()[0], c.items()[1]);
+                assert_eq!(
+                    n,
+                    naive.get(&key).copied().unwrap_or(0),
+                    "{c:?} at L = {live}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_larger_than_the_size_rule_is_declined() {
+        // 65 disjoint pairs over 130 live items: C(130, 2) = 8385 cells
+        // exceed both 4 · 65 and 8192.
+        let sparse: Vec<Itemset> = (0..65u32)
+            .map(|i| Itemset::new([2 * i, 2 * i + 1]))
+            .collect();
+        assert!(PairTable::build(&sparse).is_none());
+        // 64 pairs over 128 items: C(128, 2) = 8128 cells, within 8192.
+        assert!(PairTable::build(&sparse[..64]).is_some());
+    }
+}
