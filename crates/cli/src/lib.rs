@@ -34,8 +34,9 @@ use ossm_data::disk::DiskStore;
 use ossm_data::gen::{AlarmConfig, QuestConfig, SkewedConfig};
 use ossm_data::{Dataset, Itemset};
 use ossm_mining::{
-    Apriori, CountingBackend, DepthProject, Dhp, FpGrowth, MiningOutcome, OssmFilter, Partition,
-    StreamingApriori, StreamingDhp, StreamingFpGrowth,
+    Apriori, CandidateFilter, Charm, CountingBackend, DepthProject, Dhp, Eclat, FpGrowth, GenMax,
+    MiningOutcome, NoFilter, OssmFilter, Partition, StreamingApriori, StreamingDhp,
+    StreamingFpGrowth,
 };
 use ossm_obs::{Reporter, StatsFormat};
 
@@ -53,11 +54,16 @@ commands:
             [--bubble-pct=P --bubble-minsup=F] [--out=FILE.ossm]
   mine      --in=FILE --minsup=F [--algo=apriori|dhp|partition|depth|
             fpgrowth|eclat|charm|genmax|streaming|streaming-dhp|
-            streaming-fpgrowth] [--ossm=FILE.ossm]
-            [--backend=linear|hashtree|bitmap] [--top=K]
+            streaming-fpgrowth] [--ossm=FILE.ossm] [--top=K]
+            [--backend=linear|hashtree|bitmap]   (apriori only; default
+            hashtree)
+            [--buckets=32768]   (streaming-dhp: pair hash buckets)
+            [--partitions=4]    (partition)
             [--pool-frames=N]   (streaming* miners run out of core off a
             paged file through an N-frame buffer pool; 0 = unbounded.
-            With --ossm they skip pages the map proves irrelevant)
+            With --ossm they skip pages the map proves irrelevant.
+            partition, fpgrowth, charm and genmax take no --ossm; an
+            option the chosen miner does not read is an error)
   recipe    --nuser=N --pages=P [--skewed] [--cost-sensitive]
   verify    --in=FILE             (check every checksum of a paged store
             or OSSM map; exits non-zero on any corruption)
@@ -461,11 +467,29 @@ fn segment(opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
+/// Whether `--algo=algo` reads the option `--option`. `ossm mine`
+/// rejects a scoped option the chosen miner would ignore, so a run never
+/// silently drops, say, the map it was given.
+fn reads(algo: &str, option: &str) -> bool {
+    match option {
+        "ossm" => !matches!(algo, "partition" | "fpgrowth" | "charm" | "genmax"),
+        "backend" => algo == "apriori",
+        "buckets" => algo == "streaming-dhp",
+        "partitions" => algo == "partition",
+        _ => true,
+    }
+}
+
 fn mine(opts: &Options) -> Result<String, String> {
     let input = PathBuf::from(required(opts, "in")?);
     let minsup: f64 = opts.get("minsup", 0.01);
     let algo: String = opts.get("algo", "apriori".to_owned());
     let top: usize = opts.get("top", 10);
+    for option in ["ossm", "backend", "buckets", "partitions"] {
+        if opts.raw(option).is_some_and(|v| !v.is_empty()) && !reads(&algo, option) {
+            return Err(format!("--algo={algo} does not read --{option}"));
+        }
+    }
     let ossm_path: String = opts.get("ossm", String::new());
     let ossm: Option<Ossm> = if ossm_path.is_empty() {
         None
@@ -514,48 +538,28 @@ fn mine(opts: &Options) -> Result<String, String> {
 
     let dataset = load_dataset(&input)?;
     let min_support = dataset.absolute_threshold(minsup).max(1);
-    // Counting back-end for the level-wise miners; Apriori keeps its
-    // historical hash-tree default, DHP and Partition their linear scan.
-    let backend: Option<CountingBackend> = opts.raw("backend").map(str::parse).transpose()?;
-    let outcome: MiningOutcome = match (algo.as_str(), &ossm) {
-        ("apriori", Some(map)) => Apriori::new()
-            .with_backend(backend.unwrap_or(CountingBackend::HashTree))
-            .mine_filtered(&dataset, min_support, &OssmFilter::new(map)),
-        ("apriori", None) => Apriori::new()
-            .with_backend(backend.unwrap_or(CountingBackend::HashTree))
-            .mine(&dataset, min_support),
-        ("dhp", Some(map)) => {
-            let mut dhp = Dhp::default();
-            if let Some(b) = backend {
-                dhp.backend = b;
-            }
-            dhp.mine_filtered(&dataset, min_support, &OssmFilter::new(map))
+    let ossm_filter = ossm.as_ref().map(OssmFilter::new);
+    let filter: &dyn CandidateFilter = match &ossm_filter {
+        Some(f) => f,
+        None => &NoFilter,
+    };
+    let outcome: MiningOutcome = match algo.as_str() {
+        "apriori" => {
+            let backend = opts
+                .raw("backend")
+                .map_or(Ok(CountingBackend::HashTree), str::parse)?;
+            Apriori::new()
+                .with_backend(backend)
+                .mine_filtered(&dataset, min_support, filter)
         }
-        ("dhp", None) => {
-            let mut dhp = Dhp::default();
-            if let Some(b) = backend {
-                dhp.backend = b;
-            }
-            dhp.mine(&dataset, min_support)
-        }
-        ("partition", _) => {
-            let mut part = Partition::new(opts.get("partitions", 4)).parallel();
-            if let Some(b) = backend {
-                part.backend = b;
-            }
-            part.mine(&dataset, min_support)
-        }
-        ("depth", Some(map)) => {
-            DepthProject::new().mine_filtered(&dataset, min_support, &OssmFilter::new(map))
-        }
-        ("depth", None) => DepthProject::new().mine(&dataset, min_support),
-        ("fpgrowth", _) => FpGrowth::new().mine(&dataset, min_support),
-        ("eclat", ossm) => {
-            ossm_mining::Eclat::new().mine_filtered(&dataset, min_support, ossm.as_ref())
-        }
-        ("charm", _) => ossm_mining::Charm::new().mine(&dataset, min_support),
-        ("genmax", _) => ossm_mining::GenMax::new().mine(&dataset, min_support),
-        (other, _) => return Err(format!("unknown algorithm {other:?}")),
+        "dhp" => Dhp::default().mine_filtered(&dataset, min_support, filter),
+        "partition" => Partition::new(opts.get("partitions", 4)).mine(&dataset, min_support),
+        "depth" => DepthProject::new().mine_filtered(&dataset, min_support, filter),
+        "fpgrowth" => FpGrowth::new().mine(&dataset, min_support),
+        "eclat" => Eclat::new().mine_filtered(&dataset, min_support, filter),
+        "charm" => Charm::new().mine(&dataset, min_support),
+        "genmax" => GenMax::new().mine(&dataset, min_support),
+        other => return Err(format!("unknown algorithm {other:?}")),
     };
 
     let mut report = String::new();
@@ -1074,6 +1078,29 @@ mod tests {
             assert!(o.contains("pages skipped"), "{o}");
             assert_eq!(patterns_of(&o), patterns_of(&st), "{algo} diverged: {o}");
         }
+
+        // A miner refuses an option it would ignore; the others take it.
+        let mine = |algo: &str, option: &str| {
+            let args = ["mine", "--minsup=0.05", option].map(str::to_owned);
+            run(&[
+                &args[..],
+                &[format!("--in={pages_s}"), format!("--algo={algo}")],
+            ]
+            .concat())
+        };
+        let ossm = format!("--ossm={map_s}");
+        for algo in ["partition", "fpgrowth", "charm", "genmax"] {
+            let err = mine(algo, &ossm).expect_err(algo);
+            assert_eq!(err, format!("--algo={algo} does not read --ossm"));
+        }
+        for algo in ["dhp", "partition", "depth", "eclat", "streaming"] {
+            let err = mine(algo, "--backend=hashtree").expect_err(algo);
+            assert_eq!(err, format!("--algo={algo} does not read --backend"));
+        }
+        for algo in ["dhp", "depth", "eclat"] {
+            mine(algo, &ossm).expect(algo);
+        }
+        mine("apriori", "--backend=bitmap").expect("apriori reads --backend");
 
         for f in [db, pages, map] {
             std::fs::remove_file(f).ok();

@@ -32,9 +32,6 @@ pub struct MiningOutcome {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Apriori {
     backend: CountingBackend,
-    /// Stop after this level if set (e.g. `Some(2)` mines only 1- and
-    /// 2-itemsets, useful for candidate-2 experiments).
-    max_len: Option<usize>,
 }
 
 impl Apriori {
@@ -46,13 +43,6 @@ impl Apriori {
     /// Selects the counting back-end.
     pub fn with_backend(mut self, backend: CountingBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Limits the maximum pattern length mined.
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        assert!(max_len > 0, "maximum pattern length must be positive");
-        self.max_len = Some(max_len);
         self
     }
 
@@ -113,7 +103,6 @@ impl Apriori {
         let levels = LevelLoop {
             min_support,
             filter,
-            max_len: self.max_len,
             trace: Trace::Apriori,
         };
         let count = |_, candidates: &[Itemset]| {
@@ -277,13 +266,6 @@ mod tests {
                 assert_eq!(l.counted, l.frequent, "level {}", l.level);
             }
         }
-    }
-
-    #[test]
-    fn max_len_limits_the_search() {
-        let out = Apriori::new().with_max_len(2).mine(&small_dataset(), 2);
-        assert_eq!(out.patterns.max_len(), 2);
-        assert!(out.metrics.level(3).is_none());
     }
 
     #[test]

@@ -23,22 +23,12 @@ use crate::support::FrequentPatterns;
 
 /// DepthProject-style depth-first miner.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DepthProject {
-    /// Stop recursion below patterns of this length, if set.
-    pub max_len: Option<usize>,
-}
+pub struct DepthProject;
 
 impl DepthProject {
-    /// A miner with no depth limit.
+    /// Creates the miner.
     pub fn new() -> Self {
-        DepthProject::default()
-    }
-
-    /// Limits the maximum pattern length mined.
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        assert!(max_len > 0, "maximum pattern length must be positive");
-        self.max_len = Some(max_len);
-        self
+        DepthProject
     }
 
     /// Mines without a candidate filter.
@@ -65,7 +55,6 @@ impl DepthProject {
             filter,
             patterns: FrequentPatterns::new(),
             metrics: MiningMetrics::default(),
-            max_len: self.max_len,
         };
 
         // Root: frequent singletons, counted in one pass.
@@ -121,19 +110,12 @@ struct State<'a> {
     filter: &'a dyn CandidateFilter,
     patterns: FrequentPatterns,
     metrics: MiningMetrics,
-    max_len: Option<usize>,
 }
 
 impl State<'_> {
     /// Expands the lexicographic node `pattern`, whose projected
     /// transactions are `tids`.
     fn expand(&mut self, pattern: &Itemset, tids: &[u32]) {
-        let next_len = pattern.len() + 1;
-        if let Some(max) = self.max_len {
-            if next_len > max {
-                return;
-            }
-        }
         let last = *pattern.items().last().expect("non-root node");
         let m = self.dataset.num_items();
         if last.index() + 1 >= m || (tids.len() as u64) < self.min_support {
@@ -143,7 +125,7 @@ impl State<'_> {
         // Candidate extensions: items after `last`, OSSM-filtered before
         // the counting step.
         let mut level = LevelMetrics {
-            level: next_len,
+            level: pattern.len() + 1,
             ..Default::default()
         };
         let mut extensions: Vec<ItemId> = Vec::new();
@@ -256,17 +238,6 @@ mod tests {
             pruned.metrics.total_filtered_out() > 0,
             "the exact OSSM must prune something"
         );
-    }
-
-    #[test]
-    fn max_len_limits_depth() {
-        let d = quest(200, 20);
-        let dp = DepthProject::new().with_max_len(2).mine(&d, 4);
-        assert!(dp.patterns.max_len() <= 2);
-        let full = DepthProject::new().mine(&d, 4);
-        for (p, s) in dp.patterns.iter() {
-            assert_eq!(full.patterns.support_of(p), Some(s));
-        }
     }
 
     #[test]

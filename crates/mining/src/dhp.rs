@@ -8,13 +8,14 @@
 //! the pairs *before* the hash check would have admitted them, and the
 //! paper's preliminary table shows |C2| roughly halving.
 //!
-//! DHP also trims the database before counting each level `k`: items that
-//! appear in no level-`k` candidate cannot appear in a frequent `k`-itemset
-//! or any later candidate, and transactions with fewer than `k` surviving
-//! items cannot support one. Both reductions are exact, so DHP's output
-//! always equals Apriori's.
+//! DHP's second reduction, trimming the database before each level `k`,
+//! is the hash tree's live-item projection: a pass walks each transaction
+//! projected onto the items some level-`k` candidate holds and skips it
+//! when fewer than `k` remain. Since the items of `C_k` are a subset of
+//! those of `C_{k−1}`, projecting onto `C_k`'s items equals the cumulative
+//! trim of every earlier level, so every level counts over the data itself.
+//! Both reductions are exact, so DHP's output always equals Apriori's.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use ossm_data::{Dataset, ItemId, Itemset};
@@ -26,22 +27,17 @@ use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
 use crate::support::{count_with, CountingBackend, FrequentPatterns};
 
-/// DHP configuration.
+/// DHP configuration. Levels ≥ 2 count on the hash tree.
 #[derive(Clone, Copy, Debug)]
 pub struct Dhp {
     /// Number of hash buckets for the pair table (the paper's Section 7
     /// experiment uses 32 768).
     pub num_buckets: usize,
-    /// Counting back-end for levels ≥ 2.
-    pub backend: CountingBackend,
 }
 
 impl Default for Dhp {
     fn default() -> Self {
-        Dhp {
-            num_buckets: 32_768,
-            backend: CountingBackend::LinearScan,
-        }
+        Dhp::new(32_768)
     }
 }
 
@@ -86,10 +82,7 @@ impl Dhp {
     /// Panics if `num_buckets == 0`.
     pub fn new(num_buckets: usize) -> Self {
         assert!(num_buckets > 0, "need at least one hash bucket");
-        Dhp {
-            num_buckets,
-            ..Dhp::default()
-        }
+        Dhp { num_buckets }
     }
 
     /// Mines without a candidate filter.
@@ -149,27 +142,25 @@ impl Dhp {
 
         // Level 2: the hash table admits a pair only if its bucket count
         // reaches the threshold; the filter (OSSM) then prunes further.
-        // Levels ≥ 3: Apriori generation over the trimmed copy.
+        // Levels ≥ 3: Apriori generation. The hash tree's live-item
+        // projection does DHP's trimming (see module docs).
         let admitted = {
             let _s = ossm_obs::span("mining.dhp.hash_admit");
             admitted_pairs(&l1, &buckets, min_support)
         };
-        let mut work: Option<Vec<Itemset>> = None;
         let levels = LevelLoop {
             min_support,
             filter,
-            max_len: None,
             trace: Trace::Dhp,
         };
-        let count = |k, batch: &[Itemset]| {
-            let trimmed = {
-                let _s = ossm_obs::span("mining.dhp.trim");
-                trim(work.as_deref().unwrap_or(dataset.transactions()), batch, k)
-            };
-            let data = work.insert(trimmed);
+        let count = |_, batch: &[Itemset]| {
             let mut s = ossm_obs::span("mining.dhp.count");
             s.attach("candidates", batch.len() as u64);
-            Ok(count_with(self.backend, data, batch))
+            Ok(count_with(
+                CountingBackend::HashTree,
+                dataset.transactions(),
+                batch,
+            ))
         };
         levels
             .run(l1, Some(admitted), &mut patterns, &mut metrics, count)
@@ -180,28 +171,6 @@ impl Dhp {
     }
 }
 
-/// DHP's trimming before counting level `k`: keep only items that occur in
-/// some of `itemsets` (the level's candidates), then drop transactions left
-/// with fewer than `k` items. Exact for all levels ≥ `k` (see module docs).
-fn trim(transactions: &[Itemset], itemsets: &[Itemset], k: usize) -> Vec<Itemset> {
-    let keep: HashSet<ItemId> = itemsets
-        .iter()
-        .flat_map(|f| f.items().iter().copied())
-        .collect();
-    transactions
-        .iter()
-        .filter_map(|t| {
-            let kept: Vec<ItemId> = t
-                .items()
-                .iter()
-                .copied()
-                .filter(|i| keep.contains(i))
-                .collect();
-            (kept.len() >= k).then(|| Itemset::from_sorted(kept))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,10 +178,6 @@ mod tests {
     use crate::filter::OssmFilter;
     use ossm_core::minimize_segments;
     use ossm_data::gen::QuestConfig;
-
-    fn set(ids: &[u32]) -> Itemset {
-        Itemset::new(ids.iter().copied())
-    }
 
     fn quest(n: usize, m: usize) -> Dataset {
         QuestConfig {
@@ -275,17 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_drops_dead_items_and_short_transactions() {
-        let txs = vec![set(&[0, 1, 2]), set(&[0, 3]), set(&[1, 2, 3])];
-        // Frequent 2-itemsets reference items {0, 1, 2} only.
-        let frequent = vec![set(&[0, 1]), set(&[1, 2])];
-        let trimmed = trim(&txs, &frequent, 3);
-        // t1 keeps {0,1,2} (len 3 ✓); t2 shrinks to {0} (dropped);
-        // t3 shrinks to {1,2} (dropped at k=3).
-        assert_eq!(trimmed, vec![set(&[0, 1, 2])]);
-    }
-
-    #[test]
     fn bucket_hash_is_stable_and_in_range() {
         for n in [1usize, 13, 32_768] {
             for (a, b) in [(0u32, 1u32), (5, 9), (100, 2000)] {
@@ -293,6 +247,71 @@ mod tests {
                 assert!(h < n);
                 assert_eq!(h, pair_bucket(ItemId(a), ItemId(b), n));
             }
+        }
+    }
+
+    /// FNV-1a over every `items:support` pair, in itemset order.
+    fn digest(patterns: &FrequentPatterns) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for (p, s) in patterns.iter() {
+            let ids: Vec<String> = p.items().iter().map(|i| i.0.to_string()).collect();
+            for b in format!("{}:{s};", ids.join(",")).bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `level:generated/filtered_out/counted/frequent` per row.
+    fn rows(out: &MiningOutcome) -> String {
+        let row = |l: &LevelMetrics| {
+            let cells = [l.generated, l.filtered_out, l.counted, l.frequent].map(|c| c.to_string());
+            format!("{}:{}", l.level, cells.join("/"))
+        };
+        let rows: Vec<String> = out.metrics.levels.iter().map(row).collect();
+        rows.join(" ")
+    }
+
+    #[test]
+    fn patterns_and_level_rows_are_pinned() {
+        // Values recorded when DHP still counted on a trimmed copy of the
+        // data with the linear scan; the hash tree's live-item projection
+        // must reproduce them exactly.
+        use ossm_core::{OssmBuilder, Strategy};
+        use ossm_data::gen::SkewedConfig;
+        use ossm_data::PageStore;
+        let skewed = SkewedConfig {
+            num_transactions: 600,
+            num_items: 40,
+            ..SkewedConfig::small()
+        }
+        .generate();
+        let cases = [
+            (
+                quest(600, 50),
+                30,
+                (288, 0xd86f_e634_b251_2d85_u64),
+                "1:50/0/50/48 2:965/0/965/239 3:732/0/732/1",
+                "1:50/0/50/48 2:965/1/964/239 3:732/0/732/1",
+            ),
+            (
+                skewed,
+                90,
+                (265, 0x215e_8949_2c89_68ce),
+                "1:40/0/40/25 2:164/0/164/95 3:178/0/178/101 4:63/0/63/40 5:6/0/6/4",
+                "1:40/0/40/25 2:164/14/150/95 3:178/0/178/101 4:63/0/63/40 5:6/0/6/4",
+            ),
+        ];
+        for (d, min_support, pinned, plain_rows, ossm_rows) in cases {
+            let pages = PageStore::with_page_count(d.clone(), 40);
+            let ossm = OssmBuilder::new(20).strategy(Strategy::Rc).build(&pages).0;
+            let plain = Dhp::new(512).mine(&d, min_support);
+            let with = Dhp::new(512).mine_filtered(&d, min_support, &OssmFilter::new(&ossm));
+            let got = (plain.patterns.len(), digest(&plain.patterns));
+            assert_eq!(got, pinned, "min support {min_support}");
+            assert_eq!(plain.patterns, with.patterns, "min support {min_support}");
+            assert_eq!(rows(&plain), plain_rows, "min support {min_support}");
+            assert_eq!(rows(&with), ossm_rows, "min support {min_support}");
         }
     }
 }

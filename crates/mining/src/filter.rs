@@ -2,11 +2,14 @@
 //!
 //! The OSSM's pruning is sound — equation (1) never *under*estimates a
 //! support — so filtering with it can only remove candidates that are
-//! certainly infrequent. Every miner in this crate takes a
+//! certainly infrequent. Every in-memory miner that generates candidates
+//! (Apriori, DHP, DepthProject, and Eclat) takes a `&dyn`
 //! [`CandidateFilter`], which makes "Apriori with the OSSM" vs "Apriori
 //! without" a one-argument difference, exactly how the paper frames its
-//! experiments (and likewise for DHP, Partition, and DepthProject in
-//! Section 7).
+//! experiments (and likewise for DHP and DepthProject in Section 7).
+//! Partition builds its own per-partition maps instead, and the
+//! out-of-core miners take the map itself, because they also use it to
+//! skip pages.
 
 use ossm_core::Ossm;
 use ossm_data::Itemset;

@@ -6,8 +6,7 @@
 //! and collects the frequent ones as the next level's seeds. The miners
 //! differ only in what they hand the loop: their level-2 candidates (DHP's
 //! bucket-admitted pairs), their filter, and how one batch is counted
-//! (over the dataset in memory, over DHP's trimmed copy, or in one guarded
-//! pass over a page file).
+//! (over the dataset in memory, or in one guarded pass over a page file).
 
 use std::io;
 
@@ -60,8 +59,6 @@ pub(crate) struct LevelLoop<'f> {
     pub(crate) min_support: u64,
     /// Discharges candidates before they are counted.
     pub(crate) filter: &'f dyn CandidateFilter,
-    /// Last level to mine, if bounded.
-    pub(crate) max_len: Option<usize>,
     pub(crate) trace: Trace,
 }
 
@@ -82,9 +79,7 @@ impl LevelLoop<'_> {
     ) -> io::Result<()> {
         let mut frequent = l1;
         let mut k = 2;
-        while (level2.is_some() || !frequent.is_empty())
-            && self.max_len.map_or(true, |max| k <= max)
-        {
+        while level2.is_some() || !frequent.is_empty() {
             let mut level_span = self
                 .trace
                 .miner()

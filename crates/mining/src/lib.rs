@@ -5,14 +5,18 @@
 //! one-argument change:
 //!
 //! * [`apriori::Apriori`] — the classical level-wise miner (Section 6's
-//!   test vehicle), with linear-scan and hash-tree counting back-ends;
-//! * [`dhp::Dhp`] — the hash-bucket variant of Park–Chen–Yu (Section 7);
+//!   test vehicle), the one miner with a choice of counting back-end
+//!   (linear scan, hash tree, or bitmap);
+//! * [`dhp::Dhp`] — the hash-bucket variant of Park–Chen–Yu (Section 7),
+//!   counting on the hash tree;
 //! * [`partition::Partition`] — two-phase partition mining with
-//!   per-partition OSSMs (Section 7);
+//!   per-partition OSSMs (Section 7), counting on the hash tree;
 //! * [`depth::DepthProject`] — depth-first lexicographic-tree mining for
 //!   long patterns (Section 7);
 //! * [`fpgrowth::FpGrowth`] — the candidate-free baseline used to
 //!   cross-validate every other miner;
+//! * [`vertical::Eclat`] — tidset-intersection mining, with CHARM- and
+//!   GenMax-style condensed variants;
 //! * [`ooc::StreamingApriori`], [`ooc::StreamingDhp`], and
 //!   [`ooc::StreamingFpGrowth`] — the same miners out of core, reading a
 //!   page file through a bounded buffer pool, where the OSSM also saves

@@ -350,7 +350,6 @@ fn mine_levels(
     let levels = LevelLoop {
         min_support,
         filter,
-        max_len: None,
         trace: Trace::Off,
     };
     levels.run(l1, level2, &mut patterns, &mut metrics, |k, candidates| {

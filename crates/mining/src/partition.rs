@@ -12,6 +12,11 @@
 //! * a per-partition OSSM prunes *local* candidates during phase 1;
 //! * summing the per-partition OSSM bounds gives a *global* upper bound,
 //!   pruning global candidates before the phase-2 counting pass.
+//!
+//! Both phases count on the hash tree. Partitions are mined one after
+//! another; the parallelism is inside each counting pass, which chunks
+//! the transactions over `ossm_par`'s workers, so a run never uses more
+//! than the configured thread count.
 
 use std::time::Instant;
 
@@ -28,11 +33,6 @@ use crate::support::{count_with, CountingBackend, FrequentPatterns};
 pub struct Partition {
     /// Number of partitions the collection is split into.
     pub num_partitions: usize,
-    /// Counting back-end for both phases.
-    pub backend: CountingBackend,
-    /// Mine partitions on scoped worker threads (phase 1 only; results are
-    /// identical either way).
-    pub parallel: bool,
 }
 
 impl Partition {
@@ -42,17 +42,7 @@ impl Partition {
     /// Panics if `num_partitions == 0`.
     pub fn new(num_partitions: usize) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
-        Partition {
-            num_partitions,
-            backend: CountingBackend::LinearScan,
-            parallel: false,
-        }
-    }
-
-    /// Enables parallel phase-1 mining.
-    pub fn parallel(mut self) -> Self {
-        self.parallel = true;
-        self
+        Partition { num_partitions }
     }
 
     /// Mines without any OSSM.
@@ -84,68 +74,38 @@ impl Partition {
         let start = Instant::now();
         let n = dataset.len() as u64;
         let k = self.num_partitions.min(dataset.len().max(1));
-        let ranges = dataset.partition_ranges(k);
 
-        // Phase 1: local mining. Local threshold ⌈min_support · |part| / N⌉
-        // (at least 1) guarantees no globally frequent itemset is missed.
-        // Partitions are independent, so they mine in parallel (scoped
-        // threads; the paper notes Partition "favours parallelism").
-        let backend = self.backend;
-        let mine_one =
-            move |range: &std::ops::Range<usize>| -> Option<(MiningOutcome, Option<Ossm>)> {
-                let part = Dataset::new(
-                    dataset.num_items(),
-                    dataset.transactions()[range.clone()].to_vec(),
-                );
-                if part.is_empty() {
-                    return None;
-                }
-                let local_min = ((min_support * part.len() as u64).div_ceil(n.max(1))).max(1);
-                let ossm = ossm_segments.map(|segs| {
-                    let pages = PageStore::with_page_count(part.clone(), (segs * 4).max(1));
-                    OssmBuilder::new(segs)
-                        .strategy(Strategy::Rc)
-                        .build(&pages)
-                        .0
-                });
-                let outcome = match &ossm {
-                    Some(map) => Apriori::new().with_backend(backend).mine_filtered(
-                        &part,
-                        local_min,
-                        &OssmFilter::new(map),
-                    ),
-                    None => Apriori::new().with_backend(backend).mine(&part, local_min),
-                };
-                Some((outcome, ossm))
-            };
-        let results: Vec<Option<(MiningOutcome, Option<Ossm>)>> = if self.parallel && k > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|r| scope.spawn(move || mine_one(r)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition worker panicked"))
-                    .collect()
-            })
-        } else {
-            ranges.iter().map(mine_one).collect()
-        };
-
+        // Phase 1: local mining, one partition after another. Local
+        // threshold ⌈min_support · |part| / N⌉ (at least 1) guarantees no
+        // globally frequent itemset is missed.
+        let apriori = Apriori::new().with_backend(CountingBackend::HashTree);
         let mut global_candidates: std::collections::BTreeSet<Itemset> = Default::default();
         let mut partition_ossms: Vec<Ossm> = Vec::new();
-        let mut phase1_metrics = MiningMetrics::default();
-        for (outcome, ossm) in results.into_iter().flatten() {
+        let mut metrics = MiningMetrics::default();
+        for range in dataset.partition_ranges(k) {
+            let part = Dataset::new(dataset.num_items(), dataset.transactions()[range].to_vec());
+            if part.is_empty() {
+                continue;
+            }
+            let local_min = ((min_support * part.len() as u64).div_ceil(n.max(1))).max(1);
+            let ossm = ossm_segments.map(|segs| {
+                let pages = PageStore::with_page_count(part.clone(), (segs * 4).max(1));
+                OssmBuilder::new(segs)
+                    .strategy(Strategy::Rc)
+                    .build(&pages)
+                    .0
+            });
+            let outcome = match &ossm {
+                Some(map) => apriori.mine_filtered(&part, local_min, &OssmFilter::new(map)),
+                None => apriori.mine(&part, local_min),
+            };
             for l in outcome.metrics.levels {
-                phase1_metrics.push_level(l);
+                metrics.push_level(l);
             }
             for (p, _) in outcome.patterns.iter() {
                 global_candidates.insert(p.clone());
             }
-            if let Some(map) = ossm {
-                partition_ossms.push(map);
-            }
+            partition_ossms.extend(ossm);
         }
 
         // Section 7's global pruning: a candidate whose summed per-partition
@@ -164,7 +124,11 @@ impl Partition {
         let globally_pruned = generated - candidates.len() as u64;
 
         // Phase 2: one global counting pass over the surviving candidates.
-        let counts = count_with(self.backend, dataset.transactions(), &candidates);
+        let counts = count_with(
+            CountingBackend::HashTree,
+            dataset.transactions(),
+            &candidates,
+        );
         let mut patterns = FrequentPatterns::new();
         for (c, sup) in candidates.iter().zip(&counts) {
             if *sup >= min_support {
@@ -174,7 +138,6 @@ impl Partition {
 
         // Metrics: phase-1 rows first, then one synthetic "global pass" row
         // per candidate size so candidate-2 reporting still works.
-        let mut metrics = phase1_metrics;
         let mut by_len: std::collections::BTreeMap<usize, LevelMetrics> = Default::default();
         for (c, sup) in candidates.iter().zip(&counts) {
             let row = by_len.entry(c.len()).or_insert_with(|| LevelMetrics {
@@ -251,20 +214,6 @@ mod tests {
         let p = Partition::new(50).mine(&d, 2);
         let a = Apriori::new().mine(&d, 2);
         assert_eq!(a.patterns, p.patterns);
-    }
-
-    #[test]
-    fn parallel_phase_1_is_equivalent() {
-        let d = quest(400, 25);
-        for (parts, min_support) in [(2, 8), (4, 10), (8, 12)] {
-            let serial = Partition::new(parts).mine(&d, min_support);
-            let parallel = Partition::new(parts).parallel().mine(&d, min_support);
-            assert_eq!(serial.patterns, parallel.patterns, "parts {parts}");
-            let with_ossms = Partition::new(parts)
-                .parallel()
-                .mine_with_ossms(&d, min_support, 3);
-            assert_eq!(serial.patterns, with_ossms.patterns);
-        }
     }
 
     #[test]

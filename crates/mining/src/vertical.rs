@@ -16,10 +16,10 @@
 
 use std::time::Instant;
 
-use ossm_core::Ossm;
 use ossm_data::{Dataset, ItemId, Itemset};
 
 use crate::apriori::MiningOutcome;
+use crate::filter::{CandidateFilter, NoFilter};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::support::FrequentPatterns;
 
@@ -103,17 +103,18 @@ impl Eclat {
     /// # Panics
     /// Panics if `min_support == 0`.
     pub fn mine(&self, dataset: &Dataset, min_support: u64) -> MiningOutcome {
-        self.mine_filtered(dataset, min_support, None)
+        self.mine_filtered(dataset, min_support, &NoFilter)
     }
 
-    /// Mines with equation-(1) branch pruning.
+    /// Mines with a candidate filter applied to every branch before its
+    /// tidset intersection (equation-(1) branch pruning with the OSSM).
     pub fn mine_filtered(
         &self,
         dataset: &Dataset,
         min_support: u64,
-        ossm: Option<&Ossm>,
+        filter: &dyn CandidateFilter,
     ) -> MiningOutcome {
-        run_vertical(dataset, min_support, ossm, Mode::All)
+        run_vertical(dataset, min_support, filter, Mode::All)
     }
 }
 
@@ -132,7 +133,7 @@ impl Charm {
     /// # Panics
     /// Panics if `min_support == 0`.
     pub fn mine(&self, dataset: &Dataset, min_support: u64) -> MiningOutcome {
-        run_vertical(dataset, min_support, None, Mode::Closed)
+        run_vertical(dataset, min_support, &NoFilter, Mode::Closed)
     }
 }
 
@@ -151,14 +152,14 @@ impl GenMax {
     /// # Panics
     /// Panics if `min_support == 0`.
     pub fn mine(&self, dataset: &Dataset, min_support: u64) -> MiningOutcome {
-        run_vertical(dataset, min_support, None, Mode::Maximal)
+        run_vertical(dataset, min_support, &NoFilter, Mode::Maximal)
     }
 }
 
 fn run_vertical(
     dataset: &Dataset,
     min_support: u64,
-    ossm: Option<&Ossm>,
+    filter: &dyn CandidateFilter,
     mode: Mode,
 ) -> MiningOutcome {
     assert!(min_support > 0, "support threshold must be at least 1");
@@ -166,7 +167,7 @@ fn run_vertical(
     let index = VerticalIndex::build(dataset);
     let mut state = Vertical {
         min_support,
-        ossm,
+        filter,
         all: FrequentPatterns::new(),
         metrics: MiningMetrics::default(),
     };
@@ -217,7 +218,7 @@ fn run_vertical(
 
 struct Vertical<'a> {
     min_support: u64,
-    ossm: Option<&'a Ossm>,
+    filter: &'a dyn CandidateFilter,
     all: FrequentPatterns,
     metrics: MiningMetrics,
 }
@@ -232,8 +233,9 @@ impl Vertical<'_> {
             debug_assert!(support >= self.min_support);
             self.all.insert(pattern.clone(), support);
 
-            // Children: larger items, intersected tidsets — with the OSSM
-            // discharging branches before the intersection happens.
+            // Children: larger items, intersected tidsets — with the filter
+            // (the OSSM) discharging branches before the intersection
+            // happens.
             let mut level = LevelMetrics {
                 level: pattern.len() + 1,
                 ..Default::default()
@@ -242,11 +244,9 @@ impl Vertical<'_> {
             for (next, next_tids) in &extensions[pos + 1..] {
                 level.generated += 1;
                 let child = pattern.with(*next);
-                if let Some(map) = self.ossm {
-                    if map.upper_bound(&child) < self.min_support {
-                        level.filtered_out += 1;
-                        continue;
-                    }
+                if !self.filter.may_be_frequent(&child, self.min_support) {
+                    level.filtered_out += 1;
+                    continue;
                 }
                 level.counted += 1;
                 let tids = intersect(tids, next_tids);
@@ -269,6 +269,7 @@ impl Vertical<'_> {
 mod tests {
     use super::*;
     use crate::apriori::Apriori;
+    use crate::filter::OssmFilter;
     use crate::fpgrowth::FpGrowth;
     use crate::patterns;
     use ossm_core::minimize_segments;
@@ -347,7 +348,7 @@ mod tests {
         let d = quest(300, 30);
         let min = minimize_segments(&d);
         let plain = Eclat::new().mine(&d, 6);
-        let pruned = Eclat::new().mine_filtered(&d, 6, Some(&min.ossm));
+        let pruned = Eclat::new().mine_filtered(&d, 6, &OssmFilter::new(&min.ossm));
         assert_eq!(plain.patterns, pruned.patterns);
         assert!(
             pruned.metrics.total_counted() < plain.metrics.total_counted(),

@@ -6,13 +6,16 @@
 //! same support function. This suite pins both claims against a naive
 //! serial oracle on seeded data, including the awkward inputs: empty
 //! transactions, empty candidates, singleton items, and candidate items
-//! outside the build domain.
+//! outside the build domain. It also runs a whole miner, Partition, at
+//! several thread counts.
 
 use std::sync::Mutex;
 
+use ossm_data::gen::QuestConfig;
 use ossm_data::{Dataset, ItemId, Itemset};
 use ossm_mining::support::{count_with, CountingBackend};
 use ossm_mining::vertical::{intersect, VerticalIndex};
+use ossm_mining::{Apriori, Partition};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Serializes tests that set the global ossm-par thread override.
@@ -102,6 +105,45 @@ fn every_backend_is_thread_count_invariant() {
                     "{backend:?} at {threads} threads, m = {m}"
                 );
             }
+        }
+    }
+    ossm_par::set_threads(None);
+}
+
+#[test]
+fn partition_is_thread_count_invariant() {
+    let _guard = THREADS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // 1200 transactions: a pass over one of two partitions, and phase 2
+    // over all of them, spans several 256-transaction counting chunks.
+    let d = QuestConfig {
+        num_transactions: 1200,
+        num_items: 40,
+        ..QuestConfig::small()
+    }
+    .generate();
+    let mine = |parts, min_support| {
+        let plain = Partition::new(parts).mine(&d, min_support);
+        let with = Partition::new(parts).mine_with_ossms(&d, min_support, 3);
+        (
+            plain.patterns,
+            plain.metrics.levels,
+            with.patterns,
+            with.metrics.levels,
+        )
+    };
+    for (parts, min_support) in [(2, 84), (4, 84), (8, 96)] {
+        let reference = Apriori::new().mine(&d, min_support).patterns;
+        assert!(reference.max_len() >= 2, "want pairs to count");
+        ossm_par::set_threads(Some(1));
+        let serial = mine(parts, min_support);
+        assert_eq!(serial.0, reference, "{parts} partitions");
+        assert_eq!(serial.2, reference, "{parts} partitions, with OSSMs");
+        for threads in [2, 8] {
+            ossm_par::set_threads(Some(threads));
+            let at = format!("{parts} partitions, {threads} threads");
+            assert_eq!(mine(parts, min_support), serial, "{at}");
         }
     }
     ossm_par::set_threads(None);

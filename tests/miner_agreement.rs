@@ -1,7 +1,7 @@
-//! Cross-miner agreement: Apriori (both counting back-ends), DHP,
-//! Partition, DepthProject, and FP-growth must return identical frequent
-//! patterns on any input — and plugging in an OSSM filter must never
-//! change any of their answers.
+//! Cross-miner agreement: Apriori (all three counting back-ends), DHP,
+//! Partition, DepthProject, Eclat, and FP-growth must return identical
+//! frequent patterns on any input — and plugging in an OSSM filter must
+//! never change any of their answers.
 //!
 //! FP-growth shares no candidate-generation code with the others, which
 //! makes this the strongest correctness oracle in the repository.
@@ -28,11 +28,16 @@ fn all_miners_agree() {
         let d = random_dataset(&mut rng, 2, 10, 1, 60, false);
         let min_support = rng.gen_range(1..=(d.len() as u64).max(1));
         let reference = Apriori::new().mine(&d, min_support).patterns;
-        let hash = Apriori::new()
-            .with_backend(CountingBackend::HashTree)
-            .mine(&d, min_support)
-            .patterns;
-        assert_eq!(reference, hash, "case {case}: hash-tree backend diverged");
+        for backend in [CountingBackend::HashTree, CountingBackend::Bitmap] {
+            let other = Apriori::new()
+                .with_backend(backend)
+                .mine(&d, min_support)
+                .patterns;
+            assert_eq!(
+                reference, other,
+                "case {case}: {backend:?} backend diverged"
+            );
+        }
         let dhp = Dhp::new(64).mine(&d, min_support).patterns;
         assert_eq!(reference, dhp, "case {case}: DHP diverged");
         let partition = Partition::new(3).mine(&d, min_support).patterns;
@@ -83,6 +88,11 @@ fn ossm_filter_never_changes_any_miner() {
             assert_eq!(
                 plain.patterns, dp.patterns,
                 "case {case}: DepthProject+OSSM diverged"
+            );
+            let e = ossm_mining::Eclat::new().mine_filtered(&d, min_support, &filter);
+            assert_eq!(
+                plain.patterns, e.patterns,
+                "case {case}: Eclat+OSSM diverged"
             );
         }
         let pm = Partition::new(3).mine_with_ossms(&d, min_support, 2);
@@ -146,6 +156,10 @@ fn agreement_on_all_three_paper_workloads() {
     ];
     for (d, min_support) in workloads {
         let reference = Apriori::new().mine(&d, min_support).patterns;
+        for backend in [CountingBackend::HashTree, CountingBackend::Bitmap] {
+            let other = Apriori::new().with_backend(backend).mine(&d, min_support);
+            assert_eq!(reference, other.patterns, "{backend:?}");
+        }
         assert_eq!(reference, Dhp::default().mine(&d, min_support).patterns);
         assert_eq!(reference, Partition::new(4).mine(&d, min_support).patterns);
         assert_eq!(
@@ -153,6 +167,10 @@ fn agreement_on_all_three_paper_workloads() {
             DepthProject::new().mine(&d, min_support).patterns
         );
         assert_eq!(reference, FpGrowth::new().mine(&d, min_support).patterns);
+        assert_eq!(
+            reference,
+            ossm_mining::Eclat::new().mine(&d, min_support).patterns
+        );
         assert!(
             !reference.is_empty(),
             "workload should produce some patterns"
