@@ -480,6 +480,16 @@ fn reads(algo: &str, option: &str) -> bool {
     }
 }
 
+/// A count option that must be at least 1: `--buckets` and
+/// `--partitions` size a table and a split, and zero of either is no
+/// configuration at all.
+fn positive(opts: &Options, key: &str, default: usize) -> Result<usize, String> {
+    match opts.get(key, default) {
+        0 => Err(format!("--{key}=0: expected at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn mine(opts: &Options) -> Result<String, String> {
     let input = PathBuf::from(required(opts, "in")?);
     let minsup: f64 = opts.get("minsup", 0.01);
@@ -514,7 +524,7 @@ fn mine(opts: &Options) -> Result<String, String> {
         let mut store = DiskStore::open(&input, opts.pool_frames(64)).map_err(|e| e.to_string())?;
         let min_support = ((minsup * store.num_transactions() as f64).ceil() as u64).max(1);
         let out = match algo.as_str() {
-            "streaming-dhp" => StreamingDhp::new(opts.get("buckets", 32_768)).mine(
+            "streaming-dhp" => StreamingDhp::new(positive(opts, "buckets", 32_768)?).mine(
                 &mut store,
                 min_support,
                 ossm.as_ref(),
@@ -553,7 +563,7 @@ fn mine(opts: &Options) -> Result<String, String> {
                 .mine_filtered(&dataset, min_support, filter)
         }
         "dhp" => Dhp::default().mine_filtered(&dataset, min_support, filter),
-        "partition" => Partition::new(opts.get("partitions", 4)).mine(&dataset, min_support),
+        "partition" => Partition::new(positive(opts, "partitions", 4)?).mine(&dataset, min_support),
         "depth" => DepthProject::new().mine_filtered(&dataset, min_support, filter),
         "fpgrowth" => FpGrowth::new().mine(&dataset, min_support),
         "eclat" => Eclat::new().mine_filtered(&dataset, min_support, filter),
@@ -1101,6 +1111,12 @@ mod tests {
             mine(algo, &ossm).expect(algo);
         }
         mine("apriori", "--backend=bitmap").expect("apriori reads --backend");
+        // A zero count is an argument error, not a panic in the miner.
+        for (algo, option) in [("streaming-dhp", "buckets"), ("partition", "partitions")] {
+            let err = mine(algo, &format!("--{option}=0")).expect_err(algo);
+            assert_eq!(err, format!("--{option}=0: expected at least 1"));
+            mine(algo, &format!("--{option}=1")).expect(algo);
+        }
 
         for f in [db, pages, map] {
             std::fs::remove_file(f).ok();

@@ -359,9 +359,10 @@ fn mine_levels(
         // Pairs go to a table over the live items when it is small
         // enough, fed a page at a time.
         if k == 2 {
-            if let Some(mut table) = PairTable::build(candidates) {
-                run.pass(keep.as_deref(), |page| table.count(page))?;
-                return Ok(table.into_counts(candidates));
+            if let Some(table) = PairTable::build(candidates) {
+                let mut pass = table.start_pass::<u64>();
+                run.pass(keep.as_deref(), |page| table.count(page, &mut pass))?;
+                return Ok(table.counts(candidates, &[pass]));
             }
         }
         // Otherwise one tree and one counting state for the whole pass.

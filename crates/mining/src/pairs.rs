@@ -13,6 +13,13 @@
 //! `r·(2L − r − 1)/2` for `L` live items. A candidate's count is read
 //! back from its own cell once the pass ends.
 //!
+//! The item → rank map is built once per batch and shared; each counting
+//! pass owns its cells. Out of core one pass is fed a page at a time in
+//! `u64` cells. In memory, [`count_pairs`] runs one pass per transaction
+//! chunk through `ossm_par` in `u32` cells — a cell counts at most its
+//! chunk's transactions — and adds each candidate's cells up in `u64`,
+//! so the counts are identical at any thread count.
+//!
 //! When eq. (1) leaves few candidates over many live items, most cells
 //! would count pairs no candidate names; [`PairTable::build`] declines
 //! such a batch, and the caller counts it with the hash tree instead.
@@ -31,8 +38,8 @@ const MIN_CELLS: usize = 8192;
 /// Rank of an item no candidate holds.
 const DEAD: u32 = u32::MAX;
 
-/// Bytes of the most recently built pair table (its cells and its item →
-/// rank map).
+/// Bytes of the most recently started pair-table pass: its cells and the
+/// batch's item → rank map.
 static MEM_PAIR_TABLE: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.pair_table");
 /// Cells incremented: one per pair of live items in a counted
 /// transaction.
@@ -49,20 +56,45 @@ fn cell(a: usize, b: usize, live: usize) -> usize {
     row_start(a, live) + (b - a - 1)
 }
 
-/// Pair supports over one pass, one `u64` cell per pair of live items.
+/// A pair-table cell: a counter wide enough for the transactions of the
+/// pass that owns it.
+pub(crate) trait Cell: Copy + Default + Into<u64> + Send {
+    fn incr(&mut self);
+}
+
+impl Cell for u32 {
+    #[inline]
+    fn incr(&mut self) {
+        *self += 1;
+    }
+}
+
+impl Cell for u64 {
+    #[inline]
+    fn incr(&mut self) {
+        *self += 1;
+    }
+}
+
+/// The live items of a batch of pair candidates, ranked: the shared half
+/// of a pair table.
 pub(crate) struct PairTable {
     /// `rank[i]`: item `i`'s rank among the live items, or [`DEAD`].
     /// Items past the end are dead.
     rank: Vec<u32>,
     live: usize,
-    cells: Vec<u64>,
+}
+
+/// One counting pass of a [`PairTable`]: a cell per pair of live items.
+pub(crate) struct PairPass<C> {
+    cells: Vec<C>,
     /// The live ranks of the transaction being counted.
     ranks: Vec<u32>,
 }
 
 impl PairTable {
-    /// A zeroed table for a batch of pair `candidates`, or `None` when
-    /// the batch's live items would need more than
+    /// The table for a batch of pair `candidates`, or `None` when the
+    /// batch's live items would need more than
     /// `max(CELLS_PER_CANDIDATE·|candidates|, MIN_CELLS)` cells.
     ///
     /// # Panics
@@ -84,46 +116,59 @@ impl PairTable {
             *r = live;
             live += 1;
         }
-        let live = live as usize;
-        let size = live * live.saturating_sub(1) / 2;
-        if size > (CELLS_PER_CANDIDATE * candidates.len()).max(MIN_CELLS) {
-            return None;
-        }
-        let cells = vec![0u64; size];
-        MEM_PAIR_TABLE
-            .set((std::mem::size_of_val(&cells[..]) + std::mem::size_of_val(&rank[..])) as u64);
-        Some(PairTable {
+        let table = PairTable {
             rank,
-            live,
+            live: live as usize,
+        };
+        (table.size() <= (CELLS_PER_CANDIDATE * candidates.len()).max(MIN_CELLS)).then_some(table)
+    }
+
+    /// Cells per pass: `C(L, 2)`.
+    fn size(&self) -> usize {
+        self.live * self.live.saturating_sub(1) / 2
+    }
+
+    /// A zeroed pass.
+    pub(crate) fn start_pass<C: Cell>(&self) -> PairPass<C> {
+        let _mem = ossm_obs::alloc_scope("mining.pair_table");
+        let cells = vec![C::default(); self.size()];
+        MEM_PAIR_TABLE.set(
+            (std::mem::size_of_val(&cells[..]) + std::mem::size_of_val(&self.rank[..])) as u64,
+        );
+        PairPass {
             cells,
             ranks: Vec::new(),
-        })
+        }
     }
 
     /// Adds every pair of live items in each of `transactions` (sorted
-    /// item slices). A pass may be fed in any number of calls — one per
-    /// page, say.
-    pub(crate) fn count<'t>(&mut self, transactions: impl IntoIterator<Item = &'t [ItemId]>) {
+    /// item slices) to `pass`. A pass may be fed in any number of calls —
+    /// one per page, say.
+    pub(crate) fn count<'t, C: Cell>(
+        &self,
+        transactions: impl IntoIterator<Item = &'t [ItemId]>,
+        pass: &mut PairPass<C>,
+    ) {
         let live = self.live;
         let mut increments = 0u64;
         for t in transactions {
-            self.ranks.clear();
-            self.ranks.extend(
+            pass.ranks.clear();
+            pass.ranks.extend(
                 t.iter()
                     .filter_map(|i| self.rank.get(i.index()).copied())
                     .filter(|&r| r != DEAD),
             );
-            let n = self.ranks.len();
+            let n = pass.ranks.len();
             if n < 2 {
                 continue;
             }
             increments += (n * (n - 1) / 2) as u64;
-            for (j, &a) in self.ranks.iter().enumerate() {
+            for (j, &a) in pass.ranks.iter().enumerate() {
                 let a = a as usize;
                 let start = row_start(a, live);
-                let row = &mut self.cells[start..start + (live - a - 1)];
-                for &b in &self.ranks[j + 1..] {
-                    row[b as usize - a - 1] += 1;
+                let row = &mut pass.cells[start..start + (live - a - 1)];
+                for &b in &pass.ranks[j + 1..] {
+                    row[b as usize - a - 1].incr();
                 }
             }
         }
@@ -131,16 +176,50 @@ impl PairTable {
     }
 
     /// The counts of `candidates` — the batch the table was built for —
-    /// in candidate order.
-    pub(crate) fn into_counts(self, candidates: &[Itemset]) -> Vec<u64> {
+    /// in candidate order, each summed over `passes` in `u64`.
+    pub(crate) fn counts<C: Cell>(
+        &self,
+        candidates: &[Itemset],
+        passes: &[PairPass<C>],
+    ) -> Vec<u64> {
         candidates
             .iter()
             .map(|c| {
                 let [a, b] = [0, 1].map(|i| self.rank[c.items()[i].index()] as usize);
-                self.cells[cell(a, b, self.live)]
+                let at = cell(a, b, self.live);
+                passes.iter().map(|p| p.cells[at].into()).sum()
             })
             .collect()
     }
+
+    /// Counts the batch over in-memory `transactions`, one pass per
+    /// transaction chunk, in cells of type `C`; no chunk may hold more
+    /// transactions than a `C` counts.
+    fn count_chunked<C: Cell>(&self, transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u64> {
+        let passes = ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
+            let mut pass = self.start_pass::<C>();
+            self.count(transactions[r].iter().map(Itemset::items), &mut pass);
+            pass
+        });
+        self.counts(candidates, &passes)
+    }
+}
+
+/// Counts a non-empty batch of pair `candidates` over in-memory
+/// `transactions` in a pair table, or returns `None` — leaving the batch
+/// to the hash tree — when a candidate is not a pair or the size rule
+/// declines the batch.
+pub(crate) fn count_pairs(transactions: &[Itemset], candidates: &[Itemset]) -> Option<Vec<u64>> {
+    if candidates.is_empty() || candidates.iter().any(|c| c.len() != 2) {
+        return None;
+    }
+    let table = PairTable::build(candidates)?;
+    // A chunk's cell counts at most the chunk's transactions.
+    Some(if u32::try_from(transactions.len()).is_ok() {
+        table.count_chunked::<u32>(transactions, candidates)
+    } else {
+        table.count_chunked::<u64>(transactions, candidates)
+    })
 }
 
 #[cfg(test)]
@@ -181,10 +260,11 @@ mod tests {
             let transactions: Vec<Itemset> = (0..40u32)
                 .map(|t| Itemset::new((0..3 * live + 2).filter(|i| (i * 7 + t) % 5 < 2)))
                 .collect();
-            let mut table = PairTable::build(&candidates).expect("all pairs fit");
-            assert_eq!(table.cells.len(), candidates.len());
-            table.count(transactions.iter().map(Itemset::items));
-            let counts = table.into_counts(&candidates);
+            let table = PairTable::build(&candidates).expect("all pairs fit");
+            assert_eq!(table.size(), candidates.len());
+            let mut pass = table.start_pass::<u64>();
+            table.count(transactions.iter().map(Itemset::items), &mut pass);
+            let counts = table.counts(&candidates, &[pass]);
 
             let mut naive: BTreeMap<(ItemId, ItemId), u64> = BTreeMap::new();
             for t in &transactions {
@@ -204,6 +284,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn narrow_and_wide_cells_count_alike_over_chunks() {
+        // 700 transactions span several 256-transaction chunks; `u64`
+        // cells are what a batch of 2³² or more transactions would use.
+        let candidates: Vec<Itemset> = (0..20u32)
+            .flat_map(|a| (a + 1..20).map(move |b| Itemset::new([a, 2 * b])))
+            .collect();
+        let transactions: Vec<Itemset> = (0..700u32)
+            .map(|t| Itemset::new((0..40u32).filter(|i| (i * 5 + t) % 3 == 0)))
+            .collect();
+        let table = PairTable::build(&candidates).expect("fits");
+        let narrow = table.count_chunked::<u32>(&transactions, &candidates);
+        assert_eq!(
+            narrow,
+            table.count_chunked::<u64>(&transactions, &candidates)
+        );
+        assert_eq!(
+            Some(narrow),
+            count_pairs(&transactions, &candidates),
+            "in-memory counting takes u32 cells"
+        );
     }
 
     #[test]

@@ -2,14 +2,22 @@
 //!
 //! Counting candidate supports against the transaction collection is "one
 //! of the key operations in data mining algorithms" — the operation the
-//! OSSM exists to reduce. Two back-ends are provided:
+//! OSSM exists to reduce. [`count_with`] dispatches on a
+//! [`CountingBackend`]:
 //!
 //! * [`count_linear`] — for each transaction, test every candidate by a
 //!   sorted-subset merge. Simple and exactly proportional to the number of
 //!   candidates, which makes the OSSM's candidate reduction visible in
-//!   wall-clock time the way the paper's C implementation showed it.
+//!   wall-clock time the way the paper's C implementation showed it. Its
+//!   time stays proportional to the candidates counted at every level.
 //! * the hash tree of [`crate::hashtree`] — the classical Apriori counting
-//!   structure, exposed through the same interface.
+//!   structure, exposed through the same interface. A batch of pairs
+//!   counts in a pair table over the live items instead (`crate::pairs`),
+//!   in memory as out of core, whenever the table's size rule admits it:
+//!   one increment per pair of live items in a transaction, so a pair
+//!   eq. (1) prunes still costs its increment when both its items stay
+//!   live. The tree counts every other batch and every level `k ≥ 3`.
+//! * the bitmaps of [`crate::bitmap`] — AND + popcount per candidate.
 //!
 //! [`FrequentPatterns`] is the result type shared by all miners, so the
 //! cross-miner agreement tests can compare outputs structurally.
@@ -43,7 +51,8 @@ pub enum CountingBackend {
     /// Per-transaction linear scan over the candidate list.
     #[default]
     LinearScan,
-    /// The classical Apriori hash tree.
+    /// The classical Apriori hash tree; a batch of pairs counts in a pair
+    /// table over its live items when the table's size rule admits it.
     HashTree,
     /// Packed per-item transaction bitmaps, AND + popcount per candidate.
     Bitmap,
@@ -109,6 +118,11 @@ pub fn count_with(
             count_linear(transactions, candidates)
         }
         CountingBackend::HashTree => {
+            // A batch of pairs counts in a pair table when the size rule
+            // admits it; the tree counts every other batch.
+            if let Some(counts) = crate::pairs::count_pairs(transactions, candidates) {
+                return counts;
+            }
             let _mem = ossm_obs::alloc_scope("mining.hashtree");
             crate::hashtree::count_hash_tree(transactions, candidates)
         }
