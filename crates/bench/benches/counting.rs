@@ -1,6 +1,7 @@
 //! Ablation A2: candidate counting back-ends — linear scan vs the
-//! classical Apriori hash tree, across candidate-set sizes, plus the hash
-//! tree vs the bitmap back-end on a level 2 of the paper's scale.
+//! classical Apriori hash tree, across candidate-set sizes, plus the pure
+//! hash tree vs the `HashTree` back-end, which counts a level 2 of the
+//! paper's scale in its pair table.
 //!
 //! Counting dominates Apriori's cost; the OSSM's value is reducing how
 //! many candidates reach this step at all, so the baseline must use the
@@ -11,9 +12,8 @@ use std::hint::black_box;
 
 use ossm_bench::workloads::Workload;
 use ossm_data::Itemset;
-use ossm_mining::bitmap::count_bitmap;
 use ossm_mining::hashtree::count_hash_tree;
-use ossm_mining::support::count_linear;
+use ossm_mining::support::{count_linear, count_with, CountingBackend};
 
 fn bench_counting(c: &mut Criterion) {
     let store = Workload::regular(20, 200).store();
@@ -85,9 +85,11 @@ fn bench_c2_scale(c: &mut Criterion) {
         |bench, cands| bench.iter(|| black_box(count_hash_tree(black_box(txs), cands))),
     );
     group.bench_with_input(
-        BenchmarkId::new("bitmap", pairs.len()),
+        BenchmarkId::new("pair_table", pairs.len()),
         &pairs,
-        |bench, cands| bench.iter(|| black_box(count_bitmap(black_box(txs), cands))),
+        |bench, cands| {
+            bench.iter(|| black_box(count_with(CountingBackend::HashTree, black_box(txs), cands)));
+        },
     );
     group.finish();
 }

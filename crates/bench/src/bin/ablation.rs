@@ -10,8 +10,11 @@
 use ossm_bench::{ablation, traceio};
 
 fn main() {
-    traceio::main_with_trace(|opts| {
-        print!("{}", ablation::all(opts));
-        0
-    });
+    traceio::main_with_trace(
+        &["items=M", "trials=N", "pages=N", "nuser=N", "seed=S"],
+        |opts| {
+            print!("{}", ablation::all(opts));
+            0
+        },
+    );
 }

@@ -29,29 +29,54 @@ use ossm_bench::experiments::{
 use ossm_bench::{ablation, traceio};
 
 fn main() {
-    traceio::main_with_trace(|opts| {
-        let run_opts = if opts.flag("smoke") {
-            smoke_options()
-        } else {
-            opts.clone()
-        };
-        if opts.flag("write-experiments") {
-            return write_experiments(opts, &run_opts);
-        }
-        let obs_out: String = opts.get("obs-out", "BENCH_obs.json".to_owned());
-        let (markdown, rows) = run_all(&run_opts);
-        println!("{markdown}");
-        if !obs_out.is_empty() {
-            match std::fs::write(&obs_out, obs_json_body(&rows)) {
-                Ok(()) => eprintln!("wrote instrumentation snapshot -> {obs_out}"),
-                Err(e) => {
-                    eprintln!("could not write {obs_out}: {e}");
-                    return 1;
+    traceio::main_with_trace(
+        &[
+            "smoke",
+            "pages=N",
+            "hybrid-pages=N",
+            "full",
+            "items=M",
+            "minsup=F",
+            "nuser=N",
+            "nmid=N",
+            "bubble-minsup=F",
+            "buckets=N",
+            "seed=S",
+            "workload=KIND",
+            "trials=N",
+            "ooc-pages=N",
+            "ooc-items=M",
+            "ooc-minsup=F",
+            "ooc-page-bytes=B",
+            "pool-frames=N",
+            "obs-out=PATH",
+            "write-experiments",
+            "experiments-md=PATH",
+        ],
+        |opts| {
+            let run_opts = if opts.flag("smoke") {
+                smoke_options()
+            } else {
+                opts.clone()
+            };
+            if opts.flag("write-experiments") {
+                return write_experiments(opts, &run_opts);
+            }
+            let obs_out: String = opts.get("obs-out", "BENCH_obs.json".to_owned());
+            let (markdown, rows) = run_all(&run_opts);
+            println!("{markdown}");
+            if !obs_out.is_empty() {
+                match std::fs::write(&obs_out, obs_json_body(&rows)) {
+                    Ok(()) => eprintln!("wrote instrumentation snapshot -> {obs_out}"),
+                    Err(e) => {
+                        eprintln!("could not write {obs_out}: {e}");
+                        return 1;
+                    }
                 }
             }
-        }
-        0
-    });
+            0
+        },
+    );
 }
 
 /// Measures every experiment (Figure 4 on both workloads, Figures 5–6,

@@ -10,8 +10,11 @@ use ossm_bench::experiments::fig4;
 use ossm_bench::traceio;
 
 fn main() {
-    traceio::main_with_trace(|opts| {
-        print!("{}", fig4(opts));
-        0
-    });
+    traceio::main_with_trace(
+        &["pages=N", "items=M", "minsup=F", "seed=S", "workload=KIND"],
+        |opts| {
+            print!("{}", fig4(opts));
+            0
+        },
+    );
 }

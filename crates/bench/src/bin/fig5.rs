@@ -12,8 +12,21 @@ use ossm_bench::experiments::fig5;
 use ossm_bench::traceio;
 
 fn main() {
-    traceio::main_with_trace(|opts| {
-        print!("{}", fig5(opts));
-        0
-    });
+    traceio::main_with_trace(
+        &[
+            "pages=N",
+            "hybrid-pages=N",
+            "full",
+            "items=M",
+            "nuser=N",
+            "nmid=N",
+            "minsup=F",
+            "seed=S",
+            "workload=KIND",
+        ],
+        |opts| {
+            print!("{}", fig5(opts));
+            0
+        },
+    );
 }

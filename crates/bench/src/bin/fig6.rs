@@ -12,8 +12,21 @@ use ossm_bench::experiments::fig6;
 use ossm_bench::traceio;
 
 fn main() {
-    traceio::main_with_trace(|opts| {
-        print!("{}", fig6(opts));
-        0
-    });
+    traceio::main_with_trace(
+        &[
+            "pages=N",
+            "full",
+            "items=M",
+            "nuser=N",
+            "nmid=N",
+            "bubble-minsup=F",
+            "minsup=F",
+            "seed=S",
+            "workload=KIND",
+        ],
+        |opts| {
+            print!("{}", fig6(opts));
+            0
+        },
+    );
 }

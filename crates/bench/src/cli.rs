@@ -69,16 +69,20 @@ impl Options {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// The buffer-pool frame budget for paged stores: `--pool-frames=N`,
-    /// falling back to the legacy `--pool-pages` spelling. `0` means
-    /// "unbounded" (every page stays resident once read).
+    /// The buffer-pool frame budget for paged stores: `--pool-frames=N`.
+    /// `0` means "unbounded" (every page stays resident once read).
     pub fn pool_frames(&self, default: usize) -> usize {
-        let frames: usize = self.get("pool-frames", self.get("pool-pages", default));
+        let frames: usize = self.get("pool-frames", default);
         if frames == 0 {
             usize::MAX
         } else {
             frames
         }
+    }
+
+    /// The names of every `--key=value` and bare `--flag` given.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().chain(&self.flags).map(String::as_str)
     }
 
     /// The raw string of `--key=value`, if present. For options whose mere

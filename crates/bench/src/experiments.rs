@@ -562,7 +562,7 @@ pub fn run_all(opts: &Options) -> (String, Vec<SpeedupRow>) {
     markdown.push_str(
         "# Coverage sweep — extra regression baselines\n\n\
          Figure-4 reruns that widen the `BENCH_obs.json` key set beyond the\n\
-         paper's defaults: the dense workload (bitmap-counting regime), the\n\
+         paper's defaults: the dense workload (long baskets), the\n\
          skewed workload (where eq. (1) prunes part of C2 and L1 is a strict\n\
          subset of the items), and a second segmentation seed on the default\n\
          workload.\n\n",

@@ -92,17 +92,67 @@ pub fn apply_threads(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// The option name of a usage spelling: `pages` for `pages=N`.
+fn option_name(spelling: &str) -> &str {
+    spelling.split(['=', '[']).next().unwrap_or(spelling)
+}
+
+/// Rejects any `--key`/`--flag` outside `options` (usage spellings such
+/// as `pages=N` or `full`), naming the first one.
+fn check_options(opts: &Options, options: &[&str]) -> Result<(), String> {
+    let known = |name: &str| options.iter().any(|o| option_name(o) == name);
+    match opts.names().find(|name| !known(name)) {
+        Some(name) => Err(format!("unknown option --{name} (see --help)")),
+        None => Ok(()),
+    }
+}
+
+/// The `--help` text: one line per option.
+fn usage(program: &str, options: &[&str]) -> String {
+    let mut out = format!("usage: {program} [options]\noptions:");
+    for o in options {
+        out.push_str(&format!("\n  --{o}"));
+    }
+    out
+}
+
 /// Entry-point wrapper shared by the experiment binaries: parses the
-/// process arguments (allowing one positional trace-output path), applies
-/// `--threads`, starts trace collection if `--trace` was given, runs
-/// `body`, writes the trace, and exits with `body`'s status code. Argument
-/// or trace-I/O errors exit non-zero with a message on stderr.
-pub fn main_with_trace(body: impl FnOnce(&Options) -> i32) -> ! {
-    let (opts, positionals) = Options::parse_with_positionals(std::env::args().skip(1));
+/// process arguments (allowing one positional trace-output path), answers
+/// `--help` with the usage of `options`, applies `--threads`, starts trace
+/// collection if `--trace` was given, runs `body`, writes the trace, and
+/// exits with `body`'s status code.
+///
+/// `options` lists the binary's own options in usage spelling (`pages=N`,
+/// `full`). An option outside them and `--threads`/`--trace`/`--trace-out`,
+/// argument errors, and trace-I/O errors exit with status 2 and a message
+/// on stderr.
+pub fn main_with_trace(options: &[&str], body: impl FnOnce(&Options) -> i32) -> ! {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let program = std::path::Path::new(&program)
+        .file_name()
+        .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
+    let (opts, positionals) = Options::parse_with_positionals(args);
+    let options = [
+        options,
+        &[
+            "threads=N",
+            "trace[=chrome|folded] [PATH]",
+            "trace-out=PATH",
+        ],
+    ]
+    .concat();
     let fail = |msg: String| -> ! {
         eprintln!("error: {msg}");
         std::process::exit(2);
     };
+    if opts.flag("help") {
+        println!("{}", usage(&program, &options));
+        std::process::exit(0);
+    }
+    if let Err(e) = check_options(&opts, &options) {
+        fail(e);
+    }
     if let Err(e) = apply_threads(&opts) {
         fail(e);
     }
@@ -179,6 +229,26 @@ mod tests {
     #[test]
     fn unknown_format_is_an_error() {
         assert!(TraceConfig::from_options(&opts(&["--trace=svg"]), None).is_err());
+    }
+
+    #[test]
+    fn options_outside_the_binary_are_rejected_by_name() {
+        let own = ["pages=N", "full", "trace[=chrome|folded] [PATH]"];
+        let given = opts(&["--pages=3", "--full", "--trace"]);
+        assert_eq!(check_options(&given, &own), Ok(()));
+        assert_eq!(
+            check_options(&opts(&["--pages=3", "--pagse=4"]), &own),
+            Err("unknown option --pagse (see --help)".to_owned())
+        );
+        assert_eq!(
+            check_options(&opts(&["--ful"]), &own),
+            Err("unknown option --ful (see --help)".to_owned())
+        );
+        assert!(check_options(&opts(&["--trace=folded"]), &own).is_ok());
+        assert!(check_options(&opts(&["--trace-out=t"]), &own).is_err());
+        let text = usage("fig4", &own);
+        assert!(text.starts_with("usage: fig4 [options]"), "{text}");
+        assert!(text.ends_with("\n  --pages=N\n  --full\n  --trace[=chrome|folded] [PATH]"));
     }
 
     #[test]

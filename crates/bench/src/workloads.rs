@@ -25,9 +25,9 @@ pub enum WorkloadKind {
     /// data set 1).
     Alarm,
     /// Dense Quest-style data: long transactions over the same domain
-    /// (high bit density), the regime where the bitmap counting back-end
-    /// pays. Not one of the paper's three sets; added for baseline
-    /// coverage of the AND-popcount kernel.
+    /// (high item density), so many pairs and triples are frequent. Not
+    /// one of the paper's three sets; added for baseline coverage of
+    /// deep levels on the hash tree.
     Dense,
     /// Out-of-core stress data: a dense head whose transactions share a
     /// small cluster of frequent items, followed by a long noise tail of
@@ -112,7 +112,7 @@ impl Workload {
     }
 
     /// The dense workload: Quest baskets at 2.5× the regular transaction
-    /// length, so each item's transaction bitmap is well populated.
+    /// length, so each item occurs in a large share of the transactions.
     pub fn dense(pages: usize, items: usize) -> Self {
         Workload {
             kind: WorkloadKind::Dense,

@@ -55,7 +55,7 @@ commands:
   mine      --in=FILE --minsup=F [--algo=apriori|dhp|partition|depth|
             fpgrowth|eclat|charm|genmax|streaming|streaming-dhp|
             streaming-fpgrowth] [--ossm=FILE.ossm] [--top=K]
-            [--backend=linear|hashtree|bitmap]   (apriori only; default
+            [--backend=linear|hashtree]   (apriori only; default
             hashtree)
             [--buckets=32768]   (streaming-dhp: pair hash buckets)
             [--partitions=4]    (partition)
@@ -1110,7 +1110,12 @@ mod tests {
         for algo in ["dhp", "depth", "eclat"] {
             mine(algo, &ossm).expect(algo);
         }
-        mine("apriori", "--backend=bitmap").expect("apriori reads --backend");
+        mine("apriori", "--backend=linear").expect("apriori reads --backend");
+        let err = mine("apriori", "--backend=bitmap").expect_err("no bitmap back-end");
+        assert_eq!(
+            err,
+            "unknown counting backend \"bitmap\" (expected linear or hashtree)"
+        );
         // A zero count is an argument error, not a panic in the miner.
         for (algo, option) in [("streaming-dhp", "buckets"), ("partition", "partitions")] {
             let err = mine(algo, &format!("--{option}=0")).expect_err(algo);

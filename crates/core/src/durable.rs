@@ -29,7 +29,7 @@
 //! *plain* appends we document the slack; for batch-id-carrying appends
 //! (the serving path, where a `duplicate` ack promises exactly-once) the
 //! window is closed exactly by the checkpoint's id sidecar: written
-//! *before* the snapshot and stamped with the [`snapshot_identity`] of
+//! *before* the snapshot and stamped with the `snapshot_identity` of
 //! the bytes about to land, so recovery skips a windowed record only
 //! when the on-disk snapshot provably contains it, and replays onto the
 //! older snapshot otherwise.

@@ -1,7 +1,7 @@
 //! Incremental OSSM maintenance — appending data without resegmenting.
 //!
 //! The OSSM's precursor, the SSM, was built for *online* mining (the Carma
-//! case study [10] in the paper's related work), where transactions keep
+//! case study \[10\] in the paper's related work), where transactions keep
 //! arriving. This module extends the OSSM the same way: new pages are
 //! folded into an existing map without re-running segmentation from
 //! scratch. Each arriving aggregate either

@@ -1,6 +1,6 @@
 //! The Random segmentation algorithm (Section 5.2 of the paper).
 //!
-//! "Similar to the construction of the SSM structure [10], the Random
+//! "Similar to the construction of the SSM structure \[10\], the Random
 //! algorithm constructs the OSSM by arbitrarily/randomly partitioning pages
 //! of transactions into segments." It computes no loss values at all, which
 //! is why its complexity is O(p) — and why it is the workhorse first phase

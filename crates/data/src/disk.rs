@@ -12,8 +12,7 @@
 //!   pages at all** — exactly the "higher granularity level" premise of
 //!   the page version of segment minimization (Section 4.3);
 //! * [`DiskStore`] reads pages back through a fixed-frame
-//!   [`BufferPoolManager`](crate::buffer::BufferPoolManager) (LRU-K
-//!   replacement, RAII [`PageGuard`](crate::buffer::PageGuard) pins),
+//!   [`BufferPoolManager`] (LRU-K replacement, RAII [`PageGuard`] pins),
 //!   counting physical page reads and pool hits, which lets experiments
 //!   report I/O work the way the paper's time-sharing measurements folded
 //!   it into runtime.
@@ -37,7 +36,7 @@
 //! rebuilds what the intact parts of the file still determine
 //! ([`crate::repair`]). See `DESIGN.md` §9 for the full failure model.
 //!
-//! File layout: see [`crate::format`]. All integers little-endian.
+//! File layout: see the private `format` module. All integers little-endian.
 
 use std::collections::BTreeSet;
 use std::io::{self, Read, Seek, SeekFrom, Write};

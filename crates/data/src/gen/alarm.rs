@@ -5,7 +5,7 @@
 //! file containing about 5000 transactions of about 200 distinct types of
 //! telecommunications network alarms", which cannot be redistributed. We
 //! simulate the closest public description of such data (the episode-mining
-//! setting of Mannila–Toivonen–Verkamo [13], which the paper cites for the
+//! setting of Mannila–Toivonen–Verkamo \[13\], which the paper cites for the
 //! windowed-transaction framing):
 //!
 //! * a background process emits alarms of random types at Poisson times;

@@ -2,7 +2,7 @@
 //!
 //! | Paper data set | Generator | Notes |
 //! |---|---|---|
-//! | regular-synthetic | [`quest::QuestConfig`] | reimplementation of the IBM Quest process [3] |
+//! | regular-synthetic | [`quest::QuestConfig`] | reimplementation of the IBM Quest process \[3\] |
 //! | skewed-synthetic | [`skewed::SkewedConfig`] | seasonal item popularity (Section 6.1) |
 //! | Nokia alarms | [`alarm::AlarmConfig`] | synthetic substitute for the proprietary data |
 //!

@@ -1,7 +1,7 @@
 //! IBM Quest-style synthetic transaction generator.
 //!
 //! The paper's "regular-synthetic" data set is produced by "the program
-//! developed at IBM Almaden Research Center" [3] — the Agrawal–Srikant
+//! developed at IBM Almaden Research Center" \[3\] — the Agrawal–Srikant
 //! generator behind the classic `T10.I4.D100K`-style workloads. That binary
 //! is not redistributable, so we reimplement the published process:
 //!

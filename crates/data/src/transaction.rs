@@ -133,7 +133,7 @@ impl Dataset {
     }
 
     /// Splits the dataset into `k` contiguous partitions of near-equal size
-    /// (the unit of work of the Partition algorithm [17]). The last
+    /// (the unit of work of the Partition algorithm \[17\]). The last
     /// partitions may be one transaction shorter. All `k` partitions are
     /// non-empty iff `k <= len()`.
     pub fn partition_ranges(&self, k: usize) -> Vec<std::ops::Range<usize>> {

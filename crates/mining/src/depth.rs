@@ -1,4 +1,4 @@
-//! A DepthProject-style depth-first miner (Agarwal, Aggarwal, Prasad [1]).
+//! A DepthProject-style depth-first miner (Agarwal, Aggarwal, Prasad \[1\]).
 //!
 //! DepthProject explores the lexicographic tree of itemsets depth-first:
 //! a node's pattern `P` is extended by every frequent item greater than

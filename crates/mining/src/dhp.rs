@@ -1,4 +1,4 @@
-//! DHP — the hash-based Apriori variant of Park, Chen, and Yu [15].
+//! DHP — the hash-based Apriori variant of Park, Chen, and Yu \[15\].
 //!
 //! During the first counting pass, every 2-subset of every transaction is
 //! hashed into a bucket table; a pair can only be a candidate 2-itemset if

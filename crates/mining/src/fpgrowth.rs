@@ -1,4 +1,4 @@
-//! FP-growth (Han, Pei, Yin [8]) — the candidate-generation-free baseline.
+//! FP-growth (Han, Pei, Yin \[8\]) — the candidate-generation-free baseline.
 //!
 //! The paper's related-work section contrasts the OSSM framework (which
 //! optimizes candidate-based miners) with FP-growth (which avoids

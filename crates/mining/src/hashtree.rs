@@ -680,13 +680,20 @@ mod tests {
     }
 
     #[test]
-    fn c2_scale_pairs_match_the_bitmap_backend() {
+    fn c2_scale_pairs_match_the_pair_table() {
         let (pairs, txs) = c2_scale_workload();
         assert!(pairs.len() >= 100_000);
         let tree = HashTree::build(&pairs);
         assert!(tree.partial.index.is_empty(), "every leaf is at full depth");
+        assert!(
+            crate::pairs::PairTable::build(&pairs).is_some(),
+            "the size rule sends the batch to the pair table"
+        );
         let counts = count_hash_tree(&txs, &pairs);
-        assert_eq!(counts, crate::bitmap::count_bitmap(&txs, &pairs));
+        assert_eq!(
+            counts,
+            crate::support::count_with(crate::support::CountingBackend::HashTree, &txs, &pairs)
+        );
         assert!(counts.iter().any(|&c| c > 0));
     }
 

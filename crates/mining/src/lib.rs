@@ -6,7 +6,7 @@
 //!
 //! * [`apriori::Apriori`] — the classical level-wise miner (Section 6's
 //!   test vehicle), the one miner with a choice of counting back-end
-//!   (linear scan, hash tree, or bitmap);
+//!   (linear scan or hash tree);
 //! * [`dhp::Dhp`] — the hash-bucket variant of Park–Chen–Yu (Section 7),
 //!   counting on the hash tree;
 //! * [`partition::Partition`] — two-phase partition mining with
@@ -45,7 +45,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod apriori;
-pub mod bitmap;
 pub mod depth;
 pub mod dhp;
 pub mod filter;

@@ -23,8 +23,9 @@
 //!   carrying fewer than two frequent items (such a page contributes no
 //!   pair of frequent items, and losing its collision noise only sharpens
 //!   the bucket counts, which stay upper bounds on pair supports). DHP's
-//!   trimming is omitted: trimming rewrites the collection, which a pass
-//!   over an immutable page file cannot do.
+//!   trimming runs as it does in memory, without rewriting the page file:
+//!   the pair table counts only the live items of each transaction, and
+//!   the hash tree walks only those at every later level.
 //! * [`StreamingFpGrowth`] — the global-tree pass skips pages with no
 //!   frequent item at all (their transactions rank-encode to empty paths
 //!   and would not touch the tree).

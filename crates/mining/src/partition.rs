@@ -1,4 +1,4 @@
-//! The Partition algorithm of Savasere, Omiecinski, and Navathe [17].
+//! The Partition algorithm of Savasere, Omiecinski, and Navathe \[17\].
 //!
 //! Two passes over the data: (1) split the collection into partitions that
 //! fit in memory and mine each *locally* — any globally frequent itemset is

@@ -1,7 +1,7 @@
 //! Condensed pattern representations: maximal and closed frequent sets.
 //!
 //! The paper's introduction lists *long patterns* [1, 5] and *closed
-//! sets* [16] among the pattern classes whose counting the OSSM serves.
+//! sets* \[16\] among the pattern classes whose counting the OSSM serves.
 //! This module derives both condensed forms from a full
 //! [`FrequentPatterns`] result:
 //!

@@ -17,7 +17,6 @@
 //!   one increment per pair of live items in a transaction, so a pair
 //!   eq. (1) prunes still costs its increment when both its items stay
 //!   live. The tree counts every other batch and every level `k ≥ 3`.
-//! * the bitmaps of [`crate::bitmap`] — AND + popcount per candidate.
 //!
 //! [`FrequentPatterns`] is the result type shared by all miners, so the
 //! cross-miner agreement tests can compare outputs structurally.
@@ -54,8 +53,6 @@ pub enum CountingBackend {
     /// The classical Apriori hash tree; a batch of pairs counts in a pair
     /// table over its live items when the table's size rule admits it.
     HashTree,
-    /// Packed per-item transaction bitmaps, AND + popcount per candidate.
-    Bitmap,
 }
 
 impl std::str::FromStr for CountingBackend {
@@ -65,9 +62,8 @@ impl std::str::FromStr for CountingBackend {
         match s {
             "linear" => Ok(CountingBackend::LinearScan),
             "hashtree" => Ok(CountingBackend::HashTree),
-            "bitmap" => Ok(CountingBackend::Bitmap),
             other => Err(format!(
-                "unknown counting backend {other:?} (expected linear, hashtree, or bitmap)"
+                "unknown counting backend {other:?} (expected linear or hashtree)"
             )),
         }
     }
@@ -125,10 +121,6 @@ pub fn count_with(
             }
             let _mem = ossm_obs::alloc_scope("mining.hashtree");
             crate::hashtree::count_hash_tree(transactions, candidates)
-        }
-        CountingBackend::Bitmap => {
-            let _mem = ossm_obs::alloc_scope("mining.bitmap");
-            crate::bitmap::count_bitmap(transactions, candidates)
         }
     }
 }

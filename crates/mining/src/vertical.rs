@@ -2,7 +2,7 @@
 //! sets.
 //!
 //! The paper's related work situates the OSSM against vertical miners
-//! (CHARM [21], GenMax/diffsets [20]): they avoid candidate *counting
+//! (CHARM \[21\], GenMax/diffsets \[20\]): they avoid candidate *counting
 //! passes* by intersecting per-item transaction-id lists. We implement the
 //! family both as a further cross-validation oracle (a completely
 //! different counting mechanism that must agree with Apriori and

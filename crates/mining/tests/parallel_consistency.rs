@@ -1,9 +1,9 @@
 //! Cross-backend and cross-thread-count consistency of candidate counting.
 //!
 //! The parallel decomposition in `ossm-par` promises bit-identical results
-//! at any thread count, and the three counting back-ends (linear scan,
-//! hash tree, bitmap) plus the vertical tidset index all implement the
-//! same support function. This suite pins both claims against a naive
+//! at any thread count, and the two counting back-ends (linear scan and
+//! hash tree) plus the vertical tidset index all implement the same
+//! support function. This suite pins both claims against a naive
 //! serial oracle on seeded data, including the awkward inputs: empty
 //! transactions, empty candidates, singleton items, and candidate items
 //! outside the build domain. It also runs a whole miner, Partition, at
@@ -25,11 +25,7 @@ static THREADS_LOCK: Mutex<()> = Mutex::new(());
 /// items share hash buckets.
 const WIDE_DOMAIN: u32 = 300;
 
-const BACKENDS: [CountingBackend; 3] = [
-    CountingBackend::LinearScan,
-    CountingBackend::HashTree,
-    CountingBackend::Bitmap,
-];
+const BACKENDS: [CountingBackend; 2] = [CountingBackend::LinearScan, CountingBackend::HashTree];
 
 fn set(ids: &[u32]) -> Itemset {
     Itemset::new(ids.iter().copied())
@@ -60,8 +56,7 @@ fn random_candidates(rng: &mut StdRng, n: usize, domain: u32) -> Vec<Itemset> {
         .collect()
 }
 
-/// The trusted oracle: a naive subset scan with no chunking, no trees, no
-/// bit tricks.
+/// The trusted oracle: a naive subset scan with no chunking and no trees.
 fn oracle(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u64> {
     candidates
         .iter()
@@ -89,9 +84,8 @@ fn every_backend_is_thread_count_invariant() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(0x0551);
-    // Enough transactions for several 256-transaction chunks and enough
-    // candidates for several 64-candidate bitmap chunks; the domain past
-    // the hash tree's fan-out makes items share buckets.
+    // Enough transactions for several 256-transaction chunks; the domain
+    // past the hash tree's fan-out makes items share buckets.
     for m in [40, WIDE_DOMAIN] {
         let txs = random_transactions(&mut rng, 1500, m);
         let cands = random_candidates(&mut rng, 220, m);
@@ -150,7 +144,7 @@ fn partition_is_thread_count_invariant() {
 }
 
 #[test]
-fn bitmap_agrees_with_linear_hashtree_and_vertical() {
+fn linear_hashtree_and_vertical_agree_with_the_oracle() {
     let mut rng = StdRng::seed_from_u64(0xB17_0002);
     for m in [32, WIDE_DOMAIN] {
         let txs = random_transactions(&mut rng, 700, m);
@@ -177,7 +171,7 @@ fn out_of_domain_candidate_items_count_zero_everywhere() {
     let m = 20u32;
     let txs = random_transactions(&mut rng, 400, m);
     // Candidates drawn from a wider domain than the data, so some contain
-    // items no transaction (and no bitmap row) has.
+    // items no transaction has.
     let cands = random_candidates(&mut rng, 120, m + 5);
     let expected = oracle(&txs, &cands);
     for backend in BACKENDS {
@@ -213,11 +207,11 @@ fn edge_cases_agree_across_backends() {
                 expected,
                 "{name}: {backend:?}"
             );
+            assert_eq!(
+                count_with(backend, txs, &[]),
+                Vec::<u64>::new(),
+                "{name}: {backend:?}, empty candidate list"
+            );
         }
-        assert_eq!(
-            count_with(CountingBackend::Bitmap, txs, &[]),
-            Vec::<u64>::new(),
-            "{name}: empty candidate list"
-        );
     }
 }

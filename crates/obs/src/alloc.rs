@@ -9,14 +9,14 @@
 //! "who holds the memory", not just "how much is held".
 //!
 //! The hooks are lock-free and allocation-free: scope names live in a
-//! fixed table of [`OnceLock`] slots, counts in plain atomics. A
-//! deallocation is charged to the scope open on the *freeing* thread,
+//! fixed table of [`OnceLock`](std::sync::OnceLock) slots, counts in
+//! plain atomics. A deallocation is charged to the scope open on the *freeing* thread,
 //! which can differ from the allocating scope; per-scope currents are
 //! therefore signed internally and clamped at zero in snapshots, while
 //! peaks — the budget-relevant number — are unaffected.
 //!
 //! When the counting allocator is not installed the hooks are never
-//! called and [`snapshot_into`] injects nothing, so default builds are
+//! called and `snapshot_into` injects nothing, so default builds are
 //! byte-identical. Peak RSS (`VmHWM`/`VmRSS` from `/proc/self/status`)
 //! rides along as `mem.rss` whenever allocation tracking is live.
 

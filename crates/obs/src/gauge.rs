@@ -15,8 +15,8 @@ mod imp {
     /// A current/peak level metric.
     ///
     /// ```
-    /// static MEM_BITMAP: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.bitmap");
-    /// MEM_BITMAP.set(4096);
+    /// static MEM_PAIR_TABLE: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.pair_table");
+    /// MEM_PAIR_TABLE.set(4096);
     /// ```
     pub struct Gauge {
         name: &'static str,

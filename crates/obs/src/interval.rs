@@ -6,7 +6,7 @@
 //! the registry against the previous scrape. The delta math is ungated
 //! (pure arithmetic on snapshots, which exist in both feature
 //! configurations); the [`IntervalTracker`] that pairs a previous
-//! snapshot with an [`Instant`] collapses to a ZST when instrumentation
+//! snapshot with an [`Instant`](std::time::Instant) collapses to a ZST when instrumentation
 //! is off.
 //!
 //! # Monotone-reset handling

@@ -75,7 +75,7 @@ impl Json {
 const MAX_DEPTH: usize = 512;
 
 /// Parses one complete JSON document. Trailing garbage is an error, as is
-/// container nesting deeper than [`MAX_DEPTH`].
+/// container nesting deeper than `MAX_DEPTH`.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),

@@ -152,7 +152,7 @@ impl Histogram {
 /// A latency recorder: a [`Histogram`] of elapsed nanoseconds fed by
 /// RAII [`LatencyTimer`]s, for per-request spans (insert acks, `ub(X)`
 /// queries) whose *distribution* matters — quantiles are derived from
-/// the log2 buckets (see [`crate::quantile`]).
+/// the log2 buckets (see [`crate::quantile`](mod@crate::quantile)).
 ///
 /// ```
 /// static UB_LATENCY: ossm_obs::Latency = ossm_obs::Latency::new("req.ub.latency");

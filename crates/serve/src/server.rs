@@ -23,7 +23,7 @@
 //! queue, the committer skips snapshot publication (re-segmentation is
 //! the sheddable work); reads then serve the *stale* snapshot, widened
 //! by the acked-transaction lag so they stay sound — see
-//! [`stale_widened_bound`]. A poisoned WAL (failed fsync) degrades the
+//! `stale_widened_bound`. A poisoned WAL (failed fsync) degrades the
 //! server to read-only: ingests fail with `Internal`, reads keep
 //! working.
 
