@@ -6,7 +6,8 @@
 //! [--obs-out=BENCH_obs.json] [--trace[=chrome|folded] [PATH]]
 //! [--write-experiments [--experiments-md=EXPERIMENTS.md]]`
 //!
-//! `--smoke` runs everything at tiny scale (seconds, debug-build friendly);
+//! `--smoke` runs everything at tiny scale (seconds, debug-build friendly)
+//! and rejects, with exit status 2, any scale option given next to it;
 //! default scale matches the per-binary defaults.
 //!
 //! Alongside the markdown, the run writes `BENCH_obs.json` (override with
@@ -55,6 +56,12 @@ fn main() {
         ],
         |opts| {
             let run_opts = if opts.flag("smoke") {
+                if let Some(name) = dropped_by_smoke(opts) {
+                    eprintln!(
+                        "error: --{name} sets the scale, which --smoke fixes; drop one of them"
+                    );
+                    return 2;
+                }
                 smoke_options()
             } else {
                 opts.clone()
@@ -77,6 +84,24 @@ fn main() {
             0
         },
     );
+}
+
+/// Options that keep their meaning next to `--smoke`; every other one
+/// sets the scale of a run, which `--smoke` replaces with its preset.
+const KEPT_BY_SMOKE: [&str; 7] = [
+    "smoke",
+    "obs-out",
+    "write-experiments",
+    "experiments-md",
+    "threads",
+    "trace",
+    "trace-out",
+];
+
+/// The first option given next to `--smoke` that the smoke preset would
+/// silently drop.
+fn dropped_by_smoke(opts: &Options) -> Option<&str> {
+    opts.names().find(|name| !KEPT_BY_SMOKE.contains(name))
 }
 
 /// Measures every experiment (Figure 4 on both workloads, Figures 5–6,
@@ -129,4 +154,40 @@ fn write_experiments(opts: &Options, run_opts: &Options) -> i32 {
     }
     eprintln!("filled measured tables into {path}");
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Options {
+        Options::parse(args.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn smoke_rejects_the_scale_options_it_would_drop() {
+        for scale in [
+            "--pages=100000",
+            "--items=50",
+            "--minsup=0.01",
+            "--seed=5",
+            "--full",
+            "--workload=skewed",
+            "--ooc-pages=9",
+            "--pool-frames=4",
+        ] {
+            let opts = parse(&["--smoke", "--obs-out=", scale]);
+            let name = scale.trim_start_matches("--").split('=').next();
+            assert_eq!(dropped_by_smoke(&opts), name, "{scale}");
+        }
+        for kept in [
+            &["--smoke"][..],
+            &["--smoke", "--obs-out=x.json", "--threads=2"],
+            &["--smoke", "--write-experiments", "--experiments-md=E.md"],
+            &["--smoke", "--trace=folded", "--trace-out=t.folded"],
+            &["--smoke", "--trace"],
+        ] {
+            assert_eq!(dropped_by_smoke(&parse(kept)), None, "{kept:?}");
+        }
+    }
 }

@@ -79,6 +79,82 @@ where
     }
 }
 
+/// Eq. (1) for a batch of pairs: for every pair `(a, b)` of `items`, `a`
+/// before `b`, in row order — the pairs of `items[0]`, then those of
+/// `items[1]`, … — whose flag in `pairs` is set, calls `judge` with the
+/// pair's min-sum `Σ_s min(row(a)[s], row(b)[s])` and stores its answer
+/// as the flag. Rows are of one length; a pair past the end of `pairs`
+/// is not judged. Returns the number of pairs judged.
+///
+/// When every row sums to at most `u32::MAX`, the rows are copied to
+/// `u32` and each min-sum is accumulated in `u32`, which the x86-64
+/// baseline vectorizes; otherwise they are judged as given, in `u64`.
+// SOUND: each term is the minimum of the two rows at one position and
+// every position is summed — `min_sum` for `[a, b]`. The `u32`
+// accumulator cannot overflow: a min-sum is at most the smaller row's
+// sum, and the narrow path runs only when every row sum fits `u32`.
+pub fn min_sum_pairs<'r, T>(
+    items: &[ItemId],
+    row: impl Fn(ItemId) -> &'r [T],
+    pairs: &mut [bool],
+    judge: impl FnMut(u64) -> bool,
+) -> u64
+where
+    T: Copy + Ord + Into<u64> + 'r,
+{
+    let rows: Vec<&[T]> = items.iter().map(|&a| row(a)).collect();
+    let narrow = rows.iter().all(|r| {
+        r.iter()
+            .try_fold(0u32, |sum, &v| {
+                sum.checked_add(u32::try_from(v.into()).ok()?)
+            })
+            .is_some()
+    });
+    if !narrow {
+        return judge_rows::<T, u64>(&rows, pairs, judge);
+    }
+    let width = rows.first().map_or(0, |r| r.len());
+    let copy: Vec<u32> = rows
+        .iter()
+        .flat_map(|r| {
+            r.iter()
+                .map(|&v| u32::try_from(v.into()).unwrap_or(u32::MAX))
+        })
+        .collect();
+    let narrow_rows: Vec<&[u32]> = if width == 0 {
+        vec![&[]; rows.len()]
+    } else {
+        copy.chunks_exact(width).collect()
+    };
+    judge_rows::<u32, u32>(&narrow_rows, pairs, judge)
+}
+
+/// [`min_sum_pairs`] over rows of `T`, each min-sum accumulated in `A`.
+fn judge_rows<T, A>(rows: &[&[T]], pairs: &mut [bool], mut judge: impl FnMut(u64) -> bool) -> u64
+where
+    T: Copy + Ord + Into<A>,
+    A: Copy + Default + std::ops::Add<Output = A> + Into<u64>,
+{
+    let mut flags = pairs.iter_mut();
+    let mut judged = 0;
+    for (x, a) in rows.iter().enumerate() {
+        for b in rows.iter().skip(x + 1) {
+            let Some(flag) = flags.next() else {
+                return judged;
+            };
+            if *flag {
+                let ub = a
+                    .iter()
+                    .zip(b.iter())
+                    .fold(A::default(), |sum, (&p, &q)| sum + p.min(q).into());
+                *flag = judge(ub.into());
+                judged += 1;
+            }
+        }
+    }
+    judged
+}
+
 impl Ossm {
     /// Builds an OSSM directly from per-segment aggregates.
     ///
@@ -272,6 +348,27 @@ impl Ossm {
         min_sum(&[a, b], |i| self.item_supports(i))
     }
 
+    /// Equation (1) for a batch of pairs: every pair of `items` flagged
+    /// in `pairs`, judged by `judge(ub)` as [`min_sum_pairs`] describes,
+    /// with the number judged added to `core.bound.evals` once. Returns
+    /// that number.
+    ///
+    /// # Panics
+    /// Panics if an item of `items` lies outside the map's domain.
+    // SOUND: `min_sum_pairs` over every item's full row is the min-sum
+    // of `upper_bound` for each pair {a, b}, in `u32` only when no row
+    // sum exceeds it.
+    pub fn upper_bound_pairs(
+        &self,
+        items: &[ItemId],
+        pairs: &mut [bool],
+        judge: impl FnMut(u64) -> bool,
+    ) -> u64 {
+        let judged = min_sum_pairs(items, |a| self.item_supports(a), pairs, judge);
+        BOUND_EVALS.add(judged);
+        judged
+    }
+
     /// Whether `pattern` can be pruned at `min_support`: its upper bound is
     /// already below the threshold, so it cannot be frequent.
     #[inline]
@@ -396,6 +493,69 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn batched_pair_bounds_equal_upper_bound_at_the_u32_edge() {
+        let max = u64::from(u32::MAX);
+        // Item rows over three segments: items 0–2 sum to exactly
+        // u32::MAX, items 3 and 6 to one past it (so their pair's bound
+        // is u32::MAX + 1), item 4 to zero, and item 5 holds a single
+        // value past u32::MAX.
+        let rows: [[u64; 3]; 7] = [
+            [max - 10, 6, 4],
+            [max - 10, 10, 0],
+            [5, max - 20, 15],
+            [max - 10, 6, 5],
+            [0, 0, 0],
+            [max + 5, 1, 1],
+            [max - 10, 6, 5],
+        ];
+        let segments = (0..3)
+            .map(|s| Aggregate::new(rows.iter().map(|r| r[s]).collect(), max + 5))
+            .collect();
+        let ossm = Ossm::from_aggregates(segments);
+        // The narrow path (every row sum fits u32), the wide path by a
+        // sum and by a value, and items out of item order.
+        for ids in [
+            vec![0u32, 1, 2, 4],
+            vec![0, 1, 2, 3, 4],
+            vec![4, 2, 5, 0],
+            vec![3, 6, 0],
+            vec![1],
+            vec![],
+        ] {
+            let items: Vec<ItemId> = ids.iter().copied().map(ItemId).collect();
+            let n = items.len();
+            let mut flags = vec![true; n * n.saturating_sub(1) / 2];
+            // One unflagged pair is skipped.
+            if let Some(f) = flags.get_mut(1) {
+                *f = false;
+            }
+            let mut expected = Vec::new();
+            let mut expected_flags = Vec::new();
+            for (x, &a) in ids.iter().enumerate() {
+                for &b in &ids[x + 1..] {
+                    if expected_flags.len() == 1 {
+                        expected_flags.push(false);
+                    } else {
+                        let ub = ossm.upper_bound(&set(&[a, b]));
+                        expected.push(ub);
+                        expected_flags.push(ub % 2 == 0);
+                    }
+                }
+            }
+            let mut seen = Vec::new();
+            let judged = ossm.upper_bound_pairs(&items, &mut flags, |ub| {
+                seen.push(ub);
+                ub % 2 == 0
+            });
+            assert_eq!(seen, expected, "items {ids:?}");
+            assert_eq!(judged, expected.len() as u64);
+            assert_eq!(flags, expected_flags, "items {ids:?}");
+        }
+        assert_eq!(ossm.upper_bound(&set(&[0, 1])), max - 4);
+        assert_eq!(ossm.upper_bound(&set(&[3, 6])), max + 1);
     }
 
     #[test]

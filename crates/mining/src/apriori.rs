@@ -14,10 +14,10 @@ use std::time::Instant;
 use ossm_data::{Dataset, ItemId, Itemset};
 
 use crate::filter::{CandidateFilter, NoFilter};
-use crate::levelwise::{admit, collect_singletons, LevelLoop, Trace};
+use crate::levelwise::{admit, collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
-use crate::support::{count_with, CountingBackend, FrequentPatterns};
+use crate::support::{count_batch, CountingBackend, FrequentPatterns};
 
 /// A mining result: the frequent patterns plus run metrics.
 #[derive(Clone, Debug)]
@@ -105,13 +105,13 @@ impl Apriori {
             filter,
             trace: Trace::Apriori,
         };
-        let count = |_, candidates: &[Itemset]| {
+        let count = |batch: Batch<'_>| {
             let mut s = ossm_obs::span("mining.apriori.count");
-            s.attach("candidates", candidates.len() as u64);
-            Ok(count_with(self.backend, dataset.transactions(), candidates))
+            s.attach("candidates", batch.len() as u64);
+            Ok(count_batch(self.backend, dataset.transactions(), batch))
         };
         levels
-            .run(frequent, None, &mut patterns, &mut metrics, count)
+            .run(&frequent, None, &mut patterns, &mut metrics, count)
             .expect("in-memory counting does no I/O");
 
         metrics.elapsed = start.elapsed();

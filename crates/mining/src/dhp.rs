@@ -6,7 +6,9 @@
 //! same bottleneck the OSSM does — the explosion of candidate 2-itemsets —
 //! which is why Section 7 of the paper composes the two: the OSSM filters
 //! the pairs *before* the hash check would have admitted them, and the
-//! paper's preliminary table shows |C2| roughly halving.
+//! paper's preliminary table shows |C2| roughly halving. The bucket test
+//! flags the admitted pairs in level 2's triangle over the frequent
+//! items, which the OSSM then judges in one batch, as for Apriori.
 //!
 //! DHP's second reduction, trimming the database before each level `k`,
 //! is the hash tree's live-item projection: a pass walks each transaction
@@ -18,14 +20,15 @@
 
 use std::time::Instant;
 
-use ossm_data::{Dataset, ItemId, Itemset};
+use ossm_data::{Dataset, ItemId};
 
 use crate::apriori::MiningOutcome;
 use crate::filter::{CandidateFilter, NoFilter};
-use crate::levelwise::{collect_singletons, LevelLoop, Trace};
+use crate::levelwise::{collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
-use crate::support::{count_with, CountingBackend, FrequentPatterns};
+use crate::pairs::Triangle;
+use crate::support::{count_batch, CountingBackend, FrequentPatterns};
 
 /// DHP configuration. Levels ≥ 2 count on the hash tree.
 #[derive(Clone, Copy, Debug)]
@@ -60,19 +63,12 @@ pub(crate) fn hash_pairs(items: &[ItemId], buckets: &mut [u64]) {
     }
 }
 
-/// The candidate 2-itemsets: pairs of frequent singletons `l1` whose
-/// bucket reached `min_support`.
-pub(crate) fn admitted_pairs(l1: &[Itemset], buckets: &[u64], min_support: u64) -> Vec<Itemset> {
-    let items: Vec<ItemId> = l1.iter().flat_map(|s| s.items().iter().copied()).collect();
-    let mut admitted = Vec::new();
-    for (i, &a) in items.iter().enumerate() {
-        for &b in items.get(i + 1..).unwrap_or_default() {
-            if buckets[pair_bucket(a, b, buckets.len())] >= min_support {
-                admitted.push(Itemset::from_sorted(vec![a, b]));
-            }
-        }
-    }
-    admitted
+/// The candidate 2-itemsets: the pairs of the frequent items `l1` (in
+/// item order) whose bucket reached `min_support`.
+pub(crate) fn admitted_pairs(l1: &[ItemId], buckets: &[u64], min_support: u64) -> Triangle {
+    Triangle::with(l1.to_vec(), |a, b| {
+        buckets[pair_bucket(a, b, buckets.len())] >= min_support
+    })
 }
 
 impl Dhp {
@@ -153,17 +149,17 @@ impl Dhp {
             filter,
             trace: Trace::Dhp,
         };
-        let count = |_, batch: &[Itemset]| {
+        let count = |batch: Batch<'_>| {
             let mut s = ossm_obs::span("mining.dhp.count");
             s.attach("candidates", batch.len() as u64);
-            Ok(count_with(
+            Ok(count_batch(
                 CountingBackend::HashTree,
                 dataset.transactions(),
                 batch,
             ))
         };
         levels
-            .run(l1, Some(admitted), &mut patterns, &mut metrics, count)
+            .run(&l1, Some(admitted), &mut patterns, &mut metrics, count)
             .expect("in-memory counting does no I/O");
 
         metrics.elapsed = start.elapsed();
@@ -178,6 +174,7 @@ mod tests {
     use crate::filter::OssmFilter;
     use ossm_core::minimize_segments;
     use ossm_data::gen::QuestConfig;
+    use ossm_data::Itemset;
 
     fn quest(n: usize, m: usize) -> Dataset {
         QuestConfig {
@@ -237,6 +234,39 @@ mod tests {
                 <= plain.metrics.candidate_2_itemsets_counted(),
             "Section 7: the OSSM removes candidates the hash table admits"
         );
+    }
+
+    #[test]
+    fn admitted_pairs_flag_exactly_the_pairs_whose_bucket_reaches_the_threshold() {
+        let d = quest(300, 40);
+        let supports = d.singleton_supports();
+        let l1: Vec<ItemId> = (0..40u32)
+            .map(ItemId)
+            .filter(|i| supports[i.index()] >= 5)
+            .collect();
+        for n in [1, 7, 64, 32_768] {
+            let mut buckets = vec![0u64; n];
+            for t in d.transactions() {
+                hash_pairs(t.items(), &mut buckets);
+            }
+            for min_support in [5, 12, 40] {
+                let mut expected = Vec::new();
+                for (x, &a) in l1.iter().enumerate() {
+                    for &b in &l1[x + 1..] {
+                        if buckets[pair_bucket(a, b, n)] >= min_support {
+                            expected.push(Itemset::from_sorted(vec![a, b]));
+                        }
+                    }
+                }
+                let triangle = admitted_pairs(&l1, &buckets, min_support);
+                assert_eq!(
+                    triangle.itemsets(),
+                    expected,
+                    "{n} buckets at {min_support}"
+                );
+                assert_eq!(triangle.len(), expected.len());
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,19 @@
 //! [`CandidateFilter`], which makes "Apriori with the OSSM" vs "Apriori
 //! without" a one-argument difference, exactly how the paper frames its
 //! experiments (and likewise for DHP and DepthProject in Section 7).
+//! The level-wise miners judge level 2 — every pair of frequent items —
+//! in one [`CandidateFilter::judge_pairs`] call: [`NoFilter`] admits the
+//! batch without looking, [`OssmFilter`] runs eq. (1) over it in one
+//! `ossm_core` kernel, and any other filter is asked pair by pair.
 //! Partition builds its own per-partition maps instead, and the
 //! out-of-core miners take the map itself, because they also use it to
 //! skip pages.
 
 use ossm_core::Ossm;
-use ossm_data::Itemset;
+use ossm_data::{ItemId, Itemset};
+
+use crate::levelwise::admit;
+use crate::pairs::all_pairs;
 
 /// Decides, before counting, whether a candidate can still be frequent.
 pub trait CandidateFilter {
@@ -34,6 +41,34 @@ pub trait CandidateFilter {
         None
     }
 
+    /// Judges a batch of pairs — level 2 of a level-wise miner: every
+    /// pair `(a, b)` of `items` (in item order, distinct), `a` before
+    /// `b`, in row order — the pairs of `items[0]`, then those of
+    /// `items[1]`, … — whose flag in `pairs` is set. The flag of a pair
+    /// the filter discharges is cleared. A filter with a
+    /// [`bound`](Self::bound) pushes the bound of every pair it admits
+    /// onto `bounds`, in row order, when instrumentation is on.
+    ///
+    /// The answer for each pair must equal the one-pair path: its bound
+    /// against `min_support` for a filter with a bound,
+    /// [`may_be_frequent`](Self::may_be_frequent) otherwise. The default
+    /// judges pair by pair that way; a filter overrides it to judge the
+    /// batch at once.
+    fn judge_pairs(
+        &self,
+        items: &[ItemId],
+        min_support: u64,
+        pairs: &mut [bool],
+        bounds: &mut Vec<u64>,
+    ) {
+        for (pair, flag) in all_pairs(items).zip(pairs) {
+            if *flag {
+                let pair = Itemset::from_sorted(pair.to_vec());
+                *flag = admit(self, &pair, min_support, bounds);
+            }
+        }
+    }
+
     /// Display name for experiment tables.
     fn name(&self) -> &str;
 }
@@ -48,6 +83,9 @@ impl CandidateFilter for NoFilter {
     fn may_be_frequent(&self, _candidate: &Itemset, _min_support: u64) -> bool {
         true
     }
+
+    /// Admits every pair without looking at one.
+    fn judge_pairs(&self, _: &[ItemId], _: u64, _: &mut [bool], _: &mut Vec<u64>) {}
 
     fn name(&self) -> &str {
         "none"
@@ -80,6 +118,23 @@ impl CandidateFilter for OssmFilter<'_> {
 
     fn bound(&self, candidate: &Itemset) -> Option<u64> {
         Some(self.ossm.upper_bound(candidate))
+    }
+
+    /// Eq. (1) for the whole batch through [`Ossm::upper_bound_pairs`].
+    fn judge_pairs(
+        &self,
+        items: &[ItemId],
+        min_support: u64,
+        pairs: &mut [bool],
+        bounds: &mut Vec<u64>,
+    ) {
+        self.ossm.upper_bound_pairs(items, pairs, |ub| {
+            let admitted = ub >= min_support;
+            if admitted && ossm_obs::ENABLED {
+                bounds.push(ub);
+            }
+            admitted
+        });
     }
 
     fn name(&self) -> &str {

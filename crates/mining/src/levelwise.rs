@@ -7,6 +7,17 @@
 //! differ only in what they hand the loop: their level-2 candidates (DHP's
 //! bucket-admitted pairs), their filter, and how one batch is counted
 //! (over the dataset in memory, or in one guarded pass over a page file).
+//!
+//! Level 2 is held as a triangle over L1 (`crate::pairs::Triangle`), not
+//! as a list: its candidates are pairs of frequent items, so one flag per
+//! pair of L1, in Apriori's join order, marks the generated ones. The
+//! filter judges every flagged pair in one batched call
+//! ([`CandidateFilter::judge_pairs`]), the counting closure gets the
+//! triangle itself ([`Batch::Pairs`]), and only a pair found frequent
+//! becomes an [`Itemset`]. Levels `k ≥ 3` are lists ([`Batch::Sets`]),
+//! judged one candidate at a time. Either way eq. (1) is evaluated once
+//! per generated candidate, and each level's bound outcomes are tallied
+//! locally and recorded once.
 
 use std::io;
 
@@ -16,7 +27,8 @@ use ossm_obs::SpanGuard;
 use crate::apriori::generate_candidates;
 use crate::filter::CandidateFilter;
 use crate::metrics::{LevelMetrics, MiningMetrics};
-use crate::obs;
+use crate::obs::{self, BoundOutcomes};
+use crate::pairs::Triangle;
 use crate::support::FrequentPatterns;
 
 /// Whose spans and `mining.<miner>.level<k>.*` counters the loop records.
@@ -54,6 +66,26 @@ impl Trace {
     }
 }
 
+/// A batch the level loop hands its counting closure.
+pub(crate) enum Batch<'a> {
+    /// Level 2: the flagged pairs of a triangle, whose counts are wanted
+    /// in the triangle's row order.
+    Pairs(&'a Triangle),
+    /// The candidates of a level `k ≥ 3`, whose counts are wanted in
+    /// list order.
+    Sets(&'a [Itemset]),
+}
+
+impl Batch<'_> {
+    /// The number of candidates in the batch.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Batch::Pairs(triangle) => triangle.len(),
+            Batch::Sets(candidates) => candidates.len(),
+        }
+    }
+}
+
 /// One level-wise run's settings.
 pub(crate) struct LevelLoop<'f> {
     pub(crate) min_support: u64,
@@ -63,33 +95,27 @@ pub(crate) struct LevelLoop<'f> {
 }
 
 impl LevelLoop<'_> {
-    /// Mines levels 2, 3, … from the frequent singletons `l1`, adding the
-    /// frequent sets to `patterns` and one row per level that generated
-    /// candidates to `metrics`. `level2`, if given, replaces Apriori
-    /// generation at level 2. `count(k, candidates)` returns the exact
-    /// supports of a non-empty batch; a level whose every candidate is
-    /// filtered out is never counted, and ends the run.
+    /// Mines levels 2, 3, … from the frequent items `l1` (in item
+    /// order), adding the frequent sets to `patterns` and one row per
+    /// level that generated candidates to `metrics`. `level2`, if given,
+    /// replaces Apriori generation at level 2. `count(batch)` returns the
+    /// exact supports of a non-empty batch; a level whose every candidate
+    /// is filtered out is never counted, and ends the run.
     pub(crate) fn run(
         &self,
-        l1: Vec<Itemset>,
-        mut level2: Option<Vec<Itemset>>,
+        l1: &[ItemId],
+        level2: Option<Triangle>,
         patterns: &mut FrequentPatterns,
         metrics: &mut MiningMetrics,
-        mut count: impl FnMut(usize, &[Itemset]) -> io::Result<Vec<u64>>,
+        mut count: impl FnMut(Batch<'_>) -> io::Result<Vec<u64>>,
     ) -> io::Result<()> {
-        let mut frequent = l1;
-        let mut k = 2;
-        while level2.is_some() || !frequent.is_empty() {
-            let mut level_span = self
-                .trace
-                .miner()
-                .map(|miner| ossm_obs::span(format!("mining.{miner}.level{k}")));
-            let generated = match level2.take() {
-                Some(candidates) => candidates,
-                None => {
-                    let _s = self.trace.gen();
-                    generate_candidates(&frequent)
-                }
+        let mut frequent = self.level2(l1, level2, patterns, metrics, &mut count)?;
+        let mut k = 3;
+        while !frequent.is_empty() {
+            let level_span = self.level_span(k);
+            let generated = {
+                let _s = self.trace.gen();
+                generate_candidates(&frequent)
             };
             if generated.is_empty() {
                 break;
@@ -112,30 +138,111 @@ impl LevelLoop<'_> {
             let counts = if candidates.is_empty() {
                 Vec::new()
             } else {
-                count(k, &candidates)?
+                count(Batch::Sets(&candidates))?
             };
+            let mut outcomes = BoundOutcomes::default();
             frequent = Vec::new();
             for (i, (c, sup)) in candidates.into_iter().zip(counts).enumerate() {
                 if let Some(&ub) = bounds.get(i) {
-                    obs::record_bound_outcome(ub, sup, self.min_support);
+                    outcomes.record(ub, sup, self.min_support);
                 }
                 if sup >= self.min_support {
                     patterns.insert(c.clone(), sup);
                     frequent.push(c);
                 }
             }
+            outcomes.flush();
             level.frequent = frequent.len() as u64;
-            if let Some(span) = &mut level_span {
-                span.attach("generated", level.generated);
-                span.attach("frequent", level.frequent);
-            }
-            if let Some(miner) = self.trace.miner() {
-                obs::record_level(miner, &level);
-            }
-            metrics.push_level(level);
+            self.finish(level, level_span, metrics);
             k += 1;
         }
         Ok(())
+    }
+
+    /// Level 2 as a triangle over `l1`: generation flags its pairs (all
+    /// of them, unless `level2` brings its own flags), the filter judges
+    /// the flagged pairs in one batch, and only the pairs found frequent
+    /// become [`Itemset`]s — returned as the seeds of level 3.
+    fn level2(
+        &self,
+        l1: &[ItemId],
+        level2: Option<Triangle>,
+        patterns: &mut FrequentPatterns,
+        metrics: &mut MiningMetrics,
+        count: &mut impl FnMut(Batch<'_>) -> io::Result<Vec<u64>>,
+    ) -> io::Result<Vec<Itemset>> {
+        if level2.is_none() && l1.is_empty() {
+            return Ok(Vec::new());
+        }
+        let level_span = self.level_span(2);
+        let mut triangle = match level2 {
+            Some(triangle) => triangle,
+            None => {
+                let _s = self.trace.gen();
+                Triangle::all(l1.to_vec())
+            }
+        };
+        let generated = triangle.len() as u64;
+        if generated == 0 {
+            return Ok(Vec::new());
+        }
+        let mut bounds = Vec::new();
+        {
+            let _s = self.trace.prune();
+            triangle.judge(self.filter, self.min_support, &mut bounds);
+        }
+        let counted = triangle.len() as u64;
+        let counts = if counted == 0 {
+            Vec::new()
+        } else {
+            count(Batch::Pairs(&triangle))?
+        };
+        let mut outcomes = BoundOutcomes::default();
+        let mut frequent = Vec::new();
+        for (i, (pair, sup)) in triangle.pairs().zip(counts).enumerate() {
+            if let Some(&ub) = bounds.get(i) {
+                outcomes.record(ub, sup, self.min_support);
+            }
+            if sup >= self.min_support {
+                let c = Itemset::from_sorted(pair.to_vec());
+                patterns.insert(c.clone(), sup);
+                frequent.push(c);
+            }
+        }
+        outcomes.flush();
+        let level = LevelMetrics {
+            level: 2,
+            generated,
+            filtered_out: generated - counted,
+            counted,
+            frequent: frequent.len() as u64,
+        };
+        self.finish(level, level_span, metrics);
+        Ok(frequent)
+    }
+
+    fn level_span(&self, k: usize) -> Option<SpanGuard> {
+        self.trace
+            .miner()
+            .map(|miner| ossm_obs::span(format!("mining.{miner}.level{k}")))
+    }
+
+    /// Records a finished level's row: on its span, in the level
+    /// counters, and in `metrics`.
+    fn finish(
+        &self,
+        level: LevelMetrics,
+        mut level_span: Option<SpanGuard>,
+        metrics: &mut MiningMetrics,
+    ) {
+        if let Some(span) = &mut level_span {
+            span.attach("generated", level.generated);
+            span.attach("frequent", level.frequent);
+        }
+        if let Some(miner) = self.trace.miner() {
+            obs::record_level(miner, &level);
+        }
+        metrics.push_level(level);
     }
 }
 
@@ -145,8 +252,8 @@ impl LevelLoop<'_> {
 /// `bounds` for its outcome record, so eq. (1) is evaluated once per
 /// candidate. `bounds` thus ends empty or with one entry per admitted
 /// candidate.
-pub(crate) fn admit(
-    filter: &dyn CandidateFilter,
+pub(crate) fn admit<F: CandidateFilter + ?Sized>(
+    filter: &F,
     candidate: &Itemset,
     min_support: u64,
     bounds: &mut Vec<u64>,
@@ -165,27 +272,28 @@ pub(crate) fn admit(
 
 /// Level 1's collect step: records each counted singleton's bound outcome
 /// (`bounds` as [`admit`] left it for `items`), adds the frequent ones
-/// with their exact `supports` to `patterns`, and returns them as the
-/// seeds of level 2.
+/// with their exact `supports` to `patterns`, and returns them, in the
+/// order of `items`, as the seeds of level 2.
 pub(crate) fn collect_singletons(
     items: impl IntoIterator<Item = ItemId>,
     supports: &[u64],
     min_support: u64,
     bounds: &[u64],
     patterns: &mut FrequentPatterns,
-) -> Vec<Itemset> {
+) -> Vec<ItemId> {
+    let mut outcomes = BoundOutcomes::default();
     let mut frequent = Vec::new();
     for (i, item) in items.into_iter().enumerate() {
-        let s = Itemset::singleton(item);
         let sup = supports[item.index()];
         if let Some(&ub) = bounds.get(i) {
-            obs::record_bound_outcome(ub, sup, min_support);
+            outcomes.record(ub, sup, min_support);
         }
         if sup >= min_support {
-            patterns.insert(s.clone(), sup);
-            frequent.push(s);
+            patterns.insert(Itemset::singleton(item), sup);
+            frequent.push(item);
         }
     }
+    outcomes.flush();
     frequent
 }
 

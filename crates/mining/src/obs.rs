@@ -9,7 +9,8 @@
 //!   *false positive* (admitted but infrequent — counting work the bound
 //!   failed to save). The false-positive rate is the experimental knob the
 //!   paper's Figure 4(b) turns: more segments → tighter bound → fewer
-//!   false positives.
+//!   false positives. A level tallies its outcomes locally and adds them
+//!   to the registry once (`BoundOutcomes`).
 //! * **Per-level candidate flow** — every [`LevelMetrics`] row a level-wise
 //!   miner pushes is mirrored as dynamic counters
 //!   `mining.<miner>.level<k>.{generated,filtered_out,counted,frequent}`.
@@ -26,16 +27,46 @@ static BOUND_TRUE_POS: ossm_obs::Counter = ossm_obs::Counter::new("mining.bound.
 /// Bound-admitted candidates that turned out infrequent (wasted counting).
 static BOUND_FALSE_POS: ossm_obs::Counter = ossm_obs::Counter::new("mining.bound.false_pos");
 
-/// Records the outcome of counting one filter-admitted candidate whose
-/// bound was `ub`: how loose the bound was (slack histogram) and whether
-/// admitting it was a true or false positive. No-op when instrumentation
-/// is disabled.
-pub(crate) fn record_bound_outcome(ub: u64, support: u64, min_support: u64) {
-    BOUND_SLACK.record(ub.saturating_sub(support));
-    if support >= min_support {
-        BOUND_TRUE_POS.incr();
-    } else {
-        BOUND_FALSE_POS.incr();
+/// The bound outcomes of one level's counted candidates, tallied
+/// locally and added to the `mining.bound.*` metrics in one
+/// [`flush`](Self::flush), so a level of many candidates pays no atomic
+/// per candidate. A zero-sized no-op when instrumentation is disabled.
+#[derive(Default)]
+pub(crate) struct BoundOutcomes {
+    slack: ossm_obs::Tally,
+    true_pos: u64,
+    false_pos: u64,
+}
+
+impl BoundOutcomes {
+    /// Tallies the outcome of counting one filter-admitted candidate
+    /// whose bound was `ub`: how loose the bound was (slack) and whether
+    /// admitting it was a true or false positive.
+    #[inline]
+    pub(crate) fn record(&mut self, ub: u64, support: u64, min_support: u64) {
+        if !ossm_obs::ENABLED {
+            return;
+        }
+        self.slack.record(ub.saturating_sub(support));
+        if support >= min_support {
+            self.true_pos += 1;
+        } else {
+            self.false_pos += 1;
+        }
+    }
+
+    /// Adds the tallied outcomes to the registry.
+    pub(crate) fn flush(self) {
+        if !ossm_obs::ENABLED {
+            return;
+        }
+        BOUND_SLACK.record_tally(&self.slack);
+        if self.true_pos > 0 {
+            BOUND_TRUE_POS.add(self.true_pos);
+        }
+        if self.false_pos > 0 {
+            BOUND_FALSE_POS.add(self.false_pos);
+        }
     }
 }
 
@@ -64,10 +95,12 @@ mod tests {
         let before_fp = ossm_obs::registry()
             .snapshot()
             .counter("mining.bound.false_pos");
+        let mut outcomes = BoundOutcomes::default();
         // ub = 30, frequent at threshold 25 → true positive.
-        record_bound_outcome(30, 28, 25);
+        outcomes.record(30, 28, 25);
         // Infrequent at threshold 25 → false positive.
-        record_bound_outcome(30, 12, 25);
+        outcomes.record(30, 12, 25);
+        outcomes.flush();
         // Other tests in this binary share the registry, so assert deltas
         // as lower bounds.
         let snap = ossm_obs::registry().snapshot();

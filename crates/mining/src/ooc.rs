@@ -33,9 +33,11 @@
 //! Apriori and DHP count level 2 in a pair table over the batch's live
 //! items (`crate::pairs`): one `u64` cell per pair of items some candidate
 //! holds, so a transaction costs `C(n, 2)` increments over its `n` live
-//! items and no hash-tree walk. A batch whose table would be large next
-//! to its candidate count, and every level `k ≥ 3`, is counted by the
-//! [`HashTree`]. Either way a page the pass skips holds no candidate, so
+//! items and no hash-tree walk. The batch is the level loop's triangle
+//! over L1: eq. (1) and its page sum judge it in one batch each, and the
+//! table, the page mask and the counts come from its flags. A batch
+//! whose table would be large next to its candidate count, and every
+//! level `k ≥ 3`, is counted by the [`HashTree`]. Either way a page the pass skips holds no candidate, so
 //! every candidate's count stays exact.
 //!
 //! Each `mine` reports the patterns plus pass, page-read, and page-skip
@@ -44,7 +46,7 @@
 
 use std::io;
 
-use ossm_core::ssm::min_sum;
+use ossm_core::ssm::{min_sum, min_sum_pairs};
 use ossm_core::Ossm;
 use ossm_data::disk::{DiskStore, FlatPage, PageSummary};
 use ossm_data::{ItemId, Itemset};
@@ -54,7 +56,7 @@ use crate::dhp::{admitted_pairs, hash_pairs};
 use crate::filter::{CandidateFilter, NoFilter};
 use crate::fpgrowth::GlobalTreeMiner;
 use crate::hashtree::HashTree;
-use crate::levelwise::{collect_singletons, LevelLoop, Trace};
+use crate::levelwise::{collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::pairs::PairTable;
 use crate::support::FrequentPatterns;
@@ -149,12 +151,15 @@ impl<'a> PageBounds<'a> {
 
     /// The pages a counting pass must read: those where some candidate's
     /// page bound is nonzero, i.e. all of its items occur.
-    fn pages_holding_any(&self, candidates: &[Itemset]) -> Vec<bool> {
+    fn pages_holding_any<C: AsRef<[ItemId]>>(
+        &self,
+        candidates: impl IntoIterator<Item = C>,
+    ) -> Vec<bool> {
         let mut any = vec![0u64; self.pages.div_ceil(64)];
         let mut all = any.clone();
         for c in candidates {
             all.fill(u64::MAX);
-            for item in c.items() {
+            for item in c.as_ref() {
                 for (a, &w) in all.iter_mut().zip(self.present(item.index())) {
                     *a &= w;
                 }
@@ -197,6 +202,20 @@ impl CandidateFilter for PageBounds<'_> {
         // both discharges are exact.
         self.ossm.upper_bound(candidate) >= min_support
             && min_sum(candidate.items(), |i| self.row(i)) >= min_support
+    }
+
+    /// The map's eq. (1) over the batch, then the page sum over the
+    /// pairs it admits, each in one [`min_sum_pairs`] call.
+    fn judge_pairs(
+        &self,
+        items: &[ItemId],
+        min_support: u64,
+        pairs: &mut [bool],
+        _: &mut Vec<u64>,
+    ) {
+        self.ossm
+            .upper_bound_pairs(items, pairs, |ub| ub >= min_support);
+        min_sum_pairs(items, |i| self.row(i), pairs, |ub| ub >= min_support);
     }
 
     fn name(&self) -> &str {
@@ -353,26 +372,45 @@ fn mine_levels(
         filter,
         trace: Trace::Off,
     };
-    levels.run(l1, level2, &mut patterns, &mut metrics, |k, candidates| {
+    levels.run(&l1, level2, &mut patterns, &mut metrics, |batch| {
         // A skipped page holds no candidate, so every candidate's count
         // is still exact whichever structure counts the pass.
-        let keep = bounds.as_ref().map(|b| b.pages_holding_any(candidates));
-        // Pairs go to a table over the live items when it is small
-        // enough, fed a page at a time.
-        if k == 2 {
-            if let Some(table) = PairTable::build(candidates) {
-                let mut pass = table.start_pass::<u64>();
-                run.pass(keep.as_deref(), |page| table.count(page, &mut pass))?;
-                return Ok(table.counts(candidates, &[pass]));
+        let candidates = match batch {
+            Batch::Pairs(triangle) => {
+                let keep = bounds
+                    .as_ref()
+                    .map(|b| b.pages_holding_any(triangle.pairs()));
+                // Pairs go to a table over the live items when it is
+                // small enough, fed a page at a time.
+                if let Some(table) = PairTable::for_triangle(triangle) {
+                    let mut pass = table.start_pass::<u64>();
+                    run.pass(keep.as_deref(), |page| table.count(page, &mut pass))?;
+                    return Ok(table.counts(triangle.pairs(), &[pass]));
+                }
+                // Otherwise the tree counts them as a list.
+                return count_on_tree(&mut run, keep.as_deref(), &triangle.itemsets());
             }
-        }
-        // Otherwise one tree and one counting state for the whole pass.
-        let tree = HashTree::build(candidates);
-        let mut counts = tree.start_pass();
-        run.pass(keep.as_deref(), |page| tree.count(page, &mut counts))?;
-        Ok(counts.into_counts())
+            Batch::Sets(candidates) => candidates,
+        };
+        let keep = bounds
+            .as_ref()
+            .map(|b| b.pages_holding_any(candidates.iter().map(Itemset::items)));
+        count_on_tree(&mut run, keep.as_deref(), candidates)
     })?;
     Ok(run.finish(patterns, metrics))
+}
+
+/// Counts `candidates` in one pass over the pages `keep` marks, with one
+/// hash tree and one counting state for the whole pass.
+fn count_on_tree(
+    run: &mut OocRun<'_>,
+    keep: Option<&[bool]>,
+    candidates: &[Itemset],
+) -> io::Result<Vec<u64>> {
+    let tree = HashTree::build(candidates);
+    let mut counts = tree.start_pass();
+    run.pass(keep, |page| tree.count(page, &mut counts))?;
+    Ok(counts.into_counts())
 }
 
 /// Apriori over a [`DiskStore`], with an optional OSSM.
@@ -613,7 +651,7 @@ mod tests {
         // Σ_p min(sup_p(0), sup_p(1)) = min(3, 2) + min(0, 4) = 2.
         assert!(bounds.may_be_frequent(&pair, 2));
         assert!(!bounds.may_be_frequent(&pair, 3));
-        assert_eq!(bounds.pages_holding_any(&[pair]), [true, false]);
+        assert_eq!(bounds.pages_holding_any([pair.items()]), [true, false]);
         assert_eq!(bounds.pages_with_frequent(&[3, 6], 3, 2), [true, false]);
         // At 4 only item 1 is frequent: on both pages, but alone.
         assert_eq!(bounds.pages_with_frequent(&[3, 6], 4, 1), [true, true]);

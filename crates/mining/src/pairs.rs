@@ -21,10 +21,20 @@
 //! so the counts are identical at any thread count.
 //!
 //! When eq. (1) leaves few candidates over many live items, most cells
-//! would count pairs no candidate names; [`PairTable::build`] declines
-//! such a batch, and the caller counts it with the hash tree instead.
+//! would count pairs no candidate names; the size rule declines such a
+//! batch, and the caller counts it with the hash tree instead.
+//!
+//! The level-wise miners hand level 2 over as a [`Triangle`]: one flag
+//! per pair of the frequent items, in the same upper-triangular row
+//! order. A table is built straight from its flags — the live items are
+//! the items of flagged pairs, so the size rule and the increments are
+//! those of the equivalent candidate list — and the counts are read back
+//! in row order, with no [`Itemset`] per pair. [`PairTable::build`] keeps
+//! taking a list, for `count_with`'s public entry.
 
 use ossm_data::{ItemId, Itemset};
+
+use crate::filter::CandidateFilter;
 
 /// A batch gets a table when its `C(L, 2)` cells are at most this many
 /// per candidate: at 8 B a cell, 4 cells are no more than the ≥ 32 B
@@ -54,6 +64,84 @@ fn row_start(r: usize, live: usize) -> usize {
 /// The cell of the rank pair `a < b`.
 fn cell(a: usize, b: usize, live: usize) -> usize {
     row_start(a, live) + (b - a - 1)
+}
+
+/// Level 2 as a triangle over the frequent items: one flag per pair of
+/// `items`, in the row order of [`cell`] (the order Apriori's join emits
+/// C2 in). Generation sets the flags of the candidate pairs, the filter
+/// clears those eq. (1) discharges, and what stays set is counted — no
+/// [`Itemset`] per pair.
+pub(crate) struct Triangle {
+    /// The frequent items, in item order.
+    items: Vec<ItemId>,
+    /// `flags[cell(x, y, |items|)]`: the pair `(items[x], items[y])` is a
+    /// candidate.
+    flags: Vec<bool>,
+}
+
+impl Triangle {
+    /// Every pair of `items` (in item order, distinct): Apriori's C2.
+    pub(crate) fn all(items: Vec<ItemId>) -> Self {
+        let n = items.len();
+        Triangle {
+            items,
+            flags: vec![true; n * n.saturating_sub(1) / 2],
+        }
+    }
+
+    /// The pairs `(a, b)` of `items` (in item order, distinct) for which
+    /// `keep(a, b)` holds.
+    pub(crate) fn with(items: Vec<ItemId>, mut keep: impl FnMut(ItemId, ItemId) -> bool) -> Self {
+        let flags = all_pairs(&items).map(|[a, b]| keep(a, b)).collect();
+        Triangle { items, flags }
+    }
+
+    /// The number of flagged pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.flags.iter().filter(|&&f| f).count()
+    }
+
+    /// The flagged pairs, in row order.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = [ItemId; 2]> + '_ {
+        all_pairs(&self.items)
+            .zip(&self.flags)
+            .filter_map(|(pair, &flagged)| flagged.then_some(pair))
+    }
+
+    /// Runs `filter` over the flagged pairs in one batch
+    /// ([`CandidateFilter::judge_pairs`]), clearing the flag of every pair
+    /// it discharges; `bounds` receives the bounds of the pairs it admits
+    /// as that method describes.
+    pub(crate) fn judge(
+        &mut self,
+        filter: &dyn CandidateFilter,
+        min_support: u64,
+        bounds: &mut Vec<u64>,
+    ) {
+        filter.judge_pairs(&self.items, min_support, &mut self.flags, bounds);
+    }
+
+    /// The flagged pairs as a candidate list, for a structure that counts
+    /// lists: the linear scan, and the hash tree when the pair table's
+    /// size rule declines the batch.
+    pub(crate) fn itemsets(&self) -> Vec<Itemset> {
+        self.pairs()
+            .map(|pair| Itemset::from_sorted(pair.to_vec()))
+            .collect()
+    }
+
+    /// Bytes of the triangle: a flag per pair and an id per item.
+    pub(crate) fn memory_bytes(&self) -> u64 {
+        (std::mem::size_of_val(&self.flags[..]) + std::mem::size_of_val(&self.items[..])) as u64
+    }
+}
+
+/// Every pair of `items`, in row order.
+pub(crate) fn all_pairs(items: &[ItemId]) -> impl Iterator<Item = [ItemId; 2]> + '_ {
+    items
+        .iter()
+        .enumerate()
+        .flat_map(move |(x, &a)| items[x + 1..].iter().map(move |&b| [a, b]))
 }
 
 /// A pair-table cell: a counter wide enough for the transactions of the
@@ -100,16 +188,29 @@ impl PairTable {
     /// # Panics
     /// Panics if a candidate is not a pair.
     pub(crate) fn build(candidates: &[Itemset]) -> Option<Self> {
+        let pairs = candidates.iter().map(|c| match *c.items() {
+            [a, b] => [a, b],
+            _ => panic!("a pair table counts pairs"),
+        });
+        Self::over(pairs, candidates.len())
+    }
+
+    /// The table for the flagged pairs of `triangle`, under the same size
+    /// rule: its live items are the items of flagged pairs.
+    pub(crate) fn for_triangle(triangle: &Triangle) -> Option<Self> {
+        Self::over(triangle.pairs(), triangle.len())
+    }
+
+    /// The table over the items of `pairs`, a batch of `candidates`
+    /// pairs, if the size rule admits it.
+    fn over(pairs: impl Iterator<Item = [ItemId; 2]>, candidates: usize) -> Option<Self> {
         let _mem = ossm_obs::alloc_scope("mining.pair_table");
         let mut rank = Vec::new();
-        for c in candidates {
-            assert_eq!(c.len(), 2, "a pair table counts pairs");
-            for item in c.items() {
-                if rank.len() <= item.index() {
-                    rank.resize(item.index() + 1, DEAD);
-                }
-                rank[item.index()] = 0;
+        for item in pairs.flatten() {
+            if rank.len() <= item.index() {
+                rank.resize(item.index() + 1, DEAD);
             }
+            rank[item.index()] = 0;
         }
         let mut live = 0;
         for r in rank.iter_mut().filter(|r| **r != DEAD) {
@@ -120,7 +221,7 @@ impl PairTable {
             rank,
             live: live as usize,
         };
-        (table.size() <= (CELLS_PER_CANDIDATE * candidates.len()).max(MIN_CELLS)).then_some(table)
+        (table.size() <= (CELLS_PER_CANDIDATE * candidates).max(MIN_CELLS)).then_some(table)
     }
 
     /// Cells per pass: `C(L, 2)`.
@@ -175,34 +276,52 @@ impl PairTable {
         INCREMENTS.add(increments);
     }
 
-    /// The counts of `candidates` — the batch the table was built for —
-    /// in candidate order, each summed over `passes` in `u64`.
+    /// The counts of `pairs` — pairs of the batch the table was built
+    /// for — in their order, each summed over `passes` in `u64`.
     pub(crate) fn counts<C: Cell>(
         &self,
-        candidates: &[Itemset],
+        pairs: impl Iterator<Item = [ItemId; 2]>,
         passes: &[PairPass<C>],
     ) -> Vec<u64> {
-        candidates
-            .iter()
-            .map(|c| {
-                let [a, b] = [0, 1].map(|i| self.rank[c.items()[i].index()] as usize);
+        pairs
+            .map(|pair| {
+                let [a, b] = pair.map(|i| self.rank[i.index()] as usize);
                 let at = cell(a, b, self.live);
                 passes.iter().map(|p| p.cells[at].into()).sum()
             })
             .collect()
     }
 
-    /// Counts the batch over in-memory `transactions`, one pass per
-    /// transaction chunk, in cells of type `C`; no chunk may hold more
-    /// transactions than a `C` counts.
-    fn count_chunked<C: Cell>(&self, transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u64> {
-        let passes = ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
+    /// Counts `pairs` of the batch over in-memory `transactions`, one
+    /// pass per transaction chunk, in `u32` cells when the transactions
+    /// fit a `u32` — a chunk's cell counts at most its chunk's
+    /// transactions — and `u64` cells otherwise.
+    fn count_in_memory(
+        &self,
+        transactions: &[Itemset],
+        pairs: impl Iterator<Item = [ItemId; 2]>,
+    ) -> Vec<u64> {
+        if u32::try_from(transactions.len()).is_ok() {
+            self.counts(pairs, &self.chunk_passes::<u32>(transactions))
+        } else {
+            self.counts(pairs, &self.chunk_passes::<u64>(transactions))
+        }
+    }
+
+    /// One pass per transaction chunk, in cells of type `C`; no chunk may
+    /// hold more transactions than a `C` counts.
+    fn chunk_passes<C: Cell>(&self, transactions: &[Itemset]) -> Vec<PairPass<C>> {
+        ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
             let mut pass = self.start_pass::<C>();
             self.count(transactions[r].iter().map(Itemset::items), &mut pass);
             pass
-        });
-        self.counts(candidates, &passes)
+        })
     }
+}
+
+/// The pairs of `candidates`, which must all be pairs.
+pub(crate) fn pairs_of(candidates: &[Itemset]) -> impl Iterator<Item = [ItemId; 2]> + '_ {
+    candidates.iter().map(|c| [c.items()[0], c.items()[1]])
 }
 
 /// Counts a non-empty batch of pair `candidates` over in-memory
@@ -214,12 +333,15 @@ pub(crate) fn count_pairs(transactions: &[Itemset], candidates: &[Itemset]) -> O
         return None;
     }
     let table = PairTable::build(candidates)?;
-    // A chunk's cell counts at most the chunk's transactions.
-    Some(if u32::try_from(transactions.len()).is_ok() {
-        table.count_chunked::<u32>(transactions, candidates)
-    } else {
-        table.count_chunked::<u64>(transactions, candidates)
-    })
+    Some(table.count_in_memory(transactions, pairs_of(candidates)))
+}
+
+/// Counts the flagged pairs of `triangle` over in-memory `transactions`
+/// in a pair table, in row order, or returns `None` when the size rule
+/// declines the batch.
+pub(crate) fn count_triangle(transactions: &[Itemset], triangle: &Triangle) -> Option<Vec<u64>> {
+    let table = PairTable::for_triangle(triangle)?;
+    Some(table.count_in_memory(transactions, triangle.pairs()))
 }
 
 #[cfg(test)]
@@ -264,7 +386,7 @@ mod tests {
             assert_eq!(table.size(), candidates.len());
             let mut pass = table.start_pass::<u64>();
             table.count(transactions.iter().map(Itemset::items), &mut pass);
-            let counts = table.counts(&candidates, &[pass]);
+            let counts = table.counts(pairs_of(&candidates), &[pass]);
 
             let mut naive: BTreeMap<(ItemId, ItemId), u64> = BTreeMap::new();
             for t in &transactions {
@@ -297,10 +419,16 @@ mod tests {
             .map(|t| Itemset::new((0..40u32).filter(|i| (i * 5 + t) % 3 == 0)))
             .collect();
         let table = PairTable::build(&candidates).expect("fits");
-        let narrow = table.count_chunked::<u32>(&transactions, &candidates);
+        let narrow = table.counts(
+            pairs_of(&candidates),
+            &table.chunk_passes::<u32>(&transactions),
+        );
         assert_eq!(
             narrow,
-            table.count_chunked::<u64>(&transactions, &candidates)
+            table.counts(
+                pairs_of(&candidates),
+                &table.chunk_passes::<u64>(&transactions)
+            )
         );
         assert_eq!(
             Some(narrow),

@@ -17,6 +17,10 @@
 //!   one increment per pair of live items in a transaction, so a pair
 //!   eq. (1) prunes still costs its increment when both its items stay
 //!   live. The tree counts every other batch and every level `k ≥ 3`.
+//!   The level-wise miners hand level 2 over as a triangle of flags over
+//!   L1, which the table counts without a candidate list; a list is
+//!   built only for the linear scan, or when the size rule declines the
+//!   table and the tree needs one.
 //!
 //! [`FrequentPatterns`] is the result type shared by all miners, so the
 //! cross-miner agreement tests can compare outputs structurally.
@@ -25,13 +29,17 @@ use std::collections::BTreeMap;
 
 use ossm_data::Itemset;
 
+use crate::levelwise::Batch;
+
 /// Minimum transactions per parallel counting chunk: below this the merge
 /// overhead exceeds the counting work, so the scan stays on one thread.
 pub(crate) const MIN_TX_CHUNK: usize = 256;
 
-/// Bytes of candidate itemsets resident in the current counting level —
-/// the memory half of the speed-vs-space tradeoff among the back-ends,
-/// which the paper's counting-cost model ignores.
+/// Bytes of candidates resident in the current counting level — the
+/// memory half of the speed-vs-space tradeoff among the back-ends, which
+/// the paper's counting-cost model ignores. A candidate list costs its
+/// itemsets; a level 2 counted in the pair table costs its triangle, one
+/// flag byte per pair of L1 and one id per item.
 static MEM_CANDIDATES: ossm_obs::Gauge = ossm_obs::Gauge::new("mem.mining.candidates");
 
 /// Cost model for a candidate list: per-itemset struct overhead plus
@@ -121,6 +129,29 @@ pub fn count_with(
             }
             let _mem = ossm_obs::alloc_scope("mining.hashtree");
             crate::hashtree::count_hash_tree(transactions, candidates)
+        }
+    }
+}
+
+/// Counts a level loop's batch over in-memory `transactions` with
+/// `backend`. A level 2 triangle's flagged pairs count, in row order, in
+/// a pair table on the hash-tree back-end when its size rule admits them;
+/// otherwise, and on the linear scan, they count as a list.
+pub(crate) fn count_batch(
+    backend: CountingBackend,
+    transactions: &[Itemset],
+    batch: Batch<'_>,
+) -> Vec<u64> {
+    match batch {
+        Batch::Sets(candidates) => count_with(backend, transactions, candidates),
+        Batch::Pairs(triangle) => {
+            if backend == CountingBackend::HashTree {
+                MEM_CANDIDATES.set(triangle.memory_bytes());
+                if let Some(counts) = crate::pairs::count_triangle(transactions, triangle) {
+                    return counts;
+                }
+            }
+            count_with(backend, transactions, &triangle.itemsets())
         }
     }
 }

@@ -9,7 +9,8 @@
 //! - [`Counter`] — an atomic event counter, declared as a `static` so hot
 //!   loops pay one relaxed `fetch_add` per event;
 //! - [`Histogram`] — log2-bucketed value distribution (bound slack,
-//!   transaction lengths, …);
+//!   transaction lengths, …); a loop that records many values tallies
+//!   them in a plain [`Tally`] and adds it in one call;
 //! - phase timers — monotonic wall-clock spans recorded via the RAII
 //!   [`PhaseGuard`] returned by [`phase`];
 //! - [`MetricsRegistry`] — the global sink all of the above register with,
@@ -110,7 +111,7 @@ mod live;
 #[cfg(feature = "enabled")]
 pub use live::{
     detail_span, phase, registry, span, trace_active, trace_begin, trace_take, Counter, Histogram,
-    Latency, LatencyTimer, MetricsRegistry, PhaseGuard, Scope, SpanGuard,
+    Latency, LatencyTimer, MetricsRegistry, PhaseGuard, Scope, SpanGuard, Tally,
 };
 
 #[cfg(not(feature = "enabled"))]
@@ -118,5 +119,5 @@ mod noop;
 #[cfg(not(feature = "enabled"))]
 pub use noop::{
     detail_span, phase, registry, span, trace_active, trace_begin, trace_take, Counter, Histogram,
-    Latency, LatencyTimer, MetricsRegistry, PhaseGuard, Scope, SpanGuard,
+    Latency, LatencyTimer, MetricsRegistry, PhaseGuard, Scope, SpanGuard, Tally,
 };

@@ -116,6 +116,25 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
+    /// Adds every value of `tally` — its count, sum and per-bucket
+    /// counts — in one call: what [`record`](Self::record) would leave
+    /// after each value one by one, at one atomic add per touched bucket.
+    pub fn record_tally(&'static self, tally: &Tally) {
+        if tally.count == 0 {
+            return;
+        }
+        if !self.registered.load(Ordering::Relaxed) {
+            self.register();
+        }
+        for (bucket, &n) in self.buckets.iter().zip(&tally.buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(tally.count, Ordering::Relaxed);
+        self.sum.fetch_add(tally.sum, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
         let buckets = self
             .buckets
@@ -146,6 +165,41 @@ impl Histogram {
                 .expect("histogram list poisoned")
                 .push(self);
         }
+    }
+}
+
+/// Values tallied locally, with no atomics, for a [`Histogram`] to take
+/// in one [`Histogram::record_tally`] call — the batch form of
+/// [`Histogram::record`] for loops that record many values.
+#[derive(Clone, Debug)]
+pub struct Tally {
+    buckets: [u64; NUM_BUCKETS],
+    count: u64,
+    sum: u64,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            buckets: [0; NUM_BUCKETS],
+            count: 0,
+            sum: 0,
+        }
+    }
+}
+
+impl Tally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        Tally::default()
+    }
+
+    /// Tallies one value.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
     }
 }
 

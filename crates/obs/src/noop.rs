@@ -44,6 +44,26 @@ impl Histogram {
     /// Does nothing (instrumentation disabled).
     #[inline(always)]
     pub fn record(&'static self, _value: u64) {}
+
+    /// Does nothing (instrumentation disabled).
+    #[inline(always)]
+    pub fn record_tally(&'static self, _tally: &Tally) {}
+}
+
+/// Disabled stand-in for the live `Tally`: a ZST that tallies nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Tally;
+
+impl Tally {
+    /// An empty tally (instrumentation disabled).
+    #[inline(always)]
+    pub fn new() -> Self {
+        Tally
+    }
+
+    /// Does nothing (instrumentation disabled).
+    #[inline(always)]
+    pub fn record(&mut self, _value: u64) {}
 }
 
 /// Disabled stand-in for the live `Latency` recorder.

@@ -3,7 +3,7 @@
 //! `obs` features).
 #![cfg(feature = "enabled")]
 
-use ossm_obs::{registry, Counter, Histogram};
+use ossm_obs::{registry, Counter, Histogram, Tally};
 
 // Statics shared by this test binary; each test uses its own so parallel
 // execution cannot interfere.
@@ -11,6 +11,8 @@ static MONO: Counter = Counter::new("test.monotone");
 static THREADED: Counter = Counter::new("test.threaded");
 static SLACK: Histogram = Histogram::new("test.slack");
 static DET: Counter = Counter::new("test.determinism");
+static ONE_BY_ONE: Histogram = Histogram::new("test.tally.one_by_one");
+static TALLIED: Histogram = Histogram::new("test.tally.batched");
 
 #[test]
 fn counters_are_monotone() {
@@ -98,4 +100,27 @@ fn snapshots_are_deterministic_when_nothing_records() {
 #[allow(clippy::assertions_on_constants)] // the constant IS the subject under test
 fn enabled_constant_reflects_the_feature() {
     assert!(ossm_obs::ENABLED);
+}
+
+#[test]
+fn a_tally_equals_its_values_recorded_one_by_one() {
+    // Zeros, every power-of-two edge, repeats, and values whose sum
+    // wraps, as the atomic sum does.
+    let mut values = vec![0, 0, 1, 2, 3, 7, 8, 1000, 1000, u64::MAX, u64::MAX - 1];
+    values.extend((0..64).map(|b| 1u64 << b));
+    let mut tally = Tally::new();
+    for &v in &values {
+        ONE_BY_ONE.record(v);
+        tally.record(v);
+    }
+    TALLIED.record_tally(&tally);
+    // An empty tally adds nothing.
+    TALLIED.record_tally(&Tally::new());
+    let snap = registry().snapshot();
+    let one = &snap.histograms["test.tally.one_by_one"];
+    let batched = &snap.histograms["test.tally.batched"];
+    assert_eq!(one.count, values.len() as u64);
+    assert_eq!(batched.count, one.count);
+    assert_eq!(batched.sum, one.sum);
+    assert_eq!(batched.buckets, one.buckets);
 }

@@ -16,6 +16,7 @@ fn stubs_are_zero_sized() {
     assert!(!ossm_obs::ENABLED);
     assert_eq!(std::mem::size_of::<Counter>(), 0);
     assert_eq!(std::mem::size_of::<Histogram>(), 0);
+    assert_eq!(std::mem::size_of::<ossm_obs::Tally>(), 0);
     assert_eq!(std::mem::size_of::<Gauge>(), 0);
     assert_eq!(std::mem::size_of::<ossm_obs::GaugeCharge>(), 0);
     assert_eq!(std::mem::size_of::<ossm_obs::AllocScope>(), 0);
@@ -35,6 +36,9 @@ fn recording_is_compiled_away() {
     COUNTER.incr();
     COUNTER.add(42);
     HISTOGRAM.record(7);
+    let mut tally = ossm_obs::Tally::new();
+    tally.record(7);
+    HISTOGRAM.record_tally(&tally);
     registry().add("noop.dynamic", 3);
     let scope = registry().scope("noop.scope");
     scope.add("x", 1);
