@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use ossm_bench::workloads::Workload;
 use ossm_core::{Ossm, OssmBuilder, Strategy};
-use ossm_data::Itemset;
+use ossm_data::{ItemId, Itemset};
 
 fn build_ossm(n_user: usize) -> Ossm {
     let store = Workload::regular(50, 500).store();
@@ -28,23 +28,36 @@ fn bench_bound(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pair", segments), &ossm, |bench, o| {
             bench.iter(|| black_box(o.upper_bound(black_box(&pair))));
         });
-        group.bench_with_input(
-            BenchmarkId::new("pair_specialized", segments),
-            &ossm,
-            |bench, o| {
-                bench.iter(|| {
-                    black_box(o.upper_bound_pair(
-                        black_box(ossm_data::ItemId(3)),
-                        black_box(ossm_data::ItemId(250)),
-                    ))
-                });
-            },
-        );
         group.bench_with_input(BenchmarkId::new("quad", segments), &ossm, |bench, o| {
             bench.iter(|| black_box(o.upper_bound(black_box(&quad))));
         });
     }
+    bench_pairs_batch(&mut group);
     group.finish();
+}
+
+/// Level 2's batch: eq. (1) over every pair of a Regular L1 (25 000
+/// transactions over 1000 items at 0.5 % support, the shape of the
+/// `mine-regular` benchmark workload) in one `upper_bound_pairs` call,
+/// at 50 segments.
+fn bench_pairs_batch(group: &mut criterion::BenchmarkGroup<'_>) {
+    let store = Workload::regular(250, 1000).store();
+    let ossm = OssmBuilder::new(50)
+        .strategy(Strategy::Random)
+        .build(&store)
+        .0;
+    let min_support = store.dataset().absolute_threshold(0.005);
+    let l1: Vec<ItemId> = (0..store.num_items() as u32)
+        .map(ItemId)
+        .filter(|&i| ossm.singleton_support(i) >= min_support)
+        .collect();
+    let mut flags = vec![true; l1.len() * l1.len().saturating_sub(1) / 2];
+    group.bench_with_input(BenchmarkId::new("pairs_batch", 50), &ossm, |bench, o| {
+        bench.iter(|| {
+            flags.fill(true);
+            o.upper_bound_pairs(black_box(&l1), &mut flags, |ub| ub >= min_support)
+        });
+    });
 }
 
 criterion_group!(benches, bench_bound);

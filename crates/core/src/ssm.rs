@@ -13,6 +13,16 @@
 //! one-transaction-per-segment OSSM makes the bound exact. Everything in
 //! between trades space for pruning power, which is the whole game of the
 //! paper.
+//!
+//! Level 2 of a level-wise miner bounds every pair of its frequent items
+//! at once ([`min_sum_pairs`], [`Ossm::upper_bound_pairs`]). A pair's
+//! bound is at most the smaller of its two rows' sums, so the batch runs
+//! in the narrowest counter that holds every row's sum — `u16` for any
+//! map whose items occur at most 65 535 times, `u32` or `u64` past that.
+//! A map's rows are short next to a level's items, so the batch sweeps
+//! the rows transposed, a few first items against all later items per
+//! column; long rows (a page file's per-page supports) are judged pair by
+//! pair.
 
 use ossm_data::{ItemId, Itemset, PageStore};
 
@@ -20,8 +30,6 @@ use crate::segmentation::{Aggregate, Segmentation};
 
 /// Equation-(1) evaluations through [`Ossm::upper_bound`].
 static BOUND_EVALS: ossm_obs::Counter = ossm_obs::Counter::new("core.bound.evals");
-/// Evaluations through the pair-specialized [`Ossm::upper_bound_pair`].
-static BOUND_PAIR_EVALS: ossm_obs::Counter = ossm_obs::Counter::new("core.bound.pair_evals");
 /// [`Ossm::prunes`] calls that pruned (bound below the threshold).
 static BOUND_PRUNED: ossm_obs::Counter = ossm_obs::Counter::new("core.bound.pruned");
 
@@ -86,13 +94,20 @@ where
 /// as the flag. Rows are of one length; a pair past the end of `pairs`
 /// is not judged. Returns the number of pairs judged.
 ///
-/// When every row sums to at most `u32::MAX`, the rows are copied to
-/// `u32` and each min-sum is accumulated in `u32`, which the x86-64
-/// baseline vectorizes; otherwise they are judged as given, in `u64`.
+/// The rows are copied once into the narrowest lane that holds every
+/// row's sum — `u16`, else `u32`, else `u64` — and each min-sum is
+/// accumulated in that lane, so a `u16` batch takes twice as many
+/// positions per vector instruction as a `u32` one. Rows narrower than
+/// the batch is long (a map's few segments against a level's many
+/// items) are judged column by column, sweeping a few first items
+/// against all later items at once (`judge_columns`); wider rows (a
+/// page file's many pages against a few items) pair by pair
+/// (`judge_rows`).
 // SOUND: each term is the minimum of the two rows at one position and
-// every position is summed — `min_sum` for `[a, b]`. The `u32`
-// accumulator cannot overflow: a min-sum is at most the smaller row's
-// sum, and the narrow path runs only when every row sum fits `u32`.
+// every position is summed — `min_sum` for `[a, b]`. The narrow copy
+// loses nothing and no accumulator can overflow: each holds the min-sum
+// of two rows, which is at most the smaller row's sum, and the lane is
+// chosen so that every row sum, and so every value, fits it.
 pub fn min_sum_pairs<'r, T>(
     items: &[ItemId],
     row: impl Fn(ItemId) -> &'r [T],
@@ -100,55 +115,166 @@ pub fn min_sum_pairs<'r, T>(
     judge: impl FnMut(u64) -> bool,
 ) -> u64
 where
-    T: Copy + Ord + Into<u64> + 'r,
+    T: Copy + Into<u64> + 'r,
 {
     let rows: Vec<&[T]> = items.iter().map(|&a| row(a)).collect();
-    let narrow = rows.iter().all(|r| {
-        r.iter()
-            .try_fold(0u32, |sum, &v| {
-                sum.checked_add(u32::try_from(v.into()).ok()?)
-            })
-            .is_some()
-    });
-    if !narrow {
-        return judge_rows::<T, u64>(&rows, pairs, judge);
-    }
-    let width = rows.first().map_or(0, |r| r.len());
-    let copy: Vec<u32> = rows
+    let widest = rows
         .iter()
-        .flat_map(|r| {
-            r.iter()
-                .map(|&v| u32::try_from(v.into()).unwrap_or(u32::MAX))
-        })
-        .collect();
-    let narrow_rows: Vec<&[u32]> = if width == 0 {
-        vec![&[]; rows.len()]
+        .map(|r| r.iter().fold(0u64, |sum, &v| sum.saturating_add(v.into())))
+        .max()
+        .unwrap_or(0);
+    if widest <= u64::from(u16::MAX) {
+        judge_in::<T, u16>(&rows, pairs, judge)
+    } else if widest <= u64::from(u32::MAX) {
+        judge_in::<T, u32>(&rows, pairs, judge)
     } else {
-        copy.chunks_exact(width).collect()
-    };
-    judge_rows::<u32, u32>(&narrow_rows, pairs, judge)
+        judge_in::<T, u64>(&rows, pairs, judge)
+    }
 }
 
-/// [`min_sum_pairs`] over rows of `T`, each min-sum accumulated in `A`.
-fn judge_rows<T, A>(rows: &[&[T]], pairs: &mut [bool], mut judge: impl FnMut(u64) -> bool) -> u64
+/// A counter width [`min_sum_pairs`] accumulates min-sums in.
+trait Lane: Copy + Default + Ord + std::ops::AddAssign + Into<u64> {
+    /// `v`, which the lane holds, as a lane value.
+    fn narrow(v: u64) -> Self;
+}
+
+impl Lane for u16 {
+    fn narrow(v: u64) -> Self {
+        u16::try_from(v).unwrap_or(u16::MAX)
+    }
+}
+
+impl Lane for u32 {
+    fn narrow(v: u64) -> Self {
+        u32::try_from(v).unwrap_or(u32::MAX)
+    }
+}
+
+impl Lane for u64 {
+    fn narrow(v: u64) -> Self {
+        v
+    }
+}
+
+/// [`min_sum_pairs`] in lanes of `L`, by columns when the rows are
+/// narrower than the batch is long and by rows otherwise; every row's
+/// sum must fit `L`.
+fn judge_in<T, L>(rows: &[&[T]], pairs: &mut [bool], judge: impl FnMut(u64) -> bool) -> u64
 where
-    T: Copy + Ord + Into<A>,
-    A: Copy + Default + std::ops::Add<Output = A> + Into<u64>,
+    T: Copy + Into<u64>,
+    L: Lane,
 {
-    let mut flags = pairs.iter_mut();
+    if rows.first().map_or(0, |r| r.len()) < rows.len() {
+        judge_columns::<T, L>(rows, pairs, judge)
+    } else {
+        judge_rows::<T, L>(rows, pairs, judge)
+    }
+}
+
+/// [`min_sum_pairs`] pair by pair: `rows` copied into lanes of `L`, and
+/// each row of the triangle — one slice of flags — judged against the
+/// later rows in turn, each min-sum accumulated in `L`.
+// SOUND: `ub` adds the minimum of the two rows at every position — the
+// pair's eq. (1) sum — in a lane `min_sum_pairs` chose to hold it.
+fn judge_rows<T, L>(rows: &[&[T]], pairs: &mut [bool], mut judge: impl FnMut(u64) -> bool) -> u64
+where
+    T: Copy + Into<u64>,
+    L: Lane,
+{
+    let width = rows.first().map_or(0, |r| r.len());
+    let lanes: Vec<L> = rows
+        .iter()
+        .flat_map(|r| r.iter().map(|&v| L::narrow(v.into())))
+        .collect();
+    let lane_row = |x: usize| &lanes[x * width..(x + 1) * width];
+    let mut rest = pairs;
     let mut judged = 0;
-    for (x, a) in rows.iter().enumerate() {
-        for b in rows.iter().skip(x + 1) {
-            let Some(flag) = flags.next() else {
-                return judged;
-            };
+    for x in 0..rows.len() {
+        let later = (rows.len() - x - 1).min(rest.len());
+        let (flags, tail) = std::mem::take(&mut rest).split_at_mut(later);
+        rest = tail;
+        let a = lane_row(x);
+        for (flag, y) in flags.iter_mut().zip(x + 1..) {
             if *flag {
-                let ub = a
-                    .iter()
-                    .zip(b.iter())
-                    .fold(A::default(), |sum, (&p, &q)| sum + p.min(q).into());
+                let mut ub = L::default();
+                for (&p, &q) in a.iter().zip(lane_row(y)) {
+                    ub += p.min(q);
+                }
                 *flag = judge(ub.into());
                 judged += 1;
+            }
+        }
+    }
+    judged
+}
+
+/// First items [`judge_columns`] sums against the later items per sweep.
+const SWEEP: usize = 4;
+
+/// [`min_sum_pairs`] column by column: `rows` transposed into lanes of
+/// `L`, one column per position. A sweep takes [`SWEEP`] consecutive
+/// first items `x` and, column by column, adds `min(column[x],
+/// column[y])` to the sum of every pair `(x, y)` with `y` past the
+/// sweep's first item — one pass over contiguous lanes per column, with
+/// no reduction per pair. The sweep's rows of flags are then judged in
+/// order against their sums.
+// SOUND: the sum of pair `(x, y)` gains `min(column[x], column[y])` from
+// every column, once — the pair's eq. (1) sum — and is judged at offset
+// `y − x − 1` of row `x`, the flag of exactly that pair.
+fn judge_columns<T, L>(rows: &[&[T]], pairs: &mut [bool], mut judge: impl FnMut(u64) -> bool) -> u64
+where
+    T: Copy + Into<u64>,
+    L: Lane,
+{
+    let items = rows.len();
+    if items == 0 {
+        return 0;
+    }
+    let width = rows[0].len();
+    let mut columns = vec![L::default(); width * items];
+    for (y, r) in rows.iter().enumerate() {
+        for (column, &v) in columns.chunks_exact_mut(items).zip(r.iter()) {
+            column[y] = L::narrow(v.into());
+        }
+    }
+    let mut sums = vec![L::default(); SWEEP * items];
+    let mut rest = pairs;
+    let mut judged = 0;
+    for x in (0..items).step_by(SWEEP) {
+        // `sums[k·later + j]` is the min-sum of items `x + k` and
+        // `x + 1 + j`. A sweep past the last item repeats it; those sums
+        // are never read.
+        let later = items - x - 1;
+        let sums = &mut sums[..SWEEP * later];
+        sums.fill(L::default());
+        let (s0, tail) = sums.split_at_mut(later);
+        let (s1, tail) = tail.split_at_mut(later);
+        let (s2, s3) = tail.split_at_mut(later);
+        for column in columns.chunks_exact(items) {
+            let first = |k: usize| column[(x + k).min(items - 1)];
+            let (v0, v1, v2, v3) = (first(0), first(1), first(2), first(3));
+            for ((((&c, a0), a1), a2), a3) in column[x + 1..]
+                .iter()
+                .zip(s0.iter_mut())
+                .zip(s1.iter_mut())
+                .zip(s2.iter_mut())
+                .zip(s3.iter_mut())
+            {
+                *a0 += v0.min(c);
+                *a1 += v1.min(c);
+                *a2 += v2.min(c);
+                *a3 += v3.min(c);
+            }
+        }
+        for k in 0..SWEEP.min(items - x) {
+            let len = (later - k).min(rest.len());
+            let (flags, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            for (flag, &ub) in flags.iter_mut().zip(&sums[k * later + k..]) {
+                if *flag {
+                    *flag = judge(ub.into());
+                    judged += 1;
+                }
             }
         }
     }
@@ -339,15 +465,6 @@ impl Ossm {
         min_sum(pattern.items(), |a| self.item_supports(a))
     }
 
-    /// Equation (1) specialized to a pair of items — the hot path of
-    /// candidate-2-itemset filtering.
-    // SOUND: identical to `upper_bound` for X = {a, b}: the min-sum of
-    // the two items' rows is exactly the eq. (1) sum.
-    pub fn upper_bound_pair(&self, a: ItemId, b: ItemId) -> u64 {
-        BOUND_PAIR_EVALS.incr();
-        min_sum(&[a, b], |i| self.item_supports(i))
-    }
-
     /// Equation (1) for a batch of pairs: every pair of `items` flagged
     /// in `pairs`, judged by `judge(ub)` as [`min_sum_pairs`] describes,
     /// with the number judged added to `core.bound.evals` once. Returns
@@ -356,8 +473,8 @@ impl Ossm {
     /// # Panics
     /// Panics if an item of `items` lies outside the map's domain.
     // SOUND: `min_sum_pairs` over every item's full row is the min-sum
-    // of `upper_bound` for each pair {a, b}, in `u32` only when no row
-    // sum exceeds it.
+    // of `upper_bound` for each pair {a, b}, in a lane that holds every
+    // row's sum.
     pub fn upper_bound_pairs(
         &self,
         items: &[ItemId],
@@ -422,7 +539,6 @@ mod tests {
         let ossm = example_1();
         // ub({a,b}) = min(20,40)+min(10,40)+min(40,40)+min(40,10) = 20+10+40+10 = 80.
         assert_eq!(ossm.upper_bound(&set(&[0, 1])), 80);
-        assert_eq!(ossm.upper_bound_pair(ItemId(0), ItemId(1)), 80);
         // ub({a,b,c}) = 20+10+20+10 = 60.
         assert_eq!(ossm.upper_bound(&set(&[0, 1, 2])), 60);
         // Without the OSSM (single segment): min(110,130) = 110 and min(110,130,100) = 100.
@@ -556,6 +672,114 @@ mod tests {
         }
         assert_eq!(ossm.upper_bound(&set(&[0, 1])), max - 4);
         assert_eq!(ossm.upper_bound(&set(&[3, 6])), max + 1);
+    }
+
+    /// Judges `flags` (possibly shorter than the triangle) over the
+    /// pairs of `ids` in one batch and checks every bound, answer and
+    /// count against `upper_bound` pair by pair.
+    fn check_batch(ossm: &Ossm, ids: &[u32], mut flags: Vec<bool>) {
+        let judge = |ub: u64| ub % 3 != 0;
+        let mut expected = Vec::new();
+        let mut expected_flags = flags.clone();
+        let mut at = 0;
+        for (x, &a) in ids.iter().enumerate() {
+            for &b in &ids[x + 1..] {
+                if flags.get(at) == Some(&true) {
+                    let ub = ossm.upper_bound(&set(&[a, b]));
+                    expected.push(ub);
+                    expected_flags[at] = judge(ub);
+                }
+                at += 1;
+            }
+        }
+        let items: Vec<ItemId> = ids.iter().copied().map(ItemId).collect();
+        let mut seen = Vec::new();
+        let judged = ossm.upper_bound_pairs(&items, &mut flags, |ub| {
+            seen.push(ub);
+            judge(ub)
+        });
+        assert_eq!(seen, expected, "items {ids:?}");
+        assert_eq!(judged, expected.len() as u64, "items {ids:?}");
+        assert_eq!(flags, expected_flags, "items {ids:?}");
+    }
+
+    /// A xorshift step: the next value of `state`, below `below`.
+    fn next(state: &mut u64, below: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % below
+    }
+
+    /// `width` small values, the last of them making the row sum to
+    /// `sum` when one is given.
+    fn test_row(state: &mut u64, width: usize, sum: Option<u64>) -> Vec<u64> {
+        let mut row: Vec<u64> = (0..width).map(|_| next(state, 20)).collect();
+        if let Some(sum) = sum {
+            row.pop();
+            row.push(sum - row.iter().sum::<u64>());
+        }
+        row
+    }
+
+    #[test]
+    fn batched_pair_bounds_equal_upper_bound_in_every_lane_and_layout() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let max16 = u64::from(u16::MAX);
+        // Three segments put a batch of four or more items in columns and
+        // a smaller one in rows; twelve put every batch here in rows.
+        for width in [3usize, 12] {
+            let mut row = |sum| test_row(&mut state, width, sum);
+            // Items 0–6: small rows, two equal rows at exactly u16::MAX
+            // (1 and 3, whose pair's bound is u16::MAX), another at
+            // u16::MAX (5) and a zero row (4). Items 7 and 8: equal rows
+            // at u16::MAX + 1, whose pair's bound is u16::MAX + 1 — a
+            // batch holding one runs in u32. Item 9: a row past u32::MAX,
+            // which forces u64.
+            let at_max = row(Some(max16));
+            let past_max = row(Some(max16 + 1));
+            let rows = [
+                row(None),
+                at_max.clone(),
+                row(None),
+                at_max,
+                vec![0; width],
+                row(Some(max16)),
+                row(None),
+                past_max.clone(),
+                past_max,
+                row(Some(u64::from(u32::MAX) + 2)),
+            ];
+            let segments = (0..width)
+                .map(|s| Aggregate::new(rows.iter().map(|r| r[s]).collect(), 1 << 40))
+                .collect();
+            let ossm = Ossm::from_aggregates(segments);
+            assert_eq!(ossm.upper_bound(&set(&[1, 3])), max16);
+            assert_eq!(ossm.upper_bound(&set(&[7, 8])), max16 + 1);
+            for ids in [
+                (0..7).collect::<Vec<u32>>(),
+                vec![0, 2, 4, 6, 7],
+                (0..9).collect(),
+                vec![1, 3, 7, 8],
+                (0..10).collect(),
+                vec![9, 2, 5],
+                vec![1, 3],
+                vec![4],
+                vec![],
+            ] {
+                let n = ids.len() * ids.len().saturating_sub(1) / 2;
+                // Every pair, a random three quarters, and the same
+                // flags cut short: pairs past the end stay unjudged.
+                let all = vec![true; n];
+                let some: Vec<bool> = (0..n).map(|_| next(&mut state, 4) != 0).collect();
+                for flags in [all, some.clone(), some[..n / 2].to_vec(), Vec::new()] {
+                    check_batch(&ossm, &ids, flags);
+                }
+                if n > 1 {
+                    check_batch(&ossm, &ids, some[..n - 1].to_vec());
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,21 +44,48 @@ impl Default for Dhp {
     }
 }
 
+/// The multiplicative pair hash of the DHP paper's spirit; the exact
+/// choice only affects collision rates, not correctness.
+#[inline]
+fn pair_hash(a: ItemId, b: ItemId) -> usize {
+    a.index()
+        .wrapping_mul(2_654_435_761)
+        .wrapping_add(b.index())
+}
+
+/// `hash % num_buckets`, as a mask when `num_buckets` is a power of two.
+#[inline]
+fn reduce(hash: usize, num_buckets: usize) -> usize {
+    if num_buckets.is_power_of_two() {
+        hash & (num_buckets - 1)
+    } else {
+        hash % num_buckets
+    }
+}
+
+/// The bucket of the pair `(a, b)` among `num_buckets`.
 #[inline]
 fn pair_bucket(a: ItemId, b: ItemId, num_buckets: usize) -> usize {
-    // The multiplicative pair hash of the DHP paper's spirit; exact choice
-    // only affects collision rates, not correctness.
-    (a.index()
-        .wrapping_mul(2_654_435_761)
-        .wrapping_add(b.index()))
-        % num_buckets
+    reduce(pair_hash(a, b), num_buckets)
 }
 
 /// Adds every 2-subset of transaction `items` to its bucket of `buckets`.
+/// The mask-or-`%` choice is made once per transaction, not per pair.
 pub(crate) fn hash_pairs(items: &[ItemId], buckets: &mut [u64]) {
+    let n = buckets.len();
+    if n.is_power_of_two() {
+        add_pairs(items, buckets, |h| h & (n - 1));
+    } else {
+        add_pairs(items, buckets, |h| h % n);
+    }
+}
+
+/// [`hash_pairs`] with the hash reduced to a bucket by `bucket`.
+#[inline]
+fn add_pairs(items: &[ItemId], buckets: &mut [u64], bucket: impl Fn(usize) -> usize) {
     for (i, &a) in items.iter().enumerate() {
         for &b in items.get(i + 1..).unwrap_or_default() {
-            buckets[pair_bucket(a, b, buckets.len())] += 1;
+            buckets[bucket(pair_hash(a, b))] += 1;
         }
     }
 }
@@ -277,6 +304,34 @@ mod tests {
                 assert!(h < n);
                 assert_eq!(h, pair_bucket(ItemId(a), ItemId(b), n));
             }
+        }
+    }
+
+    #[test]
+    fn a_power_of_two_bucket_count_masks_as_modulo_does() {
+        let mut hashes = vec![0usize, 1, 2, 3, 255, 256, 2_654_435_761, usize::MAX - 1];
+        hashes.extend((0..1000usize).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        for shift in 0..usize::BITS {
+            let n = 1usize << shift;
+            for &h in &hashes {
+                assert_eq!(reduce(h, n), h % n, "{h} over {n} buckets");
+            }
+        }
+        // Every transaction's pairs land in the `%` bucket, masked or not.
+        let d = quest(200, 30);
+        for n in [1usize, 7, 64, 100, 512, 32_768] {
+            let mut buckets = vec![0u64; n];
+            let mut expected = vec![0u64; n];
+            for t in d.transactions() {
+                hash_pairs(t.items(), &mut buckets);
+                let items = t.items();
+                for (x, &a) in items.iter().enumerate() {
+                    for &b in &items[x + 1..] {
+                        expected[pair_hash(a, b) % n] += 1;
+                    }
+                }
+            }
+            assert_eq!(buckets, expected, "{n} buckets");
         }
     }
 

@@ -13,11 +13,13 @@
 //! pair of L1, in Apriori's join order, marks the generated ones. The
 //! filter judges every flagged pair in one batched call
 //! ([`CandidateFilter::judge_pairs`]), the counting closure gets the
-//! triangle itself ([`Batch::Pairs`]), and only a pair found frequent
-//! becomes an [`Itemset`]. Levels `k ≥ 3` are lists ([`Batch::Sets`]),
-//! judged one candidate at a time. Either way eq. (1) is evaluated once
-//! per generated candidate, and each level's bound outcomes are tallied
-//! locally and recorded once.
+//! triangle itself ([`Batch::Pairs`]), and the collect step walks its
+//! rows — one slice of flags per item, taking the next count (and bound)
+//! per flag — so only a pair found frequent becomes an [`Itemset`]. The
+//! triangle counts its flags once per change, not per question. Levels
+//! `k ≥ 3` are lists ([`Batch::Sets`]), judged one candidate at a time.
+//! Either way eq. (1) is evaluated once per generated candidate, and each
+//! level's bound outcomes are tallied locally and recorded once.
 
 use std::io;
 
@@ -67,6 +69,7 @@ impl Trace {
 }
 
 /// A batch the level loop hands its counting closure.
+#[derive(Clone, Copy)]
 pub(crate) enum Batch<'a> {
     /// Level 2: the flagged pairs of a triangle, whose counts are wanted
     /// in the triangle's row order.
@@ -199,14 +202,26 @@ impl LevelLoop<'_> {
         };
         let mut outcomes = BoundOutcomes::default();
         let mut frequent = Vec::new();
-        for (i, (pair, sup)) in triangle.pairs().zip(counts).enumerate() {
-            if let Some(&ub) = bounds.get(i) {
-                outcomes.record(ub, sup, self.min_support);
-            }
-            if sup >= self.min_support {
-                let c = Itemset::from_sorted(pair.to_vec());
-                patterns.insert(c.clone(), sup);
-                frequent.push(c);
+        // The counts, and the bounds when kept, follow the flagged pairs
+        // in row order: walk the rows, taking one of each per flag.
+        let (mut counts, mut bounds) = (counts.into_iter(), bounds.into_iter());
+        let items = triangle.items();
+        'rows: for (x, row) in triangle.rows() {
+            for (&flagged, &b) in row.iter().zip(&items[x + 1..]) {
+                if !flagged {
+                    continue;
+                }
+                let Some(sup) = counts.next() else {
+                    break 'rows;
+                };
+                if let Some(ub) = bounds.next() {
+                    outcomes.record(ub, sup, self.min_support);
+                }
+                if sup >= self.min_support {
+                    let c = Itemset::from_sorted(vec![items[x], b]);
+                    patterns.insert(c.clone(), sup);
+                    frequent.push(c);
+                }
             }
         }
         outcomes.flush();

@@ -35,9 +35,11 @@
 //! holds, so a transaction costs `C(n, 2)` increments over its `n` live
 //! items and no hash-tree walk. The batch is the level loop's triangle
 //! over L1: eq. (1) and its page sum judge it in one batch each, and the
-//! table, the page mask and the counts come from its flags. A batch
-//! whose table would be large next to its candidate count, and every
-//! level `k ≥ 3`, is counted by the [`HashTree`]. Either way a page the pass skips holds no candidate, so
+//! table, the page mask and the counts come from its flags, a row at a
+//! time — a row's pages are its first item's pages that hold any item it
+//! is flagged with. A batch whose table would be large next to its
+//! candidate count, and every level `k ≥ 3`, is counted by the
+//! [`HashTree`]. Either way a page the pass skips holds no candidate, so
 //! every candidate's count stays exact.
 //!
 //! Each `mine` reports the patterns plus pass, page-read, and page-skip
@@ -58,7 +60,7 @@ use crate::fpgrowth::GlobalTreeMiner;
 use crate::hashtree::HashTree;
 use crate::levelwise::{collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
-use crate::pairs::PairTable;
+use crate::pairs::{PairTable, Triangle};
 use crate::support::FrequentPatterns;
 
 /// Result of a disk-resident mining run.
@@ -166,6 +168,32 @@ impl<'a> PageBounds<'a> {
             }
             for (a, &w) in any.iter_mut().zip(&all) {
                 *a |= w;
+            }
+        }
+        self.unpack(&any)
+    }
+
+    /// [`Self::pages_holding_any`] for the flagged pairs of `triangle`, a
+    /// row at a time: the pages of row `x`'s pairs are those of
+    /// `items[x]` that hold any of the items it is flagged with, so a row
+    /// costs one OR per flagged pair and one AND.
+    fn pages_holding_any_pair(&self, triangle: &Triangle) -> Vec<bool> {
+        let mut any = vec![0u64; self.pages.div_ceil(64)];
+        let mut partners = any.clone();
+        let items = triangle.items();
+        for (x, row) in triangle.rows() {
+            partners.fill(0);
+            for (_, b) in row.iter().zip(&items[x + 1..]).filter(|&(&f, _)| f) {
+                for (p, &w) in partners.iter_mut().zip(self.present(b.index())) {
+                    *p |= w;
+                }
+            }
+            for ((a, &p), &w) in any
+                .iter_mut()
+                .zip(&partners)
+                .zip(self.present(items[x].index()))
+            {
+                *a |= p & w;
             }
         }
         self.unpack(&any)
@@ -377,15 +405,13 @@ fn mine_levels(
         // is still exact whichever structure counts the pass.
         let candidates = match batch {
             Batch::Pairs(triangle) => {
-                let keep = bounds
-                    .as_ref()
-                    .map(|b| b.pages_holding_any(triangle.pairs()));
+                let keep = bounds.as_ref().map(|b| b.pages_holding_any_pair(triangle));
                 // Pairs go to a table over the live items when it is
                 // small enough, fed a page at a time.
                 if let Some(table) = PairTable::for_triangle(triangle) {
                     let mut pass = table.start_pass::<u64>();
                     run.pass(keep.as_deref(), |page| table.count(page, &mut pass))?;
-                    return Ok(table.counts(triangle.pairs(), &[pass]));
+                    return Ok(table.triangle_counts(triangle, &pass));
                 }
                 // Otherwise the tree counts them as a list.
                 return count_on_tree(&mut run, keep.as_deref(), &triangle.itemsets());
@@ -656,6 +682,39 @@ mod tests {
         // At 4 only item 1 is frequent: on both pages, but alone.
         assert_eq!(bounds.pages_with_frequent(&[3, 6], 4, 1), [true, true]);
         assert_eq!(bounds.pages_with_frequent(&[3, 6], 4, 2), [false, false]);
+    }
+
+    #[test]
+    fn a_triangle_row_walk_reads_the_pages_its_pairs_do() {
+        // Item i occurs on page p when (i · p) % 5 < 2 and i ≠ 4, over
+        // 130 pages, so the page masks span three words.
+        let m = 8u32;
+        let summaries: Vec<PageSummary> = (0..130u32)
+            .map(|p| PageSummary {
+                transactions: 2,
+                supports: (0..m)
+                    .filter(|&i| i != 4 && (i * p) % 5 < 2)
+                    .map(|i| (i, 1))
+                    .collect(),
+            })
+            .collect();
+        let ossm = Ossm::from_aggregates(vec![ossm_core::Aggregate::new(vec![130; 8], 260)]);
+        let bounds = PageBounds::new(&ossm, m as usize, &summaries);
+        let items: Vec<ItemId> = (0..m).map(ItemId).collect();
+        for keep in [
+            |_: u32, _: u32| true,
+            |_, _| false,
+            |a, b| a == 4 || b == 4,
+            |a, b| (a + b) % 3 == 0,
+            |a, b| a == 2 && b == 7,
+        ] {
+            let triangle = Triangle::with(items.clone(), |a, b| keep(a.0, b.0));
+            let pairs: Vec<[ItemId; 2]> = triangle.pairs().collect();
+            assert_eq!(
+                bounds.pages_holding_any_pair(&triangle),
+                bounds.pages_holding_any(&pairs)
+            );
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! The item → rank map is built once per batch and shared; each counting
 //! pass owns its cells. Out of core one pass is fed a page at a time in
 //! `u64` cells. In memory, [`count_pairs`] runs one pass per transaction
-//! chunk through `ossm_par` in `u32` cells — a cell counts at most its
-//! chunk's transactions — and adds each candidate's cells up in `u64`,
-//! so the counts are identical at any thread count.
+//! chunk through `ossm_par` in `u32` cells when the batch's transactions
+//! fit a `u32`, and adds the chunks' cells into one pass — a sum counts
+//! at most those transactions — so the counts are identical at any
+//! thread count.
 //!
 //! When eq. (1) leaves few candidates over many live items, most cells
 //! would count pairs no candidate names; the size rule declines such a
@@ -26,15 +27,21 @@
 //!
 //! The level-wise miners hand level 2 over as a [`Triangle`]: one flag
 //! per pair of the frequent items, in the same upper-triangular row
-//! order. A table is built straight from its flags — the live items are
-//! the items of flagged pairs, so the size rule and the increments are
-//! those of the equivalent candidate list — and the counts are read back
-//! in row order, with no [`Itemset`] per pair. [`PairTable::build`] keeps
-//! taking a list, for `count_with`'s public entry.
+//! order, each row one contiguous slice of flags. Everything walks it a
+//! row at a time, with no [`Itemset`] per pair. A table is built straight
+//! from its flags: item `x` is live if its row holds a flag or an earlier
+//! row flags it, so the live items, the size rule and the increments are
+//! those of the equivalent candidate list. The counts are read back row
+//! by row, from one row base plus each later item's rank — and when every
+//! item is live, straight from each flag's own cell. [`PairTable::build`]
+//! keeps taking a list, for `count_with`'s public entry.
+
+use std::ops::AddAssign;
 
 use ossm_data::{ItemId, Itemset};
 
 use crate::filter::CandidateFilter;
+use crate::levelwise::Batch;
 
 /// A batch gets a table when its `C(L, 2)` cells are at most this many
 /// per candidate: at 8 B a cell, 4 cells are no more than the ≥ 32 B
@@ -70,22 +77,28 @@ fn cell(a: usize, b: usize, live: usize) -> usize {
 /// `items`, in the row order of [`cell`] (the order Apriori's join emits
 /// C2 in). Generation sets the flags of the candidate pairs, the filter
 /// clears those eq. (1) discharges, and what stays set is counted — no
-/// [`Itemset`] per pair.
+/// [`Itemset`] per pair. Row `x` — the pairs of `items[x]` with each
+/// later item — is one contiguous slice of flags, and every consumer
+/// walks the triangle a row at a time ([`Triangle::rows`]).
 pub(crate) struct Triangle {
     /// The frequent items, in item order.
     items: Vec<ItemId>,
     /// `flags[cell(x, y, |items|)]`: the pair `(items[x], items[y])` is a
     /// candidate.
     flags: Vec<bool>,
+    /// The number of set flags.
+    flagged: usize,
 }
 
 impl Triangle {
     /// Every pair of `items` (in item order, distinct): Apriori's C2.
     pub(crate) fn all(items: Vec<ItemId>) -> Self {
         let n = items.len();
+        let cells = n * n.saturating_sub(1) / 2;
         Triangle {
             items,
-            flags: vec![true; n * n.saturating_sub(1) / 2],
+            flags: vec![true; cells],
+            flagged: cells,
         }
     }
 
@@ -93,19 +106,49 @@ impl Triangle {
     /// `keep(a, b)` holds.
     pub(crate) fn with(items: Vec<ItemId>, mut keep: impl FnMut(ItemId, ItemId) -> bool) -> Self {
         let flags = all_pairs(&items).map(|[a, b]| keep(a, b)).collect();
-        Triangle { items, flags }
+        let mut triangle = Triangle {
+            items,
+            flags,
+            flagged: 0,
+        };
+        triangle.recount();
+        triangle
+    }
+
+    fn recount(&mut self) {
+        self.flagged = self.flags.iter().filter(|&&f| f).count();
     }
 
     /// The number of flagged pairs.
     pub(crate) fn len(&self) -> usize {
-        self.flags.iter().filter(|&&f| f).count()
+        self.flagged
+    }
+
+    /// The triangle's items, in item order.
+    pub(crate) fn items(&self) -> &[ItemId] {
+        &self.items
+    }
+
+    /// The rows in order: `(x, flags)`, where `flags[k]` marks the pair
+    /// `(items[x], items[x + 1 + k])`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (usize, &[bool])> + '_ {
+        let n = self.items.len();
+        let mut rest = &self.flags[..];
+        (0..n).map(move |x| {
+            let (row, tail) = rest.split_at(n - x - 1);
+            rest = tail;
+            (x, row)
+        })
     }
 
     /// The flagged pairs, in row order.
     pub(crate) fn pairs(&self) -> impl Iterator<Item = [ItemId; 2]> + '_ {
-        all_pairs(&self.items)
-            .zip(&self.flags)
-            .filter_map(|(pair, &flagged)| flagged.then_some(pair))
+        self.rows().flat_map(move |(x, row)| {
+            let a = self.items[x];
+            row.iter()
+                .zip(&self.items[x + 1..])
+                .filter_map(move |(&flagged, &b)| flagged.then_some([a, b]))
+        })
     }
 
     /// Runs `filter` over the flagged pairs in one batch
@@ -119,6 +162,7 @@ impl Triangle {
         bounds: &mut Vec<u64>,
     ) {
         filter.judge_pairs(&self.items, min_support, &mut self.flags, bounds);
+        self.recount();
     }
 
     /// The flagged pairs as a candidate list, for a structure that counts
@@ -146,23 +190,11 @@ pub(crate) fn all_pairs(items: &[ItemId]) -> impl Iterator<Item = [ItemId; 2]> +
 
 /// A pair-table cell: a counter wide enough for the transactions of the
 /// pass that owns it.
-pub(crate) trait Cell: Copy + Default + Into<u64> + Send {
-    fn incr(&mut self);
-}
+pub(crate) trait Cell: Copy + Default + From<u8> + Into<u64> + AddAssign + Send {}
 
-impl Cell for u32 {
-    #[inline]
-    fn incr(&mut self) {
-        *self += 1;
-    }
-}
+impl Cell for u32 {}
 
-impl Cell for u64 {
-    #[inline]
-    fn incr(&mut self) {
-        *self += 1;
-    }
-}
+impl Cell for u64 {}
 
 /// The live items of a batch of pair candidates, ranked: the shared half
 /// of a pair table.
@@ -188,39 +220,57 @@ impl PairTable {
     /// # Panics
     /// Panics if a candidate is not a pair.
     pub(crate) fn build(candidates: &[Itemset]) -> Option<Self> {
-        let pairs = candidates.iter().map(|c| match *c.items() {
-            [a, b] => [a, b],
-            _ => panic!("a pair table counts pairs"),
-        });
-        Self::over(pairs, candidates.len())
-    }
-
-    /// The table for the flagged pairs of `triangle`, under the same size
-    /// rule: its live items are the items of flagged pairs.
-    pub(crate) fn for_triangle(triangle: &Triangle) -> Option<Self> {
-        Self::over(triangle.pairs(), triangle.len())
-    }
-
-    /// The table over the items of `pairs`, a batch of `candidates`
-    /// pairs, if the size rule admits it.
-    fn over(pairs: impl Iterator<Item = [ItemId; 2]>, candidates: usize) -> Option<Self> {
         let _mem = ossm_obs::alloc_scope("mining.pair_table");
         let mut rank = Vec::new();
-        for item in pairs.flatten() {
-            if rank.len() <= item.index() {
-                rank.resize(item.index() + 1, DEAD);
+        for c in candidates {
+            let [a, b] = *c.items() else {
+                panic!("a pair table counts pairs");
+            };
+            for item in [a, b] {
+                if rank.len() <= item.index() {
+                    rank.resize(item.index() + 1, DEAD);
+                }
+                rank[item.index()] = 0;
             }
-            rank[item.index()] = 0;
         }
         let mut live = 0;
         for r in rank.iter_mut().filter(|r| **r != DEAD) {
             *r = live;
             live += 1;
         }
-        let table = PairTable {
-            rank,
-            live: live as usize,
-        };
+        Self::sized(rank, live as usize, candidates.len())
+    }
+
+    /// The table for the flagged pairs of `triangle`, under the same size
+    /// rule: its live items are the items of flagged pairs. They are
+    /// found a row at a time — item `x` is live if row `x` holds a flag,
+    /// and OR-ing the row into a mask over `items[x + 1..]` marks the
+    /// later items it pairs `x` with.
+    pub(crate) fn for_triangle(triangle: &Triangle) -> Option<Self> {
+        let _mem = ossm_obs::alloc_scope("mining.pair_table");
+        let items = triangle.items();
+        let mut mask = vec![false; items.len()];
+        for (x, row) in triangle.rows() {
+            let (head, later) = mask.split_at_mut(x + 1);
+            head[x] |= row.contains(&true);
+            for (m, &flagged) in later.iter_mut().zip(row) {
+                *m |= flagged;
+            }
+        }
+        let mut rank = Vec::new();
+        let mut live = 0;
+        for (&item, _) in items.iter().zip(&mask).filter(|&(_, &m)| m) {
+            rank.resize(item.index() + 1, DEAD);
+            rank[item.index()] = live;
+            live += 1;
+        }
+        Self::sized(rank, live as usize, triangle.len())
+    }
+
+    /// The table over `live` ranked items, if the size rule admits it for
+    /// a batch of `candidates` pairs.
+    fn sized(rank: Vec<u32>, live: usize, candidates: usize) -> Option<Self> {
+        let table = PairTable { rank, live };
         (table.size() <= (CELLS_PER_CANDIDATE * candidates).max(MIN_CELLS)).then_some(table)
     }
 
@@ -229,13 +279,17 @@ impl PairTable {
         self.live * self.live.saturating_sub(1) / 2
     }
 
+    /// Bytes of a pass in cells of `C`: its cells and the item → rank
+    /// map.
+    fn pass_bytes<C: Cell>(&self) -> u64 {
+        (self.size() * std::mem::size_of::<C>() + std::mem::size_of_val(&self.rank[..])) as u64
+    }
+
     /// A zeroed pass.
     pub(crate) fn start_pass<C: Cell>(&self) -> PairPass<C> {
         let _mem = ossm_obs::alloc_scope("mining.pair_table");
         let cells = vec![C::default(); self.size()];
-        MEM_PAIR_TABLE.set(
-            (std::mem::size_of_val(&cells[..]) + std::mem::size_of_val(&self.rank[..])) as u64,
-        );
+        MEM_PAIR_TABLE.set(self.pass_bytes::<C>());
         PairPass {
             cells,
             ranks: Vec::new(),
@@ -269,7 +323,7 @@ impl PairTable {
                 let start = row_start(a, live);
                 let row = &mut pass.cells[start..start + (live - a - 1)];
                 for &b in &pass.ranks[j + 1..] {
-                    row[b as usize - a - 1].incr();
+                    row[b as usize - a - 1] += C::from(1);
                 }
             }
         }
@@ -277,34 +331,79 @@ impl PairTable {
     }
 
     /// The counts of `pairs` — pairs of the batch the table was built
-    /// for — in their order, each summed over `passes` in `u64`.
+    /// for — in their order, read from `pass`.
     pub(crate) fn counts<C: Cell>(
         &self,
         pairs: impl Iterator<Item = [ItemId; 2]>,
-        passes: &[PairPass<C>],
+        pass: &PairPass<C>,
     ) -> Vec<u64> {
         pairs
             .map(|pair| {
                 let [a, b] = pair.map(|i| self.rank[i.index()] as usize);
-                let at = cell(a, b, self.live);
-                passes.iter().map(|p| p.cells[at].into()).sum()
+                pass.cells[cell(a, b, self.live)].into()
             })
             .collect()
     }
 
-    /// Counts `pairs` of the batch over in-memory `transactions`, one
-    /// pass per transaction chunk, in `u32` cells when the transactions
-    /// fit a `u32` — a chunk's cell counts at most its chunk's
-    /// transactions — and `u64` cells otherwise.
-    fn count_in_memory(
+    /// The counts of the flagged pairs of `triangle` — the batch the
+    /// table was built for — in row order, read from `pass` a row at a
+    /// time: row `x`'s cells start at one row base, and each later item's
+    /// rank is its offset. When every item of the triangle is live, an
+    /// item's rank is its index, so a flag's index is its cell's.
+    pub(crate) fn triangle_counts<C: Cell>(
         &self,
-        transactions: &[Itemset],
-        pairs: impl Iterator<Item = [ItemId; 2]>,
+        triangle: &Triangle,
+        pass: &PairPass<C>,
     ) -> Vec<u64> {
+        let cells = &pass.cells;
+        let items = triangle.items();
+        if self.live == items.len() {
+            return triangle
+                .flags
+                .iter()
+                .zip(cells)
+                .filter(|&(&flagged, _)| flagged)
+                .map(|(_, &c)| c.into())
+                .collect();
+        }
+        let ranks: Vec<usize> = items
+            .iter()
+            .map(|i| self.rank.get(i.index()).copied().unwrap_or(DEAD) as usize)
+            .collect();
+        let mut counts = Vec::with_capacity(triangle.len());
+        for (x, row) in triangle.rows() {
+            let a = ranks[x];
+            if a == DEAD as usize {
+                // A dead item's row holds no flag.
+                continue;
+            }
+            let base = row_start(a, self.live);
+            for (&flagged, &b) in row.iter().zip(&ranks[x + 1..]) {
+                if flagged {
+                    counts.push(cells[base + (b - a - 1)].into());
+                }
+            }
+        }
+        counts
+    }
+
+    /// Counts `batch` — the batch the table was built for — over
+    /// in-memory `transactions`, one pass per transaction chunk, in `u32`
+    /// cells when the transactions fit a `u32` and `u64` cells otherwise,
+    /// and reads its counts back from the passes' summed cells.
+    fn count_in_memory(&self, transactions: &[Itemset], batch: Batch<'_>) -> Vec<u64> {
         if u32::try_from(transactions.len()).is_ok() {
-            self.counts(pairs, &self.chunk_passes::<u32>(transactions))
+            self.read(batch, &self.summed(self.chunk_passes::<u32>(transactions)))
         } else {
-            self.counts(pairs, &self.chunk_passes::<u64>(transactions))
+            self.read(batch, &self.summed(self.chunk_passes::<u64>(transactions)))
+        }
+    }
+
+    /// `batch`'s counts, in its order, from `pass`.
+    fn read<C: Cell>(&self, batch: Batch<'_>, pass: &PairPass<C>) -> Vec<u64> {
+        match batch {
+            Batch::Pairs(triangle) => self.triangle_counts(triangle, pass),
+            Batch::Sets(candidates) => self.counts(pairs_of(candidates), pass),
         }
     }
 
@@ -317,6 +416,25 @@ impl PairTable {
             pass
         })
     }
+
+    /// The cells of `passes` added into one pass (zeroed if there are
+    /// none). The passes count disjoint transactions, so a sum fits a `C`
+    /// when their transactions together do.
+    fn summed<C: Cell>(&self, passes: Vec<PairPass<C>>) -> PairPass<C> {
+        let mut passes = passes.into_iter();
+        let Some(mut total) = passes.next() else {
+            return PairPass {
+                cells: vec![C::default(); self.size()],
+                ranks: Vec::new(),
+            };
+        };
+        for pass in passes {
+            for (t, c) in total.cells.iter_mut().zip(pass.cells) {
+                *t += c;
+            }
+        }
+        total
+    }
 }
 
 /// The pairs of `candidates`, which must all be pairs.
@@ -324,24 +442,21 @@ pub(crate) fn pairs_of(candidates: &[Itemset]) -> impl Iterator<Item = [ItemId; 
     candidates.iter().map(|c| [c.items()[0], c.items()[1]])
 }
 
-/// Counts a non-empty batch of pair `candidates` over in-memory
-/// `transactions` in a pair table, or returns `None` — leaving the batch
-/// to the hash tree — when a candidate is not a pair or the size rule
-/// declines the batch.
-pub(crate) fn count_pairs(transactions: &[Itemset], candidates: &[Itemset]) -> Option<Vec<u64>> {
-    if candidates.is_empty() || candidates.iter().any(|c| c.len() != 2) {
-        return None;
-    }
-    let table = PairTable::build(candidates)?;
-    Some(table.count_in_memory(transactions, pairs_of(candidates)))
-}
-
-/// Counts the flagged pairs of `triangle` over in-memory `transactions`
-/// in a pair table, in row order, or returns `None` when the size rule
-/// declines the batch.
-pub(crate) fn count_triangle(transactions: &[Itemset], triangle: &Triangle) -> Option<Vec<u64>> {
-    let table = PairTable::for_triangle(triangle)?;
-    Some(table.count_in_memory(transactions, triangle.pairs()))
+/// Counts a non-empty `batch` of pairs over in-memory `transactions` in a
+/// pair table, in the batch's order, or returns `None` — leaving the
+/// batch to the hash tree — when a candidate is not a pair or the size
+/// rule declines the batch.
+pub(crate) fn count_pairs(transactions: &[Itemset], batch: Batch<'_>) -> Option<Vec<u64>> {
+    let table = match batch {
+        Batch::Pairs(triangle) => PairTable::for_triangle(triangle)?,
+        Batch::Sets(candidates) => {
+            if candidates.is_empty() || candidates.iter().any(|c| c.len() != 2) {
+                return None;
+            }
+            PairTable::build(candidates)?
+        }
+    };
+    Some(table.count_in_memory(transactions, batch))
 }
 
 #[cfg(test)]
@@ -386,7 +501,7 @@ mod tests {
             assert_eq!(table.size(), candidates.len());
             let mut pass = table.start_pass::<u64>();
             table.count(transactions.iter().map(Itemset::items), &mut pass);
-            let counts = table.counts(pairs_of(&candidates), &[pass]);
+            let counts = table.counts(pairs_of(&candidates), &pass);
 
             let mut naive: BTreeMap<(ItemId, ItemId), u64> = BTreeMap::new();
             for t in &transactions {
@@ -421,20 +536,77 @@ mod tests {
         let table = PairTable::build(&candidates).expect("fits");
         let narrow = table.counts(
             pairs_of(&candidates),
-            &table.chunk_passes::<u32>(&transactions),
+            &table.summed(table.chunk_passes::<u32>(&transactions)),
         );
         assert_eq!(
             narrow,
             table.counts(
                 pairs_of(&candidates),
-                &table.chunk_passes::<u64>(&transactions)
+                &table.summed(table.chunk_passes::<u64>(&transactions))
             )
         );
         assert_eq!(
             Some(narrow),
-            count_pairs(&transactions, &candidates),
+            count_pairs(&transactions, Batch::Sets(&candidates)),
             "in-memory counting takes u32 cells"
         );
+    }
+
+    /// Which pairs `(x, y)` of a test triangle's item indices are flagged.
+    type Keep = fn(u32, u32) -> bool;
+
+    #[test]
+    fn a_triangle_walks_its_rows_as_its_pair_list_does() {
+        let transactions: Vec<Itemset> = (0..300u32)
+            .map(|t| Itemset::new((0..24u32).filter(|i| (i * 7 + t) % 4 < 2)))
+            .collect();
+        // Items 3x + 1 for x < L, so ranks and ids differ; `keep` names
+        // the flagged pairs by index.
+        let cases: [(u32, Keep); 9] = [
+            (0, |_, _| true),
+            (1, |_, _| true),
+            (2, |_, _| true),
+            (2, |_, _| false),
+            (7, |_, _| true),
+            // Dead first, middle and last items.
+            (7, |x, y| x != 0 && x != 3 && y != 3 && y != 6),
+            // Row 2 all cleared while item 2 stays live through (0, 2):
+            // every item live, so flag and cell indices agree.
+            (7, |x, _| x != 2),
+            // Only the last pair.
+            (7, |x, y| (x, y) == (5, 6)),
+            (7, |_, _| false),
+        ];
+        for (l, keep) in cases {
+            let id = |x: u32| ItemId(3 * x + 1);
+            let items: Vec<ItemId> = (0..l).map(id).collect();
+            let triangle = Triangle::with(items, |a, b| keep(a.0 / 3, b.0 / 3));
+            let list = triangle.itemsets();
+            assert_eq!(triangle.len(), list.len(), "L = {l}");
+            let from_rows = PairTable::for_triangle(&triangle).expect("small");
+            let from_list = PairTable::build(&list).expect("small");
+            assert_eq!(from_rows.size(), from_list.size(), "L = {l}");
+            assert_eq!(from_rows.rank, from_list.rank, "L = {l}");
+            assert_eq!(
+                from_rows.pass_bytes::<u64>(),
+                from_list.pass_bytes::<u64>(),
+                "L = {l}"
+            );
+            let mut pass = from_rows.start_pass::<u64>();
+            from_rows.count(transactions.iter().map(Itemset::items), &mut pass);
+            let by_rows = from_rows.triangle_counts(&triangle, &pass);
+            assert_eq!(by_rows, from_rows.counts(pairs_of(&list), &pass), "L = {l}");
+            let naive: Vec<u64> = list
+                .iter()
+                .map(|c| transactions.iter().filter(|t| c.is_subset_of(t)).count() as u64)
+                .collect();
+            assert_eq!(by_rows, naive, "L = {l}");
+            assert_eq!(
+                count_pairs(&transactions, Batch::Pairs(&triangle)),
+                Some(naive),
+                "L = {l}"
+            );
+        }
     }
 
     #[test]

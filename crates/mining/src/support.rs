@@ -124,7 +124,7 @@ pub fn count_with(
         CountingBackend::HashTree => {
             // A batch of pairs counts in a pair table when the size rule
             // admits it; the tree counts every other batch.
-            if let Some(counts) = crate::pairs::count_pairs(transactions, candidates) {
+            if let Some(counts) = crate::pairs::count_pairs(transactions, Batch::Sets(candidates)) {
                 return counts;
             }
             let _mem = ossm_obs::alloc_scope("mining.hashtree");
@@ -147,7 +147,7 @@ pub(crate) fn count_batch(
         Batch::Pairs(triangle) => {
             if backend == CountingBackend::HashTree {
                 MEM_CANDIDATES.set(triangle.memory_bytes());
-                if let Some(counts) = crate::pairs::count_triangle(transactions, triangle) {
+                if let Some(counts) = crate::pairs::count_pairs(transactions, batch) {
                     return counts;
                 }
             }

@@ -88,21 +88,37 @@ fn singleton_bounds_are_exact() {
     }
 }
 
+/// Level 2's batched pair bound, over every pair of the domain with a
+/// random set of pairs unflagged, equals eq. (1) pair by pair, in row
+/// order, and leaves unflagged pairs unjudged.
 #[test]
 fn pair_specialization_matches_general_bound() {
     for case in 0..CASES {
-        let (d, assignment, segs) = assigned_dataset(&mut case_rng(0xB0B4, case));
+        let mut rng = case_rng(0xB0B4, case);
+        let (d, assignment, segs) = assigned_dataset(&mut rng);
         let ossm = Ossm::from_transaction_assignment(&d, &assignment, segs);
         let m = d.num_items() as u32;
+        let items: Vec<ItemId> = (0..m).map(ItemId).collect();
+        let mut flags: Vec<bool> = (0..m * (m - 1) / 2).map(|_| rng.gen_bool(0.8)).collect();
+        let mut expected = Vec::new();
+        let mut pair = 0;
         for a in 0..m {
             for b in (a + 1)..m {
-                assert_eq!(
-                    ossm.upper_bound_pair(ItemId(a), ItemId(b)),
-                    ossm.upper_bound(&Itemset::new([a, b])),
-                    "case {case}: pair ({a}, {b})"
-                );
+                if flags[pair] {
+                    expected.push(ossm.upper_bound(&Itemset::new([a, b])));
+                }
+                pair += 1;
             }
         }
+        let before = flags.clone();
+        let mut seen = Vec::new();
+        let judged = ossm.upper_bound_pairs(&items, &mut flags, |ub| {
+            seen.push(ub);
+            true
+        });
+        assert_eq!(seen, expected, "case {case}");
+        assert_eq!(judged, expected.len() as u64, "case {case}");
+        assert_eq!(flags, before, "case {case}: every judged pair admitted");
     }
 }
 
@@ -148,7 +164,7 @@ fn page_and_aggregate_constructions_agree() {
     assert_eq!(via_pages.num_transactions(), store.dataset().len() as u64);
 }
 
-/// The map stores one row per item; eq. (1), its pair form and the
+/// The map stores one row per item; eq. (1), its batched pair form and the
 /// singleton supports must read exactly what a segment-major table of
 /// the same aggregates gives, for 1–120 segments (so the min-sum crosses
 /// its internal chunk boundaries), patterns of 0–4 items, and supports
@@ -190,7 +206,12 @@ fn item_major_bounds_match_a_segment_major_reference() {
             let x = Itemset::new((0..len).map(|_| rng.gen_range(0..m as u32)));
             assert_eq!(ossm.upper_bound(&x), reference(&x), "case {case}: {x}");
             if let [a, b] = *x.items() {
-                assert_eq!(ossm.upper_bound_pair(a, b), reference(&x), "case {case}");
+                let mut batched = None;
+                ossm.upper_bound_pairs(&[a, b], &mut [true], |ub| {
+                    batched = Some(ub);
+                    true
+                });
+                assert_eq!(batched, Some(reference(&x)), "case {case}");
             }
         }
         for i in 0..=m as u32 {
