@@ -22,7 +22,13 @@
 //! A map's rows are short next to a level's items, so the batch sweeps
 //! the rows transposed, a few first items against all later items per
 //! column; long rows (a page file's per-page supports) are judged pair by
-//! pair.
+//! pair. The transposed sweep runs on the `ossm_par` workers in parts of
+//! about equal pair counts ([`triangle_parts`]) — row `x` of the triangle
+//! holds one pair fewer than row `x − 1` — each part owning its rows'
+//! flags, so the flags, the admitted bounds and their order are those of
+//! one serial sweep at any thread count.
+
+use std::ops::Range;
 
 use ossm_data::{ItemId, Itemset, PageStore};
 
@@ -91,8 +97,10 @@ where
 /// before `b`, in row order — the pairs of `items[0]`, then those of
 /// `items[1]`, … — whose flag in `pairs` is set, calls `judge` with the
 /// pair's min-sum `Σ_s min(row(a)[s], row(b)[s])` and stores its answer
-/// as the flag. Rows are of one length; a pair past the end of `pairs`
-/// is not judged. Returns the number of pairs judged.
+/// as the flag. When `admitted` is given, the min-sum of every pair
+/// `judge` admits is pushed onto it, in row order. Rows are of one
+/// length; a pair past the end of `pairs` is not judged. Returns the
+/// number of pairs judged.
 ///
 /// The rows are copied once into the narrowest lane that holds every
 /// row's sum — `u16`, else `u32`, else `u64` — and each min-sum is
@@ -100,9 +108,12 @@ where
 /// positions per vector instruction as a `u32` one. Rows narrower than
 /// the batch is long (a map's few segments against a level's many
 /// items) are judged column by column, sweeping a few first items
-/// against all later items at once (`judge_columns`); wider rows (a
-/// page file's many pages against a few items) pair by pair
-/// (`judge_rows`).
+/// against all later items at once (`judge_columns`), in parts of about
+/// equal pair counts on the `ossm_par` workers ([`triangle_parts`]);
+/// wider rows (a page file's many pages against a few items) pair by
+/// pair on the calling thread (`judge_rows`). `judge` is called from the
+/// workers in no fixed order, but the flags, the admitted min-sums and
+/// the count are the same at any thread count.
 // SOUND: each term is the minimum of the two rows at one position and
 // every position is summed — `min_sum` for `[a, b]`. The narrow copy
 // loses nothing and no accumulator can overflow: each holds the min-sum
@@ -112,7 +123,24 @@ pub fn min_sum_pairs<'r, T>(
     items: &[ItemId],
     row: impl Fn(ItemId) -> &'r [T],
     pairs: &mut [bool],
-    judge: impl FnMut(u64) -> bool,
+    judge: impl Fn(u64) -> bool + Sync,
+    admitted: Option<&mut Vec<u64>>,
+) -> u64
+where
+    T: Copy + Into<u64> + 'r,
+{
+    min_sum_pairs_in_parts(items, row, pairs, judge, admitted, MIN_PART_PAIRS)
+}
+
+/// [`min_sum_pairs`] with the column layout cut into parts of at least
+/// `min_part_pairs` pairs ([`triangle_parts`]).
+fn min_sum_pairs_in_parts<'r, T>(
+    items: &[ItemId],
+    row: impl Fn(ItemId) -> &'r [T],
+    pairs: &mut [bool],
+    judge: impl Fn(u64) -> bool + Sync,
+    admitted: Option<&mut Vec<u64>>,
+    min_part_pairs: usize,
 ) -> u64
 where
     T: Copy + Into<u64> + 'r,
@@ -124,16 +152,16 @@ where
         .max()
         .unwrap_or(0);
     if widest <= u64::from(u16::MAX) {
-        judge_in::<T, u16>(&rows, pairs, judge)
+        judge_in::<T, u16>(&rows, pairs, &judge, admitted, min_part_pairs)
     } else if widest <= u64::from(u32::MAX) {
-        judge_in::<T, u32>(&rows, pairs, judge)
+        judge_in::<T, u32>(&rows, pairs, &judge, admitted, min_part_pairs)
     } else {
-        judge_in::<T, u64>(&rows, pairs, judge)
+        judge_in::<T, u64>(&rows, pairs, &judge, admitted, min_part_pairs)
     }
 }
 
 /// A counter width [`min_sum_pairs`] accumulates min-sums in.
-trait Lane: Copy + Default + Ord + std::ops::AddAssign + Into<u64> {
+trait Lane: Copy + Default + Ord + std::ops::AddAssign + Into<u64> + Send + Sync {
     /// `v`, which the lane holds, as a lane value.
     fn narrow(v: u64) -> Self;
 }
@@ -159,15 +187,21 @@ impl Lane for u64 {
 /// [`min_sum_pairs`] in lanes of `L`, by columns when the rows are
 /// narrower than the batch is long and by rows otherwise; every row's
 /// sum must fit `L`.
-fn judge_in<T, L>(rows: &[&[T]], pairs: &mut [bool], judge: impl FnMut(u64) -> bool) -> u64
+fn judge_in<T, L>(
+    rows: &[&[T]],
+    pairs: &mut [bool],
+    judge: &(impl Fn(u64) -> bool + Sync),
+    admitted: Option<&mut Vec<u64>>,
+    min_part_pairs: usize,
+) -> u64
 where
     T: Copy + Into<u64>,
     L: Lane,
 {
     if rows.first().map_or(0, |r| r.len()) < rows.len() {
-        judge_columns::<T, L>(rows, pairs, judge)
+        judge_columns::<T, L>(rows, pairs, judge, admitted, min_part_pairs)
     } else {
-        judge_rows::<T, L>(rows, pairs, judge)
+        judge_rows::<T, L>(rows, pairs, judge, admitted)
     }
 }
 
@@ -176,7 +210,12 @@ where
 /// later rows in turn, each min-sum accumulated in `L`.
 // SOUND: `ub` adds the minimum of the two rows at every position — the
 // pair's eq. (1) sum — in a lane `min_sum_pairs` chose to hold it.
-fn judge_rows<T, L>(rows: &[&[T]], pairs: &mut [bool], mut judge: impl FnMut(u64) -> bool) -> u64
+fn judge_rows<T, L>(
+    rows: &[&[T]],
+    pairs: &mut [bool],
+    judge: impl Fn(u64) -> bool,
+    mut admitted: Option<&mut Vec<u64>>,
+) -> u64
 where
     T: Copy + Into<u64>,
     L: Lane,
@@ -201,6 +240,11 @@ where
                     ub += p.min(q);
                 }
                 *flag = judge(ub.into());
+                if *flag {
+                    if let Some(bounds) = admitted.as_deref_mut() {
+                        bounds.push(ub.into());
+                    }
+                }
                 judged += 1;
             }
         }
@@ -211,17 +255,61 @@ where
 /// First items [`judge_columns`] sums against the later items per sweep.
 const SWEEP: usize = 4;
 
+/// Pairs below which [`judge_columns`] keeps a part of its triangle on
+/// the calling thread: at a few nanoseconds a pair, a smaller part costs
+/// less than a worker takes to start. A page file's map (a few hundred
+/// items at most) is judged inline.
+const MIN_PART_PAIRS: usize = 1 << 15;
+
+/// The pairs in rows `0..x` of a triangle over `items` items:
+/// `(items − 1) + (items − 2) + … + (items − x)`.
+fn pairs_before(x: usize, items: usize) -> usize {
+    x * (2 * items - x).saturating_sub(1) / 2
+}
+
+/// The rows of a triangle over `items` items — row `x` holds the pairs
+/// of item `x` with each later item — cut into at most
+/// [`ossm_par::thread_count`] contiguous ranges of about equal *pair*
+/// counts, for [`ossm_par::map_parts`]. Every range starts at a multiple
+/// of the column sweep's width, and a triangle of fewer than
+/// `2 · min_pairs` pairs stays one range. The cut depends only on
+/// `items`, `min_pairs` and the thread count, and the ranges cover
+/// `0..items` in order (none for no items).
+pub fn triangle_parts(items: usize, min_pairs: usize) -> Vec<Range<usize>> {
+    if items == 0 {
+        return Vec::new();
+    }
+    let total = pairs_before(items, items);
+    let parts = (total / min_pairs.max(1)).clamp(1, ossm_par::thread_count());
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for x in (SWEEP..items).step_by(SWEEP) {
+        if out.len() + 1 == parts {
+            break;
+        }
+        // Cut at the first aligned row past the next equal share.
+        if pairs_before(x, items) * parts >= total * (out.len() + 1) {
+            out.push(start..x);
+            start = x;
+        }
+    }
+    out.push(start..items);
+    out
+}
+
 /// [`min_sum_pairs`] column by column: `rows` transposed into lanes of
-/// `L`, one column per position. A sweep takes [`SWEEP`] consecutive
-/// first items `x` and, column by column, adds `min(column[x],
-/// column[y])` to the sum of every pair `(x, y)` with `y` past the
-/// sweep's first item — one pass over contiguous lanes per column, with
-/// no reduction per pair. The sweep's rows of flags are then judged in
-/// order against their sums.
-// SOUND: the sum of pair `(x, y)` gains `min(column[x], column[y])` from
-// every column, once — the pair's eq. (1) sum — and is judged at offset
-// `y − x − 1` of row `x`, the flag of exactly that pair.
-fn judge_columns<T, L>(rows: &[&[T]], pairs: &mut [bool], mut judge: impl FnMut(u64) -> bool) -> u64
+/// `L`, one column per position, shared by every part of the triangle
+/// (parts of at least `min_part_pairs` pairs, [`triangle_parts`]); each
+/// part owns its rows' flags and judges them sweep by sweep
+/// ([`sweep_columns`]). The parts' admitted min-sums are appended in part
+/// order, which is row order.
+fn judge_columns<T, L>(
+    rows: &[&[T]],
+    pairs: &mut [bool],
+    judge: &(impl Fn(u64) -> bool + Sync),
+    admitted: Option<&mut Vec<u64>>,
+    min_part_pairs: usize,
+) -> u64
 where
     T: Copy + Into<u64>,
     L: Lane,
@@ -237,10 +325,83 @@ where
             column[y] = L::narrow(v.into());
         }
     }
-    let mut sums = vec![L::default(); SWEEP * items];
+    // Each part owns its rows' flags and, when the admitted min-sums are
+    // kept, a window of `admitted` one longer than its flagged pairs,
+    // which it fills from the front; the windows are closed up after.
+    let keep = admitted.is_some();
+    let mut parts = Vec::new();
     let mut rest = pairs;
+    for firsts in triangle_parts(items, min_part_pairs) {
+        let len =
+            (pairs_before(firsts.end, items) - pairs_before(firsts.start, items)).min(rest.len());
+        let (flags, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        let window = if keep {
+            flags.iter().filter(|&&f| f).count() + 1
+        } else {
+            0
+        };
+        parts.push((firsts, flags, window));
+    }
+    let mut scratch = Vec::new();
+    let out = admitted.unwrap_or(&mut scratch);
+    let base = out.len();
+    out.resize(base + parts.iter().map(|p| p.2).sum::<usize>(), 0);
+    let mut windows = &mut out[base..];
+    let mut owned = Vec::with_capacity(parts.len());
+    for (firsts, flags, window) in parts {
+        let (slots, tail) = std::mem::take(&mut windows).split_at_mut(window);
+        windows = tail;
+        owned.push((firsts, (flags, slots)));
+    }
+    let results = ossm_par::map_parts(owned, |firsts, (flags, slots)| {
+        sweep_columns(&columns, items, firsts, flags, judge, slots)
+    });
     let mut judged = 0;
-    for x in (0..items).step_by(SWEEP) {
+    let (mut from, mut to) = (base, base);
+    for (count, window, kept) in results {
+        judged += count;
+        out.copy_within(from..from + kept, to);
+        from += window;
+        to += kept;
+    }
+    out.truncate(to);
+    judged
+}
+
+/// One part of [`judge_columns`]: the sweeps of the first items
+/// `firsts` (starting at a multiple of [`SWEEP`]) over `columns`, one
+/// column of `items` lanes per position, judging `flags` — the part's
+/// rows of flags, possibly cut short. A sweep takes [`SWEEP`] consecutive
+/// first items `x` and, column by column, adds `min(column[x],
+/// column[y])` to the sum of every pair `(x, y)` with `y` past the
+/// sweep's first item — one pass over contiguous lanes per column, with
+/// no reduction per pair. The sweep's rows of flags are then judged in
+/// order against their sums. When `slots` is not empty — one longer than
+/// the flagged pairs — the min-sums of the admitted pairs fill it from
+/// the front, in row order. Returns the pairs judged, the length of
+/// `slots`, and the min-sums kept.
+// SOUND: the sum of pair `(x, y)` gains `min(column[x], column[y])` from
+// every column, once — the pair's eq. (1) sum — and is judged at offset
+// `y − x − 1` of row `x`, the flag of exactly that pair; a part's flags
+// start at its first row's first pair.
+fn sweep_columns<L: Lane>(
+    columns: &[L],
+    items: usize,
+    firsts: Range<usize>,
+    flags: &mut [bool],
+    judge: impl Fn(u64) -> bool,
+    slots: &mut [u64],
+) -> (u64, usize, usize) {
+    let keep = !slots.is_empty();
+    let mut kept = 0;
+    let mut sums = vec![L::default(); SWEEP * (items - firsts.start - 1)];
+    let mut rest = flags;
+    let mut judged = 0;
+    for x in firsts.step_by(SWEEP) {
+        if rest.is_empty() {
+            break;
+        }
         // `sums[k·later + j]` is the min-sum of items `x + k` and
         // `x + 1 + j`. A sweep past the last item repeats it; those sums
         // are never read.
@@ -268,17 +429,27 @@ where
         }
         for k in 0..SWEEP.min(items - x) {
             let len = (later - k).min(rest.len());
-            let (flags, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
-            for (flag, &ub) in flags.iter_mut().zip(&sums[k * later + k..]) {
+            let sums = &sums[k * later + k..];
+            for (flag, &ub) in row.iter_mut().zip(sums) {
                 if *flag {
                     *flag = judge(ub.into());
                     judged += 1;
                 }
             }
+            if keep {
+                // A set flag now marks an admitted pair. Every pair's
+                // min-sum is written at the next free slot, which only an
+                // admitted pair keeps: no branch per pair.
+                for (&flag, &ub) in row.iter().zip(sums) {
+                    slots[kept] = ub.into();
+                    kept += usize::from(flag);
+                }
+            }
         }
     }
-    judged
+    (judged, slots.len(), kept)
 }
 
 impl Ossm {
@@ -466,9 +637,10 @@ impl Ossm {
     }
 
     /// Equation (1) for a batch of pairs: every pair of `items` flagged
-    /// in `pairs`, judged by `judge(ub)` as [`min_sum_pairs`] describes,
-    /// with the number judged added to `core.bound.evals` once. Returns
-    /// that number.
+    /// in `pairs`, judged by `judge(ub)` as [`min_sum_pairs`] describes —
+    /// with the bound of every admitted pair pushed onto `admitted`, in
+    /// row order, when given — and the number judged added to
+    /// `core.bound.evals` once. Returns that number.
     ///
     /// # Panics
     /// Panics if an item of `items` lies outside the map's domain.
@@ -479,9 +651,10 @@ impl Ossm {
         &self,
         items: &[ItemId],
         pairs: &mut [bool],
-        judge: impl FnMut(u64) -> bool,
+        judge: impl Fn(u64) -> bool + Sync,
+        admitted: Option<&mut Vec<u64>>,
     ) -> u64 {
-        let judged = min_sum_pairs(items, |a| self.item_supports(a), pairs, judge);
+        let judged = min_sum_pairs(items, |a| self.item_supports(a), pairs, judge, admitted);
         BOUND_EVALS.add(judged);
         judged
     }
@@ -662,12 +835,14 @@ mod tests {
                 }
             }
             let mut seen = Vec::new();
-            let judged = ossm.upper_bound_pairs(&items, &mut flags, |ub| {
-                seen.push(ub);
-                ub % 2 == 0
-            });
+            let mut every = flags.clone();
+            let judged = ossm.upper_bound_pairs(&items, &mut every, |_| true, Some(&mut seen));
             assert_eq!(seen, expected, "items {ids:?}");
             assert_eq!(judged, expected.len() as u64);
+            let mut admitted = Vec::new();
+            ossm.upper_bound_pairs(&items, &mut flags, |ub| ub % 2 == 0, Some(&mut admitted));
+            expected.retain(|ub| ub % 2 == 0);
+            assert_eq!(admitted, expected, "items {ids:?}");
             assert_eq!(flags, expected_flags, "items {ids:?}");
         }
         assert_eq!(ossm.upper_bound(&set(&[0, 1])), max - 4);
@@ -676,31 +851,68 @@ mod tests {
 
     /// Judges `flags` (possibly shorter than the triangle) over the
     /// pairs of `ids` in one batch and checks every bound, answer and
-    /// count against `upper_bound` pair by pair.
-    fn check_batch(ossm: &Ossm, ids: &[u32], mut flags: Vec<bool>) {
+    /// count against `upper_bound` pair by pair — through
+    /// `upper_bound_pairs`, and in parts of one pair or more at 1, 2 and
+    /// 8 threads.
+    fn check_batch(ossm: &Ossm, ids: &[u32], flags: Vec<bool>) {
         let judge = |ub: u64| ub % 3 != 0;
-        let mut expected = Vec::new();
+        let mut bounds = Vec::new();
         let mut expected_flags = flags.clone();
         let mut at = 0;
         for (x, &a) in ids.iter().enumerate() {
             for &b in &ids[x + 1..] {
                 if flags.get(at) == Some(&true) {
                     let ub = ossm.upper_bound(&set(&[a, b]));
-                    expected.push(ub);
+                    bounds.push(ub);
                     expected_flags[at] = judge(ub);
                 }
                 at += 1;
             }
         }
+        let admitted_bounds: Vec<u64> = bounds.iter().copied().filter(|&ub| judge(ub)).collect();
         let items: Vec<ItemId> = ids.iter().copied().map(ItemId).collect();
         let mut seen = Vec::new();
-        let judged = ossm.upper_bound_pairs(&items, &mut flags, |ub| {
-            seen.push(ub);
-            judge(ub)
-        });
-        assert_eq!(seen, expected, "items {ids:?}");
-        assert_eq!(judged, expected.len() as u64, "items {ids:?}");
-        assert_eq!(flags, expected_flags, "items {ids:?}");
+        let mut every = flags.clone();
+        let judged = ossm.upper_bound_pairs(&items, &mut every, |_| true, Some(&mut seen));
+        assert_eq!(seen, bounds, "items {ids:?}");
+        assert_eq!(judged, bounds.len() as u64, "items {ids:?}");
+        let _guard = threads_lock();
+        for (threads, min_part_pairs) in [(1, MIN_PART_PAIRS), (1, 1), (2, 1), (8, 1), (8, 5)] {
+            ossm_par::set_threads(Some(threads));
+            let mut judged_flags = flags.clone();
+            let mut admitted = Vec::new();
+            let judged = min_sum_pairs_in_parts(
+                &items,
+                |a| ossm.item_supports(a),
+                &mut judged_flags,
+                judge,
+                Some(&mut admitted),
+                min_part_pairs,
+            );
+            let at = format!("items {ids:?}, {threads} threads, parts of {min_part_pairs}+");
+            assert_eq!(admitted, admitted_bounds, "{at}");
+            assert_eq!(judged, bounds.len() as u64, "{at}");
+            assert_eq!(judged_flags, expected_flags, "{at}");
+            // Without `admitted`, the flags and the count are the same.
+            let mut unkept = flags.clone();
+            let unkept_judged = min_sum_pairs_in_parts(
+                &items,
+                |a| ossm.item_supports(a),
+                &mut unkept,
+                judge,
+                None,
+                min_part_pairs,
+            );
+            assert_eq!((unkept, unkept_judged), (judged_flags, judged), "{at}");
+        }
+        ossm_par::set_threads(None);
+    }
+
+    /// Tests that set the process-wide thread count must not interleave.
+    fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// A xorshift step: the next value of `state`, below `below`.
@@ -726,9 +938,13 @@ mod tests {
     fn batched_pair_bounds_equal_upper_bound_in_every_lane_and_layout() {
         let mut state = 0x2545_f491_4f6c_dd1d_u64;
         let max16 = u64::from(u16::MAX);
-        // Three segments put a batch of four or more items in columns and
-        // a smaller one in rows; twelve put every batch here in rows.
-        for width in [3usize, 12] {
+        // One segment puts every batch of two or more items in columns,
+        // three a batch of four or more (and a smaller one in rows), and
+        // twelve put every batch here in rows. `check_batch` cuts the
+        // column layout into parts down to one pair: at 8 threads the
+        // ten-item batches part as rows 0..4, 4..8 and 8..10, the last
+        // part one sweep.
+        for width in [1usize, 3, 12] {
             let mut row = |sum| test_row(&mut state, width, sum);
             // Items 0–6: small rows, two equal rows at exactly u16::MAX
             // (1 and 3, whose pair's bound is u16::MAX), another at
@@ -780,6 +996,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn triangle_parts_cut_aligned_rows_of_about_equal_pairs() {
+        let _guard = threads_lock();
+        for threads in [1usize, 2, 3, 8] {
+            ossm_par::set_threads(Some(threads));
+            for items in [0usize, 1, 2, 3, 4, 5, 9, 10, 13, 64, 400, 771] {
+                for min_pairs in [1usize, 7, 1000, MIN_PART_PAIRS] {
+                    let parts = triangle_parts(items, min_pairs);
+                    let total = pairs_before(items, items);
+                    let at = format!("{items} items, {threads} threads, {min_pairs}+ pairs");
+                    assert!(parts.len() <= threads.max(1), "{at}");
+                    let mut next = 0;
+                    for r in &parts {
+                        assert_eq!(r.start, next, "{at}: contiguous");
+                        assert!(r.start < r.end, "{at}: no empty range");
+                        assert_eq!(r.start % SWEEP, 0, "{at}: aligned");
+                        next = r.end;
+                    }
+                    assert_eq!(next, items, "{at}: covers every row");
+                    if total < 2 * min_pairs {
+                        assert!(parts.len() <= 1, "{at}: too few pairs to part");
+                    }
+                    if items >= 400 && parts.len() > 1 {
+                        // Within a sweep's pairs of an equal share.
+                        let share = total / parts.len();
+                        for r in &parts {
+                            let pairs = pairs_before(r.end, items) - pairs_before(r.start, items);
+                            assert!(pairs.abs_diff(share) <= SWEEP * items, "{at}: {r:?}");
+                        }
+                    }
+                }
+            }
+        }
+        ossm_par::set_threads(Some(8));
+        assert_eq!(triangle_parts(10, 1), [0..4, 4..8, 8..10]);
+        ossm_par::set_threads(Some(2));
+        assert_eq!(triangle_parts(771, MIN_PART_PAIRS), [0..228, 228..771]);
+        ossm_par::set_threads(None);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Implements the subset of criterion's API that the workspace benches use
 //! — [`Criterion`], [`BenchmarkId`], benchmark groups, and the
 //! [`criterion_group!`]/[`criterion_main!`] macros — as a plain wall-clock
-//! harness: each benchmark is warmed up briefly, then timed over a batch
-//! sized to the configured sample count, and the mean per-iteration time
-//! is printed. No statistics, plots, or baselines; the goal is that
-//! `cargo bench` compiles, runs, and produces a readable number in an
-//! environment with no crates.io access.
+//! harness: each benchmark is warmed up while a batch is grown to at
+//! least 10 ms, then five batches of that size are timed, and the median
+//! per-iteration time is printed with the smallest and largest. No
+//! plots or baselines; the goal is that `cargo bench` compiles, runs, and
+//! produces a readable number with its spread in an environment with no
+//! crates.io access.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,40 +37,56 @@ impl fmt::Display for BenchmarkId {
     }
 }
 
+/// Timed batches per benchmark once the batch is sized.
+const BATCHES: usize = 5;
+
 /// Passed to the benchmark closure; call [`Bencher::iter`] with the code
 /// under test.
 pub struct Bencher {
+    /// Iterations per timed batch.
     iters: u64,
-    elapsed: Duration,
+    /// The per-iteration time of every timed batch, in run order.
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine`, running it enough times to make the clock readable.
+    fn new() -> Self {
+        Bencher {
+            iters: 0,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Times `routine`: grows a batch until it runs at least 10 ms (the
+    /// warm-up), then times five batches of that size.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warm-up and batch sizing: grow the batch until it runs ≥ 10 ms,
-        // then time the final batch.
-        let mut batch: u64 = 1;
-        loop {
+        let mut run = |batch: u64| {
             let start = Instant::now();
             for _ in 0..batch {
                 std::hint::black_box(routine());
             }
-            let took = start.elapsed();
-            if took >= Duration::from_millis(10) || batch >= self.iters.max(1 << 20) {
-                self.elapsed = took;
-                self.iters = batch;
-                return;
-            }
+            start.elapsed()
+        };
+        let mut batch: u64 = 1;
+        while run(batch) < Duration::from_millis(10) && batch < 1 << 20 {
             batch = batch.saturating_mul(4);
         }
+        let per_iter = u32::try_from(batch).unwrap_or(u32::MAX);
+        self.iters = batch;
+        self.samples = (0..BATCHES).map(|_| run(batch) / per_iter).collect();
     }
 
-    fn per_iter(&self) -> Duration {
-        if self.iters == 0 {
-            Duration::ZERO
-        } else {
-            self.elapsed / u32::try_from(self.iters).unwrap_or(u32::MAX)
-        }
+    /// The median, smallest and largest per-iteration time of the timed
+    /// batches (zero before [`iter`](Self::iter) runs).
+    fn spread(&self) -> (Duration, Duration, Duration) {
+        let mut sorted = self.samples.clone();
+        sorted.sort();
+        let at = |i: usize| sorted.get(i).copied().unwrap_or_default();
+        (
+            at(sorted.len() / 2),
+            at(0),
+            at(sorted.len().saturating_sub(1)),
+        )
     }
 }
 
@@ -81,7 +98,7 @@ pub struct BenchmarkGroup<'c> {
 
 impl BenchmarkGroup<'_> {
     /// Sets the sample count (accepted for API compatibility; this harness
-    /// times one sized batch regardless).
+    /// times five sized batches regardless).
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
@@ -92,15 +109,13 @@ impl BenchmarkGroup<'_> {
         id: I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher {
-            iters: 0,
-            elapsed: Duration::ZERO,
-        };
+        let mut b = Bencher::new();
         f(&mut b);
+        let (median, min, max) = b.spread();
         println!(
-            "bench {group}/{id}: {time:?}/iter ({iters} iters)",
+            "bench {group}/{id}: {median:?}/iter [{min:?}, {max:?}] ({batches} batches of {iters} iters)",
             group = self.name,
-            time = b.per_iter(),
+            batches = b.samples.len(),
             iters = b.iters,
         );
         self
@@ -239,19 +254,20 @@ mod tests {
 
     #[test]
     fn bencher_times_a_closure() {
-        let mut b = Bencher {
-            iters: 0,
-            elapsed: Duration::ZERO,
-        };
+        let mut b = Bencher::new();
+        assert_eq!(b.spread(), (Duration::ZERO, Duration::ZERO, Duration::ZERO));
         let mut hits = 0u64;
         b.iter(|| {
             hits += 1;
             std::hint::black_box(hits)
         });
         assert!(b.iters >= 1);
-        // `iter` grows the batch until it is long enough to time, so the
-        // closure runs at least `iters` times in total.
-        assert!(hits >= b.iters);
+        assert_eq!(b.samples.len(), BATCHES);
+        // `iter` sizes the batch by running it, then times `BATCHES`
+        // batches of that size.
+        assert!(hits >= b.iters * (BATCHES as u64 + 1));
+        let (median, min, max) = b.spread();
+        assert!(min <= median && median <= max);
     }
 
     #[test]

@@ -81,15 +81,26 @@ impl Dataset {
             .count() as u64
     }
 
-    /// Support of every singleton, by one pass over the data.
+    /// Support of every singleton, by one pass over the data: one count
+    /// vector per transaction chunk on the `ossm_par` workers, summed in
+    /// chunk order, so the supports are the same at any thread count.
     pub fn singleton_supports(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.num_items];
-        for t in &self.transactions {
-            for item in t.items() {
-                counts[item.index()] += 1;
-            }
+        /// Transactions below which a chunk costs less to count than a
+        /// worker takes to start.
+        const MIN_TX_CHUNK: usize = 4096;
+        if self.transactions.is_empty() {
+            return vec![0; self.num_items];
         }
-        counts
+        let partials = ossm_par::map_chunks(self.transactions.len(), MIN_TX_CHUNK, |r| {
+            let mut counts = vec![0u64; self.num_items];
+            for t in &self.transactions[r] {
+                for item in t.items() {
+                    counts[item.index()] += 1;
+                }
+            }
+            counts
+        });
+        ossm_par::sum_counts(partials)
     }
 
     /// Converts a relative threshold (fraction of `N`, e.g. `0.01` for the

@@ -128,13 +128,12 @@ impl CandidateFilter for OssmFilter<'_> {
         pairs: &mut [bool],
         bounds: &mut Vec<u64>,
     ) {
-        self.ossm.upper_bound_pairs(items, pairs, |ub| {
-            let admitted = ub >= min_support;
-            if admitted && ossm_obs::ENABLED {
-                bounds.push(ub);
-            }
-            admitted
-        });
+        self.ossm.upper_bound_pairs(
+            items,
+            pairs,
+            |ub| ub >= min_support,
+            ossm_obs::ENABLED.then_some(bounds),
+        );
     }
 
     fn name(&self) -> &str {

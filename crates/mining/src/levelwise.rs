@@ -16,10 +16,15 @@
 //! triangle itself ([`Batch::Pairs`]), and the collect step walks its
 //! rows — one slice of flags per item, taking the next count (and bound)
 //! per flag — so only a pair found frequent becomes an [`Itemset`]. The
-//! triangle counts its flags once per change, not per question. Levels
-//! `k ≥ 3` are lists ([`Batch::Sets`]), judged one candidate at a time.
-//! Either way eq. (1) is evaluated once per generated candidate, and each
-//! level's bound outcomes are tallied locally and recorded once.
+//! collect runs on the `ossm_par` workers in the row parts eq. (1)'s
+//! batch uses ([`ossm_core::ssm::triangle_parts`]): each part starts at
+//! the count after the flags of the rows before it, tallies its own
+//! bound outcomes, and hands back its frequent pairs in row order, which
+//! the caller inserts. The triangle counts its flags once per change,
+//! not per question. Levels `k ≥ 3` are lists ([`Batch::Sets`]), judged
+//! one candidate at a time. Either way eq. (1) is evaluated once per
+//! generated candidate, and the bound outcomes are tallied locally and
+//! recorded once per level (once per part at level 2).
 
 use std::io;
 
@@ -200,31 +205,11 @@ impl LevelLoop<'_> {
         } else {
             count(Batch::Pairs(&triangle))?
         };
-        let mut outcomes = BoundOutcomes::default();
         let mut frequent = Vec::new();
-        // The counts, and the bounds when kept, follow the flagged pairs
-        // in row order: walk the rows, taking one of each per flag.
-        let (mut counts, mut bounds) = (counts.into_iter(), bounds.into_iter());
-        let items = triangle.items();
-        'rows: for (x, row) in triangle.rows() {
-            for (&flagged, &b) in row.iter().zip(&items[x + 1..]) {
-                if !flagged {
-                    continue;
-                }
-                let Some(sup) = counts.next() else {
-                    break 'rows;
-                };
-                if let Some(ub) = bounds.next() {
-                    outcomes.record(ub, sup, self.min_support);
-                }
-                if sup >= self.min_support {
-                    let c = Itemset::from_sorted(vec![items[x], b]);
-                    patterns.insert(c.clone(), sup);
-                    frequent.push(c);
-                }
-            }
+        for (c, sup) in collect_pairs(&triangle, &counts, &bounds, self.min_support) {
+            patterns.insert(c.clone(), sup);
+            frequent.push(c);
         }
-        outcomes.flush();
         let level = LevelMetrics {
             level: 2,
             generated,
@@ -259,6 +244,67 @@ impl LevelLoop<'_> {
         }
         metrics.push_level(level);
     }
+}
+
+/// Pairs below which level 2's collect keeps a part of the triangle on
+/// the calling thread: a pair costs a nanosecond or two to collect, so a
+/// smaller part costs less than a worker takes to start.
+const MIN_COLLECT_PAIRS: usize = 1 << 15;
+
+/// Level 2's collect step: walks the rows of `triangle` — whose flagged
+/// pairs have `counts`, and `bounds` when kept, in row order — in parts
+/// of about equal pair counts on the `ossm_par` workers, tallies each
+/// counted pair's bound outcome, and returns the frequent pairs with
+/// their supports, in row order. Each part takes its counts and bounds
+/// from the offset of the flags before its first row, and flushes its own
+/// outcomes; the registry adds them, so the totals are those of one
+/// serial walk.
+fn collect_pairs(
+    triangle: &Triangle,
+    counts: &[u64],
+    bounds: &[u64],
+    min_support: u64,
+) -> Vec<(Itemset, u64)> {
+    let items = triangle.items();
+    let mut parts = Vec::new();
+    let mut before = 0;
+    for rows in ossm_core::ssm::triangle_parts(items.len(), MIN_COLLECT_PAIRS) {
+        let flagged = triangle.flagged_in(rows.clone());
+        let part = |v| window(v, before, flagged);
+        parts.push((rows, (part(counts), part(bounds))));
+        before += flagged;
+    }
+    let found = ossm_par::map_parts(parts, |rows, (counts, bounds)| {
+        let mut outcomes = BoundOutcomes::default();
+        let mut frequent = Vec::new();
+        // One count, and one bound when kept, per flag.
+        let (mut counts, mut bounds) = (counts.iter(), bounds.iter());
+        'rows: for (x, row) in triangle.rows_in(rows) {
+            for (&flagged, &b) in row.iter().zip(&items[x + 1..]) {
+                if !flagged {
+                    continue;
+                }
+                let Some(&sup) = counts.next() else {
+                    break 'rows;
+                };
+                if let Some(&ub) = bounds.next() {
+                    outcomes.record(ub, sup, min_support);
+                }
+                if sup >= min_support {
+                    frequent.push((Itemset::from_sorted(vec![items[x], b]), sup));
+                }
+            }
+        }
+        outcomes.flush();
+        frequent
+    });
+    found.into_iter().flatten().collect()
+}
+
+/// `v[at..at + len]`, cut short at the end of `v`.
+fn window(v: &[u64], at: usize, len: usize) -> &[u64] {
+    let v = v.get(at..).unwrap_or_default();
+    &v[..len.min(v.len())]
 }
 
 /// Whether `filter` admits `candidate` at `min_support`. A filter with a

@@ -242,8 +242,8 @@ impl CandidateFilter for PageBounds<'_> {
         _: &mut Vec<u64>,
     ) {
         self.ossm
-            .upper_bound_pairs(items, pairs, |ub| ub >= min_support);
-        min_sum_pairs(items, |i| self.row(i), pairs, |ub| ub >= min_support);
+            .upper_bound_pairs(items, pairs, |ub| ub >= min_support, None);
+        min_sum_pairs(items, |i| self.row(i), pairs, |ub| ub >= min_support, None);
     }
 
     fn name(&self) -> &str {

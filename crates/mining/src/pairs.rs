@@ -36,7 +36,7 @@
 //! item is live, straight from each flag's own cell. [`PairTable::build`]
 //! keeps taking a list, for `count_with`'s public entry.
 
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 
 use ossm_data::{ItemId, Itemset};
 
@@ -132,13 +132,39 @@ impl Triangle {
     /// The rows in order: `(x, flags)`, where `flags[k]` marks the pair
     /// `(items[x], items[x + 1 + k])`.
     pub(crate) fn rows(&self) -> impl Iterator<Item = (usize, &[bool])> + '_ {
+        self.rows_in(0..self.items.len())
+    }
+
+    /// [`rows`](Self::rows) `rows.start..rows.end` only.
+    pub(crate) fn rows_in(
+        &self,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = (usize, &[bool])> + '_ {
         let n = self.items.len();
-        let mut rest = &self.flags[..];
-        (0..n).map(move |x| {
+        let mut rest = &self.flags[self.cells(rows.start..n)];
+        rows.map(move |x| {
             let (row, tail) = rest.split_at(n - x - 1);
             rest = tail;
             (x, row)
         })
+    }
+
+    /// The number of flagged pairs in rows `rows.start..rows.end`.
+    pub(crate) fn flagged_in(&self, rows: Range<usize>) -> usize {
+        self.flags[self.cells(rows)].iter().filter(|&&f| f).count()
+    }
+
+    /// The flag indices of rows `rows.start..rows.end`.
+    fn cells(&self, rows: Range<usize>) -> Range<usize> {
+        let n = self.items.len();
+        let start = |r: usize| {
+            if r < n {
+                row_start(r, n)
+            } else {
+                self.flags.len()
+            }
+        };
+        start(rows.start)..start(rows.end)
     }
 
     /// The flagged pairs, in row order.

@@ -6,16 +6,20 @@
 //! support function. This suite pins both claims against a naive
 //! serial oracle on seeded data, including the awkward inputs: empty
 //! transactions, empty candidates, singleton items, and candidate items
-//! outside the build domain. It also runs a whole miner, Partition, at
-//! several thread counts.
+//! outside the build domain. It also runs whole miners at several thread
+//! counts — Partition, and Apriori with an OSSM filter, whose level 2
+//! judges and collects its pairs on the workers — and level 1's
+//! singleton count.
 
 use std::sync::Mutex;
 
+use ossm_core::{Ossm, Segmentation};
 use ossm_data::gen::QuestConfig;
-use ossm_data::{Dataset, ItemId, Itemset};
+use ossm_data::{Dataset, ItemId, Itemset, PageStore};
+use ossm_mining::apriori::generate_candidates;
 use ossm_mining::support::{count_with, CountingBackend};
 use ossm_mining::vertical::{intersect, VerticalIndex};
-use ossm_mining::{Apriori, Partition};
+use ossm_mining::{Apriori, OssmFilter, Partition};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Serializes tests that set the global ossm-par thread override.
@@ -214,4 +218,134 @@ fn edge_cases_agree_across_backends() {
             );
         }
     }
+}
+
+/// `core.bound.evals`, `mining.bound.{true_pos,false_pos}`,
+/// `mining.pairs.increments`, and the count and sum of the
+/// `mining.bound.slack` histogram now.
+fn work_counters() -> [u64; 6] {
+    let snap = ossm_obs::registry().snapshot();
+    let slack = snap
+        .histograms
+        .get("mining.bound.slack")
+        .cloned()
+        .unwrap_or_default();
+    [
+        snap.counter("core.bound.evals"),
+        snap.counter("mining.bound.true_pos"),
+        snap.counter("mining.bound.false_pos"),
+        snap.counter("mining.pairs.increments"),
+        slack.count,
+        slack.sum,
+    ]
+}
+
+/// The number and the sum of the slacks `ub(X) − sup(X)` of the
+/// candidates Apriori with an OSSM filter counts, from a level loop that
+/// bounds and counts one candidate list at a time.
+fn slack_oracle(d: &Dataset, ossm: &Ossm, min_support: u64) -> [u64; 2] {
+    let mut slack = [0, 0];
+    let mut candidates: Vec<Itemset> = (0..d.num_items() as u32)
+        .map(|i| Itemset::singleton(ItemId(i)))
+        .collect();
+    while !candidates.is_empty() {
+        candidates.retain(|c| ossm.upper_bound(c) >= min_support);
+        let counts = count_with(CountingBackend::HashTree, d.transactions(), &candidates);
+        let mut frequent = Vec::new();
+        for (c, sup) in candidates.into_iter().zip(counts) {
+            slack[0] += 1;
+            slack[1] += ossm.upper_bound(&c) - sup;
+            if sup >= min_support {
+                frequent.push(c);
+            }
+        }
+        candidates = generate_candidates(&frequent);
+    }
+    slack
+}
+
+#[test]
+fn filtered_apriori_is_thread_count_invariant() {
+    let _guard = THREADS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // About 460 frequent items: level 2's triangle holds over 100 000
+    // pairs, so eq. (1) and the collect run in two parts at 2 threads and
+    // three at 8, and the map prunes some of them.
+    let d = QuestConfig {
+        num_transactions: 3000,
+        num_items: 500,
+        num_patterns: 1000,
+        ..QuestConfig::default()
+    }
+    .generate();
+    let store = PageStore::with_page_count(d, 20);
+    let ossm = Ossm::from_pages(&store, &Segmentation::identity(20));
+    let min_support = store.dataset().absolute_threshold(0.004);
+    let apriori = Apriori::new().with_backend(CountingBackend::HashTree);
+    // The patterns, the level rows, the counters' deltas, and the bytes
+    // of level 2's pair-table pass (the last pass started).
+    let mine = || {
+        let before = work_counters();
+        let out = apriori.mine_filtered(store.dataset(), min_support, &OssmFilter::new(&ossm));
+        let after = work_counters();
+        let deltas: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let table = ossm_obs::registry()
+            .snapshot()
+            .gauge("mem.mining.pair_table")
+            .current;
+        (out.patterns, out.metrics.levels, deltas, table)
+    };
+    ossm_par::set_threads(Some(1));
+    let serial = mine();
+    let level2 = &serial.1[1];
+    assert!(
+        level2.generated > 100_000 && level2.filtered_out > 0,
+        "{level2:?}"
+    );
+    let unfiltered = apriori.mine(store.dataset(), min_support).patterns;
+    assert_eq!(serial.0, unfiltered, "eq. (1) is sound");
+    if ossm_obs::ENABLED {
+        let counted: u64 = serial.1.iter().map(|l| l.counted).sum();
+        let generated: u64 = serial.1.iter().map(|l| l.generated).sum();
+        let frequent = serial.0.len() as u64;
+        assert_eq!(serial.2[..3], [generated, frequent, counted - frequent]);
+        assert!(
+            serial.2[3] > 0 && serial.3 > 0,
+            "level 2 counts in the pair table"
+        );
+        assert_eq!(
+            serial.2[4..],
+            slack_oracle(store.dataset(), &ossm, min_support),
+            "one slack per counted candidate, from its own bound"
+        );
+    }
+    for threads in [2, 8] {
+        ossm_par::set_threads(Some(threads));
+        assert_eq!(mine(), serial, "{threads} threads");
+    }
+    ossm_par::set_threads(None);
+}
+
+#[test]
+fn singleton_supports_are_thread_count_invariant() {
+    let _guard = THREADS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // 20 000 transactions: several counting chunks at 2 and 8 threads.
+    let d = QuestConfig {
+        num_transactions: 20_000,
+        ..QuestConfig::small()
+    }
+    .generate();
+    let naive: Vec<u64> = (0..d.num_items() as u32)
+        .map(|i| d.support(&Itemset::singleton(ItemId(i))))
+        .collect();
+    for threads in [1, 2, 8] {
+        ossm_par::set_threads(Some(threads));
+        assert_eq!(d.singleton_supports(), naive, "{threads} threads");
+    }
+    ossm_par::set_threads(None);
+    let empty = Dataset::new(4, Vec::new());
+    assert_eq!(empty.singleton_supports(), [0; 4]);
 }

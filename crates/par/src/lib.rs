@@ -4,11 +4,14 @@
 //! no external dependencies, no `unsafe`, no long-lived pool. Work is
 //! expressed as a *chunked map over an index range* — the caller hands over
 //! `0..len` plus a closure over sub-ranges, and gets the per-chunk results
-//! back **in chunk order**. Every consumer in the workspace combines those
-//! partial results with an associative merge (element-wise sums of count
-//! vectors, ordered concatenation, tuple-`min` reductions), so the final
-//! value is bit-identical at any thread count — the property the
-//! determinism tests pin at threads ∈ {1, 2, 8}.
+//! back **in chunk order** ([`map_chunks`]). Work that is uneven per
+//! index, or that writes into the caller's buffers, is cut into parts by
+//! the caller — each part a range plus what it owns, such as its `&mut`
+//! slice — and mapped the same way ([`map_parts`]). Every consumer in the
+//! workspace combines those partial results with an associative merge
+//! (element-wise sums of count vectors, ordered concatenation, tuple-`min`
+//! reductions), so the final value is bit-identical at any thread count —
+//! the property the determinism tests pin at threads ∈ {1, 2, 8}.
 //!
 //! Thread-count resolution, in precedence order:
 //!
@@ -112,24 +115,47 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let mut ranges = chunk_ranges(len, min_chunk, thread_count());
-    if ranges.len() <= 1 {
+    let parts = chunk_ranges(len, min_chunk, thread_count())
+        .into_iter()
+        .map(|r| (r, ()))
+        .collect();
+    map_parts(parts, |r, ()| f(r))
+}
+
+/// [`map_chunks`] over parts the caller cut: each part is a range of the
+/// job's index space together with what the part owns — say its `&mut`
+/// slice of an output — and `f(range, owned)` runs once per part. Returns
+/// the results **in part order**. A caller sizes its parts from
+/// [`thread_count`] when the work per index is uneven (a triangle's rows
+/// shrink), so the parts balance work rather than indices.
+///
+/// With one thread configured or at most one part, every part runs inline
+/// in order; otherwise every part but the last runs on a scoped worker
+/// thread and the last on the calling thread.
+pub fn map_parts<P, T, F>(parts: Vec<(Range<usize>, P)>, f: F) -> Vec<T>
+where
+    P: Send,
+    T: Send,
+    F: Fn(Range<usize>, P) -> T + Sync,
+{
+    if parts.len() <= 1 || thread_count() <= 1 {
         SERIAL.incr();
-        return ranges.into_iter().map(f).collect();
+        return parts.into_iter().map(|(r, p)| f(r, p)).collect();
     }
+    let mut parts = parts;
     JOBS.incr();
-    CHUNKS.add(ranges.len() as u64);
-    let last = ranges.pop().expect("more than one chunk");
+    CHUNKS.add(parts.len() as u64);
+    let (last, owned) = parts.pop().expect("more than one part");
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = ranges
+        let handles: Vec<_> = parts
             .into_iter()
-            .map(|r| scope.spawn(move || run_chunk(f, r)))
+            .map(|(r, p)| scope.spawn(move || run_chunk(f, r, p)))
             .collect();
         // The caller would only wait for the workers, so it runs the last
-        // chunk itself: a job spawns one thread fewer than it has chunks.
-        let last = run_chunk(f, last);
-        // Joining in spawn order, then appending the caller's chunk, makes
+        // part itself: a job spawns one thread fewer than it has parts.
+        let last = run_chunk(f, last, owned);
+        // Joining in spawn order, then appending the caller's part, makes
         // the output order — and therefore any order-sensitive fold the
         // caller runs — deterministic.
         let mut out: Vec<T> = handles
@@ -142,7 +168,7 @@ where
 }
 
 /// Runs one chunk of a fork-join job under its own `par.worker` span.
-fn run_chunk<T>(f: impl Fn(Range<usize>) -> T, r: Range<usize>) -> T {
+fn run_chunk<P, T>(f: impl Fn(Range<usize>, P) -> T, r: Range<usize>, owned: P) -> T {
     // A worker lane in the trace: on a spawned thread this is the root of
     // its fresh thread-local span stack; on the caller it nests under the
     // caller's open span.
@@ -157,7 +183,7 @@ fn run_chunk<T>(f: impl Fn(Range<usize>) -> T, r: Range<usize>) -> T {
         ossm_obs::recorder::EventKind::Worker,
         r.start as u64,
     );
-    f(r)
+    f(r, owned)
 }
 
 /// Element-wise sum of equal-length partial count vectors, folded in chunk
@@ -249,6 +275,30 @@ mod tests {
         assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "chunk order");
         let on_caller: Vec<bool> = runs.iter().map(|&(_, id)| id == caller).collect();
         assert_eq!(on_caller, [false, true]);
+    }
+
+    #[test]
+    fn map_parts_hand_each_part_its_own_slice_in_order() {
+        let _guard = override_lock();
+        for threads in [1usize, 2, 8] {
+            set_threads(Some(threads));
+            let mut out = vec![0u64; 10];
+            let (head, tail) = out.split_at_mut(3);
+            let parts = vec![(0..3, head), (3..10, tail)];
+            let lens = map_parts(parts, |r, slice| {
+                for (o, i) in slice.iter_mut().zip(r.clone()) {
+                    *o = i as u64 * 2;
+                }
+                r.len()
+            });
+            assert_eq!(lens, [3, 7], "{threads} threads");
+            assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<u64>>());
+        }
+        set_threads(None);
+        assert_eq!(
+            map_parts(Vec::<(Range<usize>, ())>::new(), |r, ()| r.len()),
+            []
+        );
     }
 
     #[test]

@@ -112,10 +112,7 @@ fn pair_specialization_matches_general_bound() {
         }
         let before = flags.clone();
         let mut seen = Vec::new();
-        let judged = ossm.upper_bound_pairs(&items, &mut flags, |ub| {
-            seen.push(ub);
-            true
-        });
+        let judged = ossm.upper_bound_pairs(&items, &mut flags, |_| true, Some(&mut seen));
         assert_eq!(seen, expected, "case {case}");
         assert_eq!(judged, expected.len() as u64, "case {case}");
         assert_eq!(flags, before, "case {case}: every judged pair admitted");
@@ -206,12 +203,9 @@ fn item_major_bounds_match_a_segment_major_reference() {
             let x = Itemset::new((0..len).map(|_| rng.gen_range(0..m as u32)));
             assert_eq!(ossm.upper_bound(&x), reference(&x), "case {case}: {x}");
             if let [a, b] = *x.items() {
-                let mut batched = None;
-                ossm.upper_bound_pairs(&[a, b], &mut [true], |ub| {
-                    batched = Some(ub);
-                    true
-                });
-                assert_eq!(batched, Some(reference(&x)), "case {case}");
+                let mut batched = Vec::new();
+                ossm.upper_bound_pairs(&[a, b], &mut [true], |_| true, Some(&mut batched));
+                assert_eq!(batched, [reference(&x)], "case {case}");
             }
         }
         for i in 0..=m as u32 {
