@@ -2,7 +2,10 @@
 //! of a 4 KiB page slot, decoding one page of the out-of-core `huge`
 //! workload (about 400 transactions of one to three items), and a cold
 //! `fetch_page` scan of a page file through a pool a quarter its size,
-//! where every fetch past the first quarter evicts.
+//! where every fetch past the first quarter evicts. Next to them, the
+//! cost of opening a store: the CRC32C of a 5 MiB buffer (the size of
+//! the full-scale `huge` page file's index, checked at every open) and
+//! `DiskStore::open` of this file alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -33,6 +36,23 @@ fn bench_pagefetch(c: &mut Criterion) {
     let slot = &payloads[num_pages / 2];
     group.bench_function("crc32c_4KiB", |b| {
         b.iter(|| black_box(crc32c(black_box(slot))));
+    });
+    let index: Vec<u8> = payloads
+        .iter()
+        .flatten()
+        .copied()
+        .cycle()
+        .take(5 << 20)
+        .collect();
+    group.bench_function("crc32c_index", |b| {
+        b.iter(|| black_box(crc32c(black_box(&index))));
+    });
+    group.bench_function("open", |b| {
+        b.iter(|| {
+            DiskStore::open(black_box(&path), num_pages / 4)
+                .expect("open")
+                .num_pages()
+        });
     });
     // One page per iteration, cycling through the whole file so head
     // pages (three items per transaction) and noise pages (one) mix as
