@@ -6,9 +6,10 @@
 //! saved map itself. [`DurableIncrementalOssm`] closes both holes with
 //! the classic snapshot + write-ahead-log pairing:
 //!
-//! * every append is first written to a checksummed, fsynced WAL record
-//!   ([`ossm_data::wal`]) and only then applied in memory — an
-//!   acknowledged append survives any crash;
+//! * every append ([`DurableIncrementalOssm::append_batch`]) is first
+//!   written to a checksummed, fsynced WAL record ([`ossm_data::wal`])
+//!   that carries its client batch id, and only then applied in memory —
+//!   an acknowledged append survives any crash;
 //! * [`DurableIncrementalOssm::checkpoint`] persists the current map via
 //!   [`crate::persist::save_atomic`] (`tmp + fsync + rename`) and then
 //!   empties the WAL — at every instant the directory holds a complete
@@ -24,15 +25,15 @@
 //! its true value — eq. (1) stays an upper bound after any recovery. The
 //! one subtle window is a crash *between* the snapshot rename and the WAL
 //! reset inside [`checkpoint`](DurableIncrementalOssm::checkpoint): the
-//! next open then replays appends that the snapshot already contains,
-//! double-counting them. That makes bounds *looser*, never unsound. For
-//! *plain* appends we document the slack; for batch-id-carrying appends
-//! (the serving path, where a `duplicate` ack promises exactly-once) the
-//! window is closed exactly by the checkpoint's id sidecar: written
-//! *before* the snapshot and stamped with the `snapshot_identity` of
-//! the bytes about to land, so recovery skips a windowed record only
-//! when the on-disk snapshot provably contains it, and replays onto the
-//! older snapshot otherwise.
+//! WAL then still holds appends that the snapshot already contains. The
+//! batch ids in the records close it exactly, through the checkpoint's
+//! id sidecar: written *before* the snapshot and stamped with the
+//! `snapshot_identity` of the bytes about to land, so recovery skips a
+//! windowed record only when the on-disk snapshot provably contains it,
+//! and replays onto the older snapshot otherwise. Nothing acknowledged is
+//! lost and nothing is applied twice, which is what a `duplicate` ack
+//! promises the client; only a missing or damaged sidecar degrades to
+//! replaying everything, which double-counts — looser, never unsound.
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Write};
@@ -40,7 +41,6 @@ use std::path::{Path, PathBuf};
 
 use ossm_data::checksum::crc32c;
 use ossm_data::wal::WriteAheadLog;
-use ossm_data::Itemset;
 
 use crate::incremental::IncrementalOssm;
 use crate::loss::LossCalculator;
@@ -197,44 +197,19 @@ impl DurableIncrementalOssm {
         };
         let mut replayed_ids: HashSet<u64> = HashSet::new();
         for record in &recovery.records {
-            let (batch_id, agg) = decode_record(record, num_items)?;
-            if let Some(id) = batch_id {
-                let duplicate =
-                    (skip_windowed && durable.recent.contains(id)) || !replayed_ids.insert(id);
-                durable.recent.insert(id);
-                if duplicate {
-                    report.skipped_duplicates += 1;
-                    continue;
-                }
+            let (id, agg) = decode_record(record, num_items)?;
+            let duplicate =
+                (skip_windowed && durable.recent.contains(id)) || !replayed_ids.insert(id);
+            durable.recent.insert(id);
+            if duplicate {
+                report.skipped_duplicates += 1;
+                continue;
             }
             durable.inner.append_aggregate(agg);
             durable.epoch += 1;
             report.replayed_appends += 1;
         }
         Ok((durable, report))
-    }
-
-    /// Appends one page-aggregate durably: the WAL record is fsynced
-    /// before the in-memory map changes, so `Ok` means the append
-    /// survives a crash. On `Err` the map is unchanged.
-    // SOUND: the aggregate passes through unchanged — WAL-then-map
-    // ordering affects durability only; the in-memory supports are the
-    // same `IncrementalOssm::append_aggregate` would produce alone.
-    pub fn append_aggregate(&mut self, aggregate: Aggregate) -> io::Result<()> {
-        let _timer = REQ_INSERT_LATENCY.time();
-        if aggregate.supports().len() != self.num_items {
-            return Err(invalid(format!(
-                "aggregate over {} items, map over {}",
-                aggregate.supports().len(),
-                self.num_items
-            )));
-        }
-        let transactions = aggregate.transactions();
-        self.wal.append(&encode_aggregate(&aggregate))?;
-        self.inner.append_aggregate(aggregate);
-        self.epoch += 1;
-        REQ_INSERT_TRANSACTIONS.add(transactions);
-        Ok(())
     }
 
     /// Durably appends a *group* of client-identified aggregates with a
@@ -248,9 +223,11 @@ impl DurableIncrementalOssm {
     /// On `Err` **nothing** in the group was applied and nothing may be
     /// acknowledged; staged WAL bytes were rolled back (or the WAL
     /// poisoned itself — see [`DurableIncrementalOssm::is_read_only`]).
-    // SOUND: applied aggregates pass through unchanged, exactly as in
-    // `append_aggregate`; skipping a duplicate id never removes data —
-    // the first occurrence is already durable and counted.
+    // SOUND: applied aggregates pass through unchanged — WAL-then-map
+    // ordering affects durability only, and the in-memory supports are
+    // the ones `IncrementalOssm::append_aggregate` produces; skipping a
+    // duplicate id never removes data — the first occurrence is already
+    // durable and counted.
     pub fn append_batch(&mut self, entries: Vec<(u64, Aggregate)>) -> io::Result<Vec<bool>> {
         let _timer = REQ_INSERT_LATENCY.time();
         for (_, aggregate) in &entries {
@@ -310,28 +287,10 @@ impl DurableIncrementalOssm {
         self.wal.is_poisoned()
     }
 
-    /// Aggregates and durably appends a batch of transactions as one
-    /// logical page.
-    pub fn append_transactions<'a>(
-        &mut self,
-        transactions: impl IntoIterator<Item = &'a Itemset>,
-    ) -> io::Result<()> {
-        // SOUND: exact aggregation — each transaction increments its
-        // items' supports exactly once before the durable append.
-        let mut supports = vec![0u64; self.num_items];
-        let mut count = 0u64;
-        for t in transactions {
-            count += 1;
-            for item in t.items() {
-                supports[item.index()] += 1;
-            }
-        }
-        self.append_aggregate(Aggregate::new(supports, count))
-    }
-
     /// Persists the current map as the new snapshot (atomically) and
     /// empties the WAL. A crash anywhere in between leaves a recoverable
-    /// state; see the module docs for the double-replay caveat. No-op on
+    /// state that replays every append exactly once; see the module docs.
+    /// No-op on
     /// a map that has never absorbed an append.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         if self.inner.num_segments() == 0 {
@@ -375,22 +334,8 @@ impl DurableIncrementalOssm {
     }
 }
 
-/// WAL payload for one aggregate: `transactions u64`, then one `u64` per
-/// item of the (dense) support vector. The item count is fixed by the
-/// map, so the length is self-checking.
-// SOUND: lossless little-endian encoding; `decode_aggregate` inverts it
-// bit-for-bit, so a replayed support equals the appended one.
-fn encode_aggregate(aggregate: &Aggregate) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + 8 * aggregate.supports().len());
-    buf.extend_from_slice(&aggregate.transactions().to_le_bytes());
-    for &s in aggregate.supports() {
-        buf.extend_from_slice(&s.to_le_bytes());
-    }
-    buf
-}
-
 /// Decodes up to 8 little-endian bytes, zero-padding a short slice —
-/// `decode_aggregate` has already length-checked its input, and padding
+/// `decode_record` has already length-checked its input, and padding
 /// keeps this recovery path panic-free even if that check drifts.
 fn le_u64(b: &[u8]) -> u64 {
     let mut fixed = [0u8; 8];
@@ -400,42 +345,41 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(fixed)
 }
 
-/// WAL payload for one batch-identified aggregate: `batch_id u64`, then
-/// the [`encode_aggregate`] bytes. At `16 + 8·num_items` bytes it is
-/// length-disjoint from the plain `8 + 8·num_items` form for every item
-/// count, so [`decode_record`] can discriminate without a version byte
-/// (and old-format logs keep replaying).
+/// WAL payload for one append: `batch_id u64`, `transactions u64`, then
+/// one `u64` per item of the (dense) support vector. The item count is
+/// fixed by the map, so the length, `16 + 8·num_items`, is self-checking.
+// SOUND: lossless little-endian encoding; `decode_record` inverts it
+// bit-for-bit, so a replayed support equals the appended one.
 fn encode_batch_record(batch_id: u64, aggregate: &Aggregate) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + 8 * aggregate.supports().len());
     buf.extend_from_slice(&batch_id.to_le_bytes());
-    buf.extend_from_slice(&encode_aggregate(aggregate));
+    buf.extend_from_slice(&aggregate.transactions().to_le_bytes());
+    for &s in aggregate.supports() {
+        buf.extend_from_slice(&s.to_le_bytes());
+    }
     buf
 }
 
-/// Decodes either record form; the batch id is `None` for the plain one.
-// SOUND: exact inverse of `encode_aggregate`/`encode_batch_record` for
-// length-checked input; a record of any other length is rejected rather
-// than reinterpreted, so replay can never fabricate or shrink a support.
+/// Decodes one WAL record into its batch id and aggregate.
+// SOUND: exact inverse of `encode_batch_record` for length-checked
+// input; a record of any other length is rejected rather than
+// reinterpreted, so replay can never fabricate or shrink a support.
 // INFALLIBLE: every slice is taken only after `payload.len()` is checked
-// against the exact byte count of the record form being decoded.
-fn decode_record(payload: &[u8], num_items: usize) -> io::Result<(Option<u64>, Aggregate)> {
-    if payload.len() == 16 + 8 * num_items {
-        let id = le_u64(&payload[..8]);
-        let (_, agg) = decode_record(&payload[8..], num_items)?;
-        return Ok((Some(id), agg));
-    }
-    if payload.len() != 8 + 8 * num_items {
+// against the exact byte count of the record.
+fn decode_record(payload: &[u8], num_items: usize) -> io::Result<(u64, Aggregate)> {
+    if payload.len() != 16 + 8 * num_items {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "WAL record of {} bytes does not hold a {num_items}-item aggregate",
+                "WAL record of {} bytes does not hold a batch id and a {num_items}-item aggregate",
                 payload.len()
             ),
         ));
     }
-    let transactions = le_u64(&payload[..8]);
-    let supports = payload[8..].chunks_exact(8).map(le_u64).collect();
-    Ok((None, Aggregate::new(supports, transactions)))
+    let id = le_u64(&payload[..8]);
+    let transactions = le_u64(&payload[8..16]);
+    let supports = payload[16..].chunks_exact(8).map(le_u64).collect();
+    Ok((id, Aggregate::new(supports, transactions)))
 }
 
 /// Writes the recent-batch-id window crash-safely (tmp + fsync +
@@ -516,9 +460,9 @@ mod tests {
         let dir = tmp_dir("no-checkpoint");
         let (mut map, report) = open(&dir);
         assert_eq!(report, RecoveryReport::default());
-        map.append_aggregate(Aggregate::new(vec![5, 0, 2], 6))
+        map.append_batch(vec![(1, Aggregate::new(vec![5, 0, 2], 6))])
             .expect("append");
-        map.append_aggregate(Aggregate::new(vec![1, 9, 0], 9))
+        map.append_batch(vec![(2, Aggregate::new(vec![1, 9, 0], 9))])
             .expect("append");
         drop(map);
         let (map, report) = open(&dir);
@@ -534,10 +478,10 @@ mod tests {
     fn checkpoint_moves_state_into_the_snapshot() {
         let dir = tmp_dir("checkpoint");
         let (mut map, _) = open(&dir);
-        map.append_aggregate(Aggregate::new(vec![4, 4, 4], 4))
+        map.append_batch(vec![(1, Aggregate::new(vec![4, 4, 4], 4))])
             .expect("append");
         map.checkpoint().expect("checkpoint");
-        map.append_aggregate(Aggregate::new(vec![1, 0, 0], 1))
+        map.append_batch(vec![(2, Aggregate::new(vec![1, 0, 0], 1))])
             .expect("append");
         let before = map.snapshot();
         drop(map);
@@ -678,10 +622,10 @@ mod tests {
         let dir = tmp_dir("geometry");
         let (mut map, _) = open(&dir);
         let err = map
-            .append_aggregate(Aggregate::new(vec![1, 2], 2))
+            .append_batch(vec![(1, Aggregate::new(vec![1, 2], 2))])
             .expect_err("2 items into a 3-item map");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        map.append_aggregate(Aggregate::new(vec![1, 2, 3], 3))
+        map.append_batch(vec![(1, Aggregate::new(vec![1, 2, 3], 3))])
             .expect("append");
         map.checkpoint().expect("checkpoint");
         drop(map);
@@ -689,6 +633,30 @@ mod tests {
             DurableIncrementalOssm::open(&dir, 7, 4, LossCalculator::all_items()).is_err(),
             "snapshot item-domain mismatch"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksum-valid record without a batch id (`8 + 8·m` bytes: the
+    /// transaction count and the supports only) is refused at open rather
+    /// than replayed, as is any record of another length.
+    #[test]
+    fn id_less_wal_records_are_refused_at_open() {
+        let dir = tmp_dir("id-less-record");
+        let (map, _) = open(&dir);
+        drop(map);
+        let (mut wal, _) = WriteAheadLog::open(&dir.join(WAL)).expect("wal");
+        let mut record = 6u64.to_le_bytes().to_vec();
+        for s in [5u64, 0, 2] {
+            record.extend_from_slice(&s.to_le_bytes());
+        }
+        wal.append_no_sync(&record).expect("stage");
+        wal.sync().expect("sync");
+        drop(wal);
+        let err = DurableIncrementalOssm::open(&dir, 3, 4, LossCalculator::all_items())
+            .map(|_| ())
+            .expect_err("an id-less record is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("32 bytes"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -712,9 +680,9 @@ mod tests {
 
         let dir = tmp_dir("injected-tear");
         let (mut map, _) = open(&dir);
-        map.append_aggregate(Aggregate::new(vec![3, 1, 4], 5))
+        map.append_batch(vec![(1, Aggregate::new(vec![3, 1, 4], 5))])
             .expect("append");
-        map.append_aggregate(Aggregate::new(vec![1, 5, 9], 9))
+        map.append_batch(vec![(2, Aggregate::new(vec![1, 5, 9], 9))])
             .expect("append");
 
         // Tear the next WAL write after 12 bytes: the length/crc header
@@ -723,7 +691,7 @@ mod tests {
         plan.tear_write("data.wal.append", 1, 12);
         let guard = plan.arm();
         let err = map
-            .append_aggregate(Aggregate::new(vec![2, 6, 5], 7))
+            .append_batch(vec![(3, Aggregate::new(vec![2, 6, 5], 7))])
             .expect_err("torn append must surface as an error");
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert_eq!(guard.fired(), 1);

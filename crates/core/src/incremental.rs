@@ -111,18 +111,22 @@ impl IncrementalOssm {
             self.fs.push(f);
         } else {
             // Merge into the closest live segment (smallest eq. 2 loss,
-            // ties to the lowest index for determinism).
-            let mut best = (u64::MAX, 0usize);
-            for (i, (seg, &f_seg)) in self.segments.iter().zip(&self.fs).enumerate() {
-                let loss = self
-                    .calc
-                    .merge_loss_with(seg, f_seg, &aggregate, f, scratch);
-                if loss < best.0 {
-                    best = (loss, i);
-                }
+            // ties to the lowest index for determinism). The budget is at
+            // least one segment, so a closest one exists.
+            let calc = &self.calc;
+            let closest = self
+                .segments
+                .iter_mut()
+                .zip(&mut self.fs)
+                .map(|(seg, f_seg)| {
+                    let loss = calc.merge_loss_with(seg, *f_seg, &aggregate, f, scratch);
+                    (loss, seg, f_seg)
+                })
+                .min_by_key(|&(loss, _, _)| loss);
+            if let Some((loss, seg, f_seg)) = closest {
+                seg.merge_in(&aggregate);
+                *f_seg += loss + f;
             }
-            self.segments[best.1].merge_in(&aggregate);
-            self.fs[best.1] += best.0 + f;
         }
         scratch.flush();
     }

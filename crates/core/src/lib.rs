@@ -39,7 +39,6 @@ pub mod bubble;
 pub mod builder;
 pub mod config;
 pub mod durable;
-pub mod generalized;
 pub mod incremental;
 pub mod loss;
 pub mod minimize;
@@ -55,7 +54,6 @@ pub use bubble::BubbleList;
 pub use builder::{BuildReport, OssmBuilder, Strategy};
 pub use config::Configuration;
 pub use durable::{DurableIncrementalOssm, RecoveryReport};
-pub use generalized::GeneralizedOssm;
 pub use incremental::IncrementalOssm;
 pub use loss::LossCalculator;
 pub use minimize::{minimize_segments, theorem1_bound, SegmentMinimization};

@@ -14,10 +14,11 @@
 //! crc u32 (CRC32C of every preceding byte)
 //! ```
 //!
-//! Version 2 appends the CRC32C trailer; v1 files (no trailer) remain
-//! readable. A map whose trailer does not verify is rejected outright —
-//! a silently corrupt segment support would turn eq. (1) from an upper
-//! bound into a lie, which is worse than no map at all. [`save_atomic`]
+//! Version 2 is the only version read or written: a map of any other
+//! version (the old v1 had no trailer) is refused, and so is a map whose
+//! trailer does not verify — a silently corrupt segment support would
+//! turn eq. (1) from an upper bound into a lie, which is worse than no
+//! map at all. [`save_atomic`]
 //! additionally writes through a `tmp + fsync + rename` sequence so a
 //! crash mid-save can never leave a half-written map at the target path.
 
@@ -31,7 +32,6 @@ use crate::ssm::Ossm;
 
 /// On-disk magic for persisted OSSM maps (lint rule R5: defined once here).
 pub const MAGIC: &[u8; 8] = b"OSSM-MAP";
-const V1: u32 = 1;
 const V2: u32 = 2;
 /// Cap on the item-domain size accepted from a header (matches the page
 /// store's cap); a corrupt `m` otherwise drives huge allocations.
@@ -56,9 +56,9 @@ pub fn write_ossm<W: Write>(w: &mut W, ossm: &Ossm) -> io::Result<()> {
     w.get_mut().write_all(&crc.to_le_bytes())
 }
 
-/// Deserializes an OSSM from `r` (v2 with checksum verification, or
-/// legacy v1 without). Header fields are sanity-capped so a corrupt or
-/// hostile header errors instead of OOM-ing.
+/// Deserializes an OSSM from `r`, verifying its checksum trailer. Any
+/// version other than 2 is an error. Header fields are sanity-capped so
+/// a corrupt or hostile header errors instead of OOM-ing.
 pub fn read_ossm<R: Read>(r: &mut R) -> io::Result<Ossm> {
     let mut r = Crc32cReader::new(r);
     let mut magic = [0u8; 8];
@@ -67,7 +67,7 @@ pub fn read_ossm<R: Read>(r: &mut R) -> io::Result<Ossm> {
         return Err(bad("not an OSSM file (bad magic)"));
     }
     let version = read_u32(&mut r)?;
-    if version != V1 && version != V2 {
+    if version != V2 {
         return Err(bad(format!("unsupported OSSM version {version}")));
     }
     let m = read_u32(&mut r)? as usize;
@@ -93,15 +93,13 @@ pub fn read_ossm<R: Read>(r: &mut R) -> io::Result<Ossm> {
         }
         segments.push(Aggregate::new(supports, transactions));
     }
-    if version >= V2 {
-        let expected = r.digest();
-        let mut trailer = [0u8; 4];
-        r.get_mut().read_exact(&mut trailer)?;
-        if u32::from_le_bytes(trailer) != expected {
-            return Err(bad("OSSM checksum mismatch: the map is corrupt"));
-        }
+    let expected = r.digest();
+    let mut trailer = [0u8; 4];
+    r.get_mut().read_exact(&mut trailer)?;
+    if u32::from_le_bytes(trailer) != expected {
+        return Err(bad("OSSM checksum mismatch: the map is corrupt"));
     }
-    // Anything after the payload (v1) / trailer (v2) is not ours.
+    // Anything after the trailer is not ours.
     if r.get_mut().read(&mut [0u8; 1])? != 0 {
         return Err(bad("trailing bytes after the OSSM"));
     }
@@ -193,22 +191,6 @@ mod tests {
         OssmBuilder::new(5).build(&store).0
     }
 
-    /// Serializes in the legacy v1 layout (no trailer).
-    fn write_v1(ossm: &Ossm) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&V1.to_le_bytes());
-        buf.extend_from_slice(&(ossm.num_items() as u32).to_le_bytes());
-        buf.extend_from_slice(&(ossm.num_segments() as u64).to_le_bytes());
-        for seg in ossm.segments() {
-            buf.extend_from_slice(&seg.transactions().to_le_bytes());
-            for &s in seg.supports() {
-                buf.extend_from_slice(&s.to_le_bytes());
-            }
-        }
-        buf
-    }
-
     #[test]
     fn roundtrip_preserves_the_map() {
         let ossm = sample_ossm();
@@ -222,10 +204,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_maps_still_read() {
-        let ossm = sample_ossm();
-        let buf = write_v1(&ossm);
-        assert_eq!(read_ossm(&mut buf.as_slice()).expect("read v1"), ossm);
+    fn v1_maps_are_refused() {
+        // A whole v1 map — header, one segment of two items, and no
+        // checksum trailer — as the old writer laid it out.
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        for v in [1u64, 4, 3, 2] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = read_ossm(&mut buf.as_slice())
+            .map(|_| ())
+            .expect_err("v1 is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported OSSM version 1");
     }
 
     #[test]
@@ -256,10 +248,13 @@ mod tests {
     fn rejects_zero_segments_and_hostile_headers() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&V1.to_le_bytes());
+        buf.extend_from_slice(&V2.to_le_bytes());
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(read_ossm(&mut buf.as_slice()).is_err());
+        let err = read_ossm(&mut buf.as_slice())
+            .map(|_| ())
+            .expect_err("no segments");
+        assert!(err.to_string().contains("at least one segment"), "{err}");
         // A header claiming 4 billion items over a tiny payload must
         // error without attempting the allocation.
         let mut buf = Vec::new();

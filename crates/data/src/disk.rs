@@ -26,11 +26,12 @@
 //! The OSSM is "computed once at pre-processing" (Section 3) and reused
 //! across support thresholds, so the page file it derives from is a
 //! long-lived artifact: a silently corrupt page would poison every future
-//! map. Format **v2** therefore checksums everything with CRC32C — each
-//! page slot carries a 4-byte trailer over its payload (verified on every
-//! buffer-pool miss), the aggregate index carries a file-level CRC, and
-//! the header checksums its own fields. Legacy v1 files (no integrity
-//! metadata) are still readable; the writer always emits v2. A page whose
+//! map. The format (version 2, the only one read or written) therefore
+//! checksums everything with CRC32C — each page slot carries a 4-byte
+//! trailer over its payload (verified on every buffer-pool miss), the
+//! aggregate index carries a file-level CRC, and the header checksums its
+//! own fields. A file of any other version, such as the unchecked v1, is
+//! refused at open. A page whose
 //! checksum fails is quarantined (see [`DiskStore::quarantined_pages`])
 //! and the read errors instead of returning garbage; `ossm repair`
 //! rebuilds what the intact parts of the file still determine
@@ -223,10 +224,10 @@ pub struct DiskStore {
 }
 
 impl DiskStore {
-    /// Opens a store written by [`DiskStoreWriter`] (or a legacy v1 file),
-    /// with a buffer pool of `pool_pages` frames. Verifies the header and
-    /// index checksums up front; data-page checksums are verified lazily
-    /// on every buffer-pool miss.
+    /// Opens a store written by [`DiskStoreWriter`], with a buffer pool of
+    /// `pool_pages` frames. Verifies the header and index checksums up
+    /// front; data-page checksums are verified lazily on every buffer-pool
+    /// miss. A file of another format version is an error.
     pub fn open(path: &Path, pool_pages: usize) -> io::Result<Self> {
         let mut file = std::fs::File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -239,7 +240,7 @@ impl DiskStore {
         file.seek(SeekFrom::Start(header.index_offset))?;
         let mut index = Vec::with_capacity((file_len - header.index_offset) as usize);
         file.read_to_end(&mut index)?;
-        if header.version >= format::V2 && crc32c(&index) != header.index_crc {
+        if crc32c(&index) != header.index_crc {
             checksum_failure(0);
             return Err(format::bad("page-file index checksum mismatch"));
         }
@@ -263,11 +264,6 @@ impl DiskStore {
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
         self.summaries.len()
-    }
-
-    /// Format version of the underlying file (2 = checksummed).
-    pub fn format_version(&self) -> u32 {
-        self.header.version
     }
 
     /// Total transactions across all pages (from the index).
@@ -354,14 +350,12 @@ impl DiskStore {
                 .seek(SeekFrom::Start(self.header.page_offset(p as u64)))?;
             fault::read_exact_tagged(&mut self.file, "data.disk.read_page", &mut self.slot)?;
             let (payload, trailer) = self.slot.split_at(payload_bytes.min(self.slot.len()));
-            if self.header.version >= format::V2 {
-                // The slot ends in a 4-byte CRC by construction; a short
-                // trailer decodes to a mismatching checksum, not a panic.
-                if crc32c(payload) != format::le_u32(trailer) {
-                    checksum_failure(p as u64);
-                    self.quarantined.insert(p);
-                    return Err(format::bad(format!("page {p} checksum mismatch")));
-                }
+            // The slot ends in a 4-byte CRC by construction; a short
+            // trailer decodes to a mismatching checksum, not a panic.
+            if crc32c(payload) != format::le_u32(trailer) {
+                checksum_failure(p as u64);
+                self.quarantined.insert(p);
+                return Err(format::bad(format!("page {p} checksum mismatch")));
             }
             format::decode_page(payload, self.header.m)?
         };
@@ -426,14 +420,6 @@ mod tests {
         dir.join(name)
     }
 
-    fn flat(txs: &[Itemset]) -> FlatPage {
-        let mut page = FlatPage::default();
-        for t in txs {
-            assert!(page.push(t.items()));
-        }
-        page
-    }
-
     fn sample_dataset() -> crate::Dataset {
         QuestConfig {
             num_transactions: 500,
@@ -441,34 +427,6 @@ mod tests {
             ..QuestConfig::small()
         }
         .generate()
-    }
-
-    /// Serializes a dataset in the legacy v1 layout (36-byte header, raw
-    /// page slots, no checksums) so compatibility stays tested after the
-    /// writer moved to v2.
-    pub(crate) fn write_paged_v1(path: &Path, dataset: &crate::Dataset, page_bytes: usize) {
-        let mem = PageStore::pack(dataset.clone(), page_bytes);
-        let mut pages: Vec<Vec<u8>> = Vec::new();
-        let mut summaries = Vec::new();
-        for page in mem.pages() {
-            let txs = flat(&dataset.transactions()[page.range()]);
-            let payload = format::encode_page_payload(&txs, page_bytes).expect("fits");
-            summaries.push(format::summarize(&txs));
-            pages.push(payload);
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(format::MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&(dataset.num_items() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(page_bytes as u32).to_le_bytes());
-        bytes.extend_from_slice(&(pages.len() as u64).to_le_bytes());
-        let index_offset = format::HEADER_V1 + pages.len() as u64 * page_bytes as u64;
-        bytes.extend_from_slice(&index_offset.to_le_bytes());
-        for p in &pages {
-            bytes.extend_from_slice(p);
-        }
-        bytes.extend_from_slice(&format::encode_index(&summaries));
-        std::fs::write(path, bytes).expect("write v1 file");
     }
 
     #[test]
@@ -479,23 +437,36 @@ mod tests {
         let mut store = DiskStore::open(&path, 4).expect("open");
         assert_eq!(store.num_items(), 50);
         assert_eq!(store.num_transactions(), 500);
-        assert_eq!(store.format_version(), 2);
         assert_eq!(store.to_dataset().expect("read"), d);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn legacy_v1_files_still_read() {
-        let d = sample_dataset();
-        let path = tmp("legacy.pages");
-        write_paged_v1(&path, &d, 1024);
-        let mut store = DiskStore::open(&path, 4).expect("open v1");
-        assert_eq!(store.format_version(), 1);
-        assert_eq!(store.num_transactions(), 500);
-        assert_eq!(store.to_dataset().expect("read"), d);
-        // v1 page boundaries agree with the in-memory packer, like v2's.
-        let mem = PageStore::pack(d, 1024);
-        assert_eq!(store.num_pages(), mem.num_pages());
+    fn v1_files_are_refused() {
+        // A v1 header: magic, version 1, m, page_bytes, num_pages and the
+        // index offset, with no checksums, then one empty 64-byte page
+        // and its index entry.
+        let mut bytes = format::MAGIC.to_vec();
+        for word in [1u32, 50, 64] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&(36u64 + 64).to_le_bytes());
+        bytes.resize(36 + 64 + 8, 0);
+        let path = tmp("v1.pages");
+        std::fs::write(&path, &bytes).expect("write");
+        let err = DiskStore::open(&path, 4)
+            .map(|_| ())
+            .expect_err("v1 is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported page-file version 1");
+        // The version is read before the rest of the header, so even the
+        // header alone is named for what it is.
+        std::fs::write(&path, &bytes[..12]).expect("write");
+        let err = DiskStore::open(&path, 4)
+            .map(|_| ())
+            .expect_err("v1 is refused");
+        assert_eq!(err.to_string(), "unsupported page-file version 1");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,25 +1,22 @@
 //! Low-level byte layout of the `OSSMPAGE` paged-store format.
 //!
 //! Shared between the happy path ([`crate::disk`]) and the recovery path
-//! ([`crate::repair`]), which must parse the same bytes leniently. Two
-//! format versions exist:
-//!
-//! * **v1** (legacy, read-only): 36-byte header, raw `page_bytes` slots,
-//!   no integrity metadata;
-//! * **v2** (current): 44-byte header ending in a CRC32C of the header
-//!   fields and a CRC32C of the index region, and each page slot carries
-//!   a 4-byte CRC32C trailer over its payload. The *logical* page size
-//!   (`page_bytes`, what packing decisions see) is unchanged; the
-//!   physical slot is `page_bytes + 4`.
+//! ([`crate::repair`]), which must parse the same bytes leniently. The
+//! format has one version, 2: a 44-byte header ending in a CRC32C of the
+//! header fields and a CRC32C of the index region, and page slots that
+//! each carry a 4-byte CRC32C trailer over their payload. The *logical*
+//! page size (`page_bytes`, what packing decisions see) excludes the
+//! trailer; the physical slot is `page_bytes + 4`. Any other version —
+//! the unchecked v1 included — is refused by [`read_header`].
 //!
 //! ```text
-//! v2 header : magic "OSSMPAGE", version u32 = 2, m u32, page_bytes u32,
-//!             num_pages u64, index_offset u64, index_crc u32,
-//!             header_crc u32 (CRC32C of the 40 bytes before it)
-//! v2 page   : payload (page_bytes: num_tx u32, then per transaction
-//!             len u32 + len × item u32, zero padding), crc u32
-//! index     : per page: num_tx u32, num_entries u32,
-//!             then num_entries × (item u32, count u32)
+//! header : magic "OSSMPAGE", version u32 = 2, m u32, page_bytes u32,
+//!          num_pages u64, index_offset u64, index_crc u32,
+//!          header_crc u32 (CRC32C of the 40 bytes before it)
+//! page   : payload (page_bytes: num_tx u32, then per transaction
+//!          len u32 + len × item u32, zero padding), crc u32
+//! index  : per page: num_tx u32, num_entries u32,
+//!          then num_entries × (item u32, count u32)
 //! ```
 //!
 //! A payload decodes into one [`FlatPage`] — two vectors whatever the
@@ -33,11 +30,9 @@ use crate::item::{ItemId, Itemset};
 
 /// On-disk magic for the page-store file format (lint rule R5: defined once here).
 pub const MAGIC: &[u8; 8] = b"OSSMPAGE";
-pub(crate) const V1: u32 = 1;
 pub(crate) const V2: u32 = 2;
-pub(crate) const HEADER_V1: u64 = 8 + 4 + 4 + 4 + 8 + 8;
-pub(crate) const HEADER_V2: u64 = HEADER_V1 + 4 + 4;
-/// Per-page CRC trailer bytes (v2).
+pub(crate) const HEADER_V2: u64 = 8 + 4 + 4 + 4 + 8 + 8 + 4 + 4;
+/// Per-page CRC trailer bytes.
 pub(crate) const PAGE_TRAILER: u64 = 4;
 
 /// Hard cap on the item-domain size accepted from any header. A corrupt
@@ -51,41 +46,27 @@ pub(crate) const MAX_PAGE_BYTES: u32 = 1 << 26;
 /// Parsed and sanity-checked `OSSMPAGE` header.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Header {
-    pub version: u32,
     pub m: usize,
     pub page_bytes: u32,
     pub num_pages: u64,
     pub index_offset: u64,
-    /// CRC32C the index region must hash to (v2; 0 and unchecked for v1).
+    /// CRC32C the index region must hash to.
     pub index_crc: u32,
-    /// Whether the header's own checksum verified (always true for v1,
-    /// which has none). Strict readers reject `false`; the repair path
-    /// proceeds best-effort when the remaining fields stay plausible.
+    /// Whether the header's own checksum verified. Strict readers reject
+    /// `false`; the repair path proceeds best-effort when the remaining
+    /// fields stay plausible.
     pub header_ok: bool,
 }
 
 impl Header {
-    /// Header length for this version.
-    pub fn header_len(&self) -> u64 {
-        if self.version >= V2 {
-            HEADER_V2
-        } else {
-            HEADER_V1
-        }
-    }
-
-    /// Physical bytes of one page slot (payload + v2 CRC trailer).
+    /// Physical bytes of one page slot (payload + CRC trailer).
     pub fn slot_bytes(&self) -> u64 {
-        if self.version >= V2 {
-            u64::from(self.page_bytes) + PAGE_TRAILER
-        } else {
-            u64::from(self.page_bytes)
-        }
+        u64::from(self.page_bytes) + PAGE_TRAILER
     }
 
     /// File offset of page `p`'s slot.
     pub fn page_offset(&self, p: u64) -> u64 {
-        self.header_len() + p * self.slot_bytes()
+        HEADER_V2 + p * self.slot_bytes()
     }
 }
 
@@ -114,7 +95,7 @@ pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Serializes a v2 header (the only version written).
+/// Serializes a header.
 pub(crate) fn encode_header_v2(
     m: u32,
     page_bytes: u32,
@@ -137,43 +118,34 @@ pub(crate) fn encode_header_v2(
 
 /// Reads and parses the header of an `OSSMPAGE` file, sanity-capping
 /// every field against `file_len` so a corrupt or hostile header errors
-/// here instead of driving huge allocations downstream. A failed v2
-/// header checksum is reported via [`Header::header_ok`], not an error,
-/// so the repair path can attempt a best-effort scan.
+/// here instead of driving huge allocations downstream. A version other
+/// than 2 is an error; a failed header checksum is reported via
+/// [`Header::header_ok`], not an error, so the repair path can attempt a
+/// best-effort scan.
 pub(crate) fn read_header<R: Read>(r: &mut R, file_len: u64) -> io::Result<Header> {
-    let mut fixed = [0u8; HEADER_V1 as usize];
-    r.read_exact(&mut fixed)?;
-    if &fixed[..8] != MAGIC {
+    let mut h = [0u8; HEADER_V2 as usize];
+    // Magic and version come first, so a file of another format or
+    // version is named as such even when it is shorter than this header.
+    r.read_exact(&mut h[..12])?;
+    if &h[..8] != MAGIC {
         return Err(bad("not an OSSM page file"));
     }
-    let version = le_u32(&fixed[8..12]);
-    if version != V1 && version != V2 {
+    let version = le_u32(&h[8..12]);
+    if version != V2 {
         return Err(bad(format!("unsupported page-file version {version}")));
     }
-    let m = le_u32(&fixed[12..16]) as usize;
-    let page_bytes = le_u32(&fixed[16..20]);
-    let num_pages = le_u64(&fixed[20..28]);
-    let index_offset = le_u64(&fixed[28..36]);
-    let (index_crc, header_ok) = if version >= V2 {
-        let mut tail = [0u8; 8];
-        r.read_exact(&mut tail)?;
-        let index_crc = le_u32(&tail[..4]);
-        let header_crc = le_u32(&tail[4..]);
-        let mut covered = [0u8; 40];
-        covered[..36].copy_from_slice(&fixed);
-        covered[36..].copy_from_slice(&tail[..4]);
-        (index_crc, crc32c(&covered) == header_crc)
-    } else {
-        (0, true)
-    };
+    r.read_exact(&mut h[12..])?;
+    let m = le_u32(&h[12..16]) as usize;
+    let page_bytes = le_u32(&h[16..20]);
+    let num_pages = le_u64(&h[20..28]);
+    let index_offset = le_u64(&h[28..36]);
     let header = Header {
-        version,
         m,
         page_bytes,
         num_pages,
         index_offset,
-        index_crc,
-        header_ok,
+        index_crc: le_u32(&h[36..40]),
+        header_ok: crc32c(&h[..40]) == le_u32(&h[40..44]),
     };
     if m > MAX_ITEMS {
         return Err(bad(format!(
@@ -185,7 +157,7 @@ pub(crate) fn read_header<R: Read>(r: &mut R, file_len: u64) -> io::Result<Heade
     }
     let pages_end = num_pages
         .checked_mul(header.slot_bytes())
-        .and_then(|b| b.checked_add(header.header_len()))
+        .and_then(|b| b.checked_add(HEADER_V2))
         .ok_or_else(|| bad("page region overflows the file offset space"))?;
     if index_offset != pages_end {
         return Err(bad(format!(

@@ -31,7 +31,7 @@ use crate::format;
 /// Triage verdict for one page of a scanned store.
 #[derive(Debug)]
 pub struct PageScan {
-    /// Whether the page slot's checksum (v2) and structure verified.
+    /// Whether the page slot's checksum and structure verified.
     pub data_intact: bool,
     /// The page's aggregate from the index, when the index survived.
     pub index_summary: Option<PageSummary>,
@@ -52,13 +52,11 @@ impl PageScan {
 /// The result of leniently scanning a (possibly damaged) store.
 #[derive(Debug)]
 pub struct StoreScan {
-    /// Format version the file declares.
-    pub version: u32,
     /// Item-domain size.
     pub m: usize,
     /// Logical page size.
     pub page_bytes: u32,
-    /// Whether the header's own checksum verified (v1: vacuously true).
+    /// Whether the header's own checksum verified.
     pub header_intact: bool,
     /// Whether the index region's checksum and structure verified.
     pub index_intact: bool,
@@ -82,7 +80,7 @@ impl StoreScan {
         if self.is_clean() {
             format!(
                 "clean: v{} store, {} pages, all checksums verified",
-                self.version,
+                format::V2,
                 self.pages.len()
             )
         } else {
@@ -111,8 +109,9 @@ pub struct RepairOutcome {
 }
 
 /// Leniently scans the store at `path`, classifying every page. Errors
-/// only when the file cannot be located at all or its header is too
-/// damaged to even locate the pages (wrong magic, implausible geometry).
+/// only when the file cannot be located at all, declares a format
+/// version other than 2, or has a header too damaged to even locate the
+/// pages (wrong magic, implausible geometry).
 pub fn scan_store(path: &Path) -> io::Result<StoreScan> {
     let mut file = std::fs::File::open(path)?;
     let file_len = file.metadata()?.len();
@@ -123,8 +122,7 @@ pub fn scan_store(path: &Path) -> io::Result<StoreScan> {
     file.seek(SeekFrom::Start(header.index_offset))?;
     let mut index_bytes = Vec::new();
     file.read_to_end(&mut index_bytes)?;
-    let crc_ok = header.version < format::V2 || crc32c(&index_bytes) == header.index_crc;
-    let index = if crc_ok {
+    let index = if crc32c(&index_bytes) == header.index_crc {
         format::parse_index(&index_bytes, header.m, header.num_pages).ok()
     } else {
         None
@@ -142,15 +140,12 @@ pub fn scan_store(path: &Path) -> io::Result<StoreScan> {
             data: None,
         };
         if file.read_exact(&mut buf).is_ok() {
-            let crc_ok = header.version < format::V2 || {
-                let stored = u32::from_le_bytes(
-                    buf[payload..]
-                        .try_into()
-                        .expect("slot ends in a 4-byte CRC"),
-                );
-                crc32c(&buf[..payload]) == stored
-            };
-            if crc_ok {
+            let stored = u32::from_le_bytes(
+                buf[payload..]
+                    .try_into()
+                    .expect("slot ends in a 4-byte CRC"),
+            );
+            if crc32c(&buf[..payload]) == stored {
                 if let Ok(txs) = format::decode_page(&buf[..payload], header.m) {
                     page.data_intact = true;
                     page.data = Some(txs);
@@ -160,7 +155,6 @@ pub fn scan_store(path: &Path) -> io::Result<StoreScan> {
         pages.push(page);
     }
     Ok(StoreScan {
-        version: header.version,
         m: header.m,
         page_bytes: header.page_bytes,
         header_intact: header.header_ok,
@@ -284,8 +278,30 @@ mod tests {
         write_paged(&path, &sample(), 1024).expect("write");
         let scan = scan_store(&path).expect("scan");
         assert!(scan.is_clean(), "{}", scan.describe());
+        assert!(scan.describe().starts_with("clean: v2 store, "));
         assert_eq!(scan.corrupt_pages(), 0);
         assert!(scan.pages.iter().all(super::PageScan::has_exact_aggregate));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v1_files_are_refused_by_the_scan_and_repair() {
+        // A v1 header (no checksums) over zero pages and an empty index.
+        let mut bytes = format::MAGIC.to_vec();
+        for word in [1u32, 40, 1024] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&36u64.to_le_bytes());
+        let path = tmp("v1.pages");
+        std::fs::write(&path, &bytes).expect("write");
+        let err = scan_store(&path).map(|_| ()).expect_err("v1 is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported page-file version 1");
+        let fixed = tmp("v1.fixed.pages");
+        let err = repair_store(&path, &fixed).expect_err("v1 is refused");
+        assert_eq!(err.to_string(), "unsupported page-file version 1");
+        assert!(!fixed.exists());
         std::fs::remove_file(&path).ok();
     }
 

@@ -55,16 +55,15 @@ pub struct WalRecovery {
     pub truncated_tail: bool,
 }
 
-/// An append-only, checksummed, fsync-per-append log file.
+/// An append-only, checksummed log file with group commit.
 ///
 /// # Group commit
 ///
-/// [`append`](WriteAheadLog::append) is the classic one-record-one-fsync
-/// path. Callers batching concurrent writers (the `ossm-serve` group
-/// committer) instead stage several records with
-/// [`append_no_sync`](WriteAheadLog::append_no_sync) and make them all
-/// durable with one [`sync`](WriteAheadLog::sync) — none of the staged
-/// records may be acknowledged before that sync returns `Ok`.
+/// Records are staged with [`append_no_sync`](WriteAheadLog::append_no_sync)
+/// and made durable together by one [`sync`](WriteAheadLog::sync) — the
+/// `ossm-serve` group committer stages every record of a group before
+/// that single fsync. None of the staged records may be acknowledged
+/// before the sync returns `Ok`.
 ///
 /// # Failure handling
 ///
@@ -189,14 +188,6 @@ impl WriteAheadLog {
         self.poisoned
     }
 
-    /// Appends one record and fsyncs it. When this returns `Ok`, the
-    /// record survives a crash; on `Err` the caller must treat the
-    /// append as not having happened (the torn bytes are rolled back).
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.append_no_sync(payload)?;
-        self.sync()
-    }
-
     /// Stages one record *without* making it durable. The record is not
     /// crash-safe — and must not be acknowledged to anyone — until a
     /// following [`sync`](WriteAheadLog::sync) returns `Ok`. On `Err`
@@ -295,15 +286,21 @@ mod tests {
         dir.join(name)
     }
 
+    /// Stages one record and syncs it: a group commit of one.
+    fn commit(wal: &mut WriteAheadLog, payload: &[u8]) -> io::Result<()> {
+        wal.append_no_sync(payload)?;
+        wal.sync()
+    }
+
     #[test]
     fn appends_recover_in_order() {
         let path = tmp("order.wal");
         std::fs::remove_file(&path).ok();
         let (mut wal, rec) = WriteAheadLog::open(&path).expect("create");
         assert!(rec.records.is_empty() && !rec.truncated_tail);
-        wal.append(b"first").expect("append");
-        wal.append(b"").expect("empty records are fine");
-        wal.append(b"third").expect("append");
+        commit(&mut wal, b"first").expect("append");
+        commit(&mut wal, b"").expect("empty records are fine");
+        commit(&mut wal, b"third").expect("append");
         drop(wal);
         let (_, rec) = WriteAheadLog::open(&path).expect("reopen");
         assert_eq!(
@@ -319,8 +316,8 @@ mod tests {
         let path = tmp("torn.wal");
         std::fs::remove_file(&path).ok();
         let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
-        wal.append(b"durable").expect("append");
-        wal.append(b"doomed-record").expect("append");
+        commit(&mut wal, b"durable").expect("append");
+        commit(&mut wal, b"doomed-record").expect("append");
         drop(wal);
         // Simulate a crash that tore the second record mid-payload.
         let clean_len = std::fs::metadata(&path).expect("meta").len();
@@ -334,7 +331,7 @@ mod tests {
         assert_eq!(rec.records, vec![b"durable".to_vec()]);
         assert!(rec.truncated_tail);
         // The log is usable again immediately.
-        wal.append(b"after-crash").expect("append");
+        commit(&mut wal, b"after-crash").expect("append");
         drop(wal);
         let (_, rec) = WriteAheadLog::open(&path).expect("reopen");
         assert_eq!(
@@ -350,9 +347,9 @@ mod tests {
         let path = tmp("flip.wal");
         std::fs::remove_file(&path).ok();
         let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
-        wal.append(b"one").expect("append");
-        wal.append(b"two").expect("append");
-        wal.append(b"three").expect("append");
+        commit(&mut wal, b"one").expect("append");
+        commit(&mut wal, b"two").expect("append");
+        commit(&mut wal, b"three").expect("append");
         drop(wal);
         // Flip a payload bit in record two.
         let mut bytes = std::fs::read(&path).expect("read");
@@ -400,9 +397,9 @@ mod tests {
         let path = tmp("reset.wal");
         std::fs::remove_file(&path).ok();
         let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
-        wal.append(b"snapshotted").expect("append");
+        commit(&mut wal, b"snapshotted").expect("append");
         wal.reset().expect("reset");
-        wal.append(b"fresh").expect("append");
+        commit(&mut wal, b"fresh").expect("append");
         drop(wal);
         let (_, rec) = WriteAheadLog::open(&path).expect("reopen");
         assert_eq!(rec.records, vec![b"fresh".to_vec()]);
@@ -428,11 +425,11 @@ mod tests {
             let path = tmp("injected.wal");
             std::fs::remove_file(&path).ok();
             let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
-            wal.append(b"safe").expect("append");
+            commit(&mut wal, b"safe").expect("append");
             let mut plan = FaultPlan::new();
             plan.tear_write("data.wal.append", 1, 6); // mid-header tear
             let guard = plan.arm();
-            let err = wal.append(b"torn-away").expect_err("torn append errors");
+            let err = commit(&mut wal, b"torn-away").expect_err("torn append errors");
             assert!(err.to_string().contains("torn"), "{err}");
             assert_eq!(guard.fired(), 1);
             drop(guard);
@@ -456,13 +453,13 @@ mod tests {
             let path = tmp("after-tear.wal");
             std::fs::remove_file(&path).ok();
             let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
-            wal.append(b"first").expect("append");
+            commit(&mut wal, b"first").expect("append");
             let mut plan = FaultPlan::new();
             plan.tear_write("data.wal.append", 1, 3);
             let guard = plan.arm();
-            wal.append(b"torn").expect_err("torn append errors");
+            commit(&mut wal, b"torn").expect_err("torn append errors");
             drop(guard);
-            wal.append(b"second").expect("append after rollback");
+            commit(&mut wal, b"second").expect("append after rollback");
             drop(wal);
             let (_, rec) = WriteAheadLog::open(&path).expect("recover");
             assert_eq!(
@@ -480,7 +477,7 @@ mod tests {
             let path = tmp("poison.wal");
             std::fs::remove_file(&path).ok();
             let (mut wal, _) = WriteAheadLog::open(&path).expect("create");
-            wal.append(b"durable").expect("append");
+            commit(&mut wal, b"durable").expect("append");
             let mut plan = FaultPlan::new();
             plan.fail_write("data.wal.sync", 1);
             let guard = plan.arm();
@@ -489,9 +486,7 @@ mod tests {
             assert_eq!(guard.fired(), 1);
             drop(guard);
             assert!(wal.is_poisoned());
-            let err = wal
-                .append(b"more")
-                .expect_err("poisoned log rejects appends");
+            let err = commit(&mut wal, b"more").expect_err("poisoned log rejects appends");
             assert!(err.to_string().contains("poisoned"), "{err}");
             drop(wal);
             // Reopen re-establishes the durable prefix; the staged
@@ -499,7 +494,7 @@ mod tests {
             let (mut wal, rec) = WriteAheadLog::open(&path).expect("recover");
             assert_eq!(rec.records, vec![b"durable".to_vec()]);
             assert!(!wal.is_poisoned());
-            wal.append(b"fresh").expect("recovered log accepts appends");
+            commit(&mut wal, b"fresh").expect("recovered log accepts appends");
             std::fs::remove_file(&path).ok();
         }
     }

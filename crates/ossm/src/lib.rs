@@ -37,8 +37,8 @@ pub use ossm_mining as mining;
 pub mod prelude {
     pub use ossm_core::{
         minimize_segments, recommend, theorem1_bound, Aggregate, ApplicationProfile, BubbleList,
-        BuildReport, Configuration, GeneralizedOssm, IncrementalOssm, LossCalculator, Ossm,
-        OssmBuilder, RecommendedStrategy, Segmentation, SegmentationAlgorithm, Strategy,
+        BuildReport, Configuration, IncrementalOssm, LossCalculator, Ossm, OssmBuilder,
+        RecommendedStrategy, Segmentation, SegmentationAlgorithm, Strategy,
     };
     pub use ossm_data::{
         disk::{DiskStore, DiskStoreWriter},

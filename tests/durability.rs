@@ -4,13 +4,16 @@
 //! The crash images are built deterministically by mutilating the WAL /
 //! snapshot files exactly the way an interrupted process would leave
 //! them (a torn final record; a checkpoint that renamed its snapshot but
-//! never reset the WAL). The feature-gated fault-injection variant of
-//! the torn-append scenario lives in `ossm-core`'s unit tests; this file
-//! runs under default features so tier-1 always exercises recovery.
+//! never reset the WAL). Every batch is appended the way `ossm serve`
+//! appends it: through `append_batch`, under a batch id of its own. The
+//! feature-gated fault-injection variant of the torn-append scenario
+//! lives in `ossm-core`'s unit tests; this file runs under default
+//! features so tier-1 always exercises recovery.
 
-use ossm_core::{DurableIncrementalOssm, LossCalculator};
+use ossm_core::{Aggregate, DurableIncrementalOssm, LossCalculator};
 use ossm_data::gen::SkewedConfig;
 use ossm_data::{Dataset, Itemset};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const M: usize = 10;
@@ -37,6 +40,24 @@ fn open(dir: &Path) -> (DurableIncrementalOssm, ossm_core::RecoveryReport) {
     DurableIncrementalOssm::open(dir, M, 4, LossCalculator::all_items()).expect("open")
 }
 
+/// The aggregate a client sends for one batch of transactions.
+fn aggregate(batch: &[Itemset]) -> Aggregate {
+    let mut supports = vec![0u64; M];
+    for t in batch {
+        for item in t.items() {
+            supports[item.index()] += 1;
+        }
+    }
+    Aggregate::new(supports, batch.len() as u64)
+}
+
+/// Durably appends batch `i` under batch id `i + 1`.
+fn append(map: &mut DurableIncrementalOssm, i: usize, batch: &[Itemset]) -> io::Result<()> {
+    let applied = map.append_batch(vec![(i as u64 + 1, aggregate(batch))])?;
+    assert_eq!(applied, vec![true], "batch {i} is fresh");
+    Ok(())
+}
+
 /// Asserts the map's bound dominates `data`'s true support for every
 /// pair itemset over the full domain — the acceptance bar for recovery.
 fn assert_all_pairs_sound(map: &ossm_core::Ossm, data: &Dataset, context: &str) {
@@ -61,7 +82,7 @@ fn torn_wal_append_recovers_to_sound_bounds() {
 
     let (mut map, _) = open(&dir);
     for (i, batch) in batches.iter().enumerate() {
-        map.append_transactions(batch.iter()).expect("append");
+        append(&mut map, i, batch).expect("append");
         if i == 4 {
             map.checkpoint().expect("checkpoint");
         }
@@ -70,7 +91,7 @@ fn torn_wal_append_recovers_to_sound_bounds() {
 
     // Crash image: the process died mid-way through writing the final
     // WAL record — its tail is half there. Everything earlier was
-    // fsynced by append() before being acknowledged.
+    // fsynced by append_batch() before being acknowledged.
     let wal = dir.join("wal.log");
     let len = std::fs::metadata(&wal).expect("wal exists").len();
     let f = std::fs::OpenOptions::new()
@@ -105,32 +126,30 @@ fn crash_between_snapshot_and_wal_reset_stays_sound() {
     let batches: Vec<&[Itemset]> = d.transactions().chunks(BATCH).collect();
 
     let (mut map, _) = open(&dir);
-    for batch in &batches {
-        map.append_transactions(batch.iter()).expect("append");
+    for (i, batch) in batches.iter().enumerate() {
+        append(&mut map, i, batch).expect("append");
     }
     // Crash image: checkpoint renamed the new snapshot into place, but
     // the process died before the WAL reset hit the disk. Reconstruct by
     // saving the WAL bytes across a checkpoint and putting them back.
     let wal = dir.join("wal.log");
     let wal_bytes = std::fs::read(&wal).expect("read wal");
+    let before = map.snapshot();
     map.checkpoint().expect("checkpoint");
     drop(map);
     std::fs::write(&wal, &wal_bytes).expect("resurrect the stale wal");
 
     let (map, report) = open(&dir);
     assert!(report.from_snapshot);
-    assert_eq!(
-        report.replayed_appends,
-        batches.len(),
-        "stale records replayed"
-    );
-
-    // Every append is now counted twice — looser, never unsound: the
-    // bound still dominates the data, and (being a pure over-count) is
-    // at most double the single-counted bound.
+    // The checkpoint's id sidecar matches the snapshot on disk, so every
+    // stale record is recognized by its batch id and skipped: the map is
+    // exactly the one from before the crash, with nothing counted twice.
+    assert_eq!(report.replayed_appends, 0, "no stale record replayed");
+    assert_eq!(report.skipped_duplicates, batches.len());
     let snap = map.snapshot();
-    assert_eq!(snap.num_transactions(), 2 * d.len() as u64);
-    assert_all_pairs_sound(&snap, &d, "after double replay");
+    assert_eq!(snap, before);
+    assert_eq!(snap.num_transactions(), d.len() as u64);
+    assert_all_pairs_sound(&snap, &d, "after the interrupted checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -152,15 +171,13 @@ fn injected_wal_fault_dumps_the_flight_recorder() {
     let d = sample();
     let batches: Vec<&[Itemset]> = d.transactions().chunks(BATCH).collect();
     let (mut map, _) = open(&dir);
-    map.append_transactions(batches[0].iter()).expect("append");
+    append(&mut map, 0, batches[0]).expect("append");
 
     // The next WAL append dies before any byte persists.
     let mut plan = ossm_data::fault::FaultPlan::new();
     plan.fail_write("data.wal.append", 1);
     let guard = plan.arm();
-    let err = map
-        .append_transactions(batches[1].iter())
-        .expect_err("injected fault");
+    let err = append(&mut map, 1, batches[1]).expect_err("injected fault");
     assert!(err.to_string().contains("injected"), "{err}");
     assert_eq!(guard.fired(), 1);
     drop(guard);
@@ -200,8 +217,8 @@ fn clean_shutdown_and_reopen_is_lossless() {
     let dir = tmp_dir("clean");
     let d = sample();
     let (mut map, _) = open(&dir);
-    for batch in d.transactions().chunks(BATCH) {
-        map.append_transactions(batch.iter()).expect("append");
+    for (i, batch) in d.transactions().chunks(BATCH).enumerate() {
+        append(&mut map, i, batch).expect("append");
     }
     map.checkpoint().expect("checkpoint");
     let before = map.snapshot();

@@ -1,85 +1,15 @@
 //! Integration tests for the extension systems built around the core
-//! reproduction: the generalized OSSM (footnote 3), incremental
-//! maintenance, disk-resident mining, and the condensed pattern
-//! representations — all composed end-to-end through the facade crate.
+//! reproduction: incremental maintenance, disk-resident mining, and the
+//! condensed pattern representations — all composed end-to-end through
+//! the facade crate.
 
 use ossm::prelude::*;
-use ossm_core::generalized::bubble_pairs;
 use ossm_mining::patterns::{closed, maximal, support_from_closed};
 
 fn tmpdir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("ossm-extension-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
-}
-
-#[test]
-fn generalized_ossm_strictly_outprunes_the_base_map_somewhere() {
-    // Seasonal data, coarse 4-segment map, bubble pairs tracked: for at
-    // least one candidate pair the generalized bound must be strictly
-    // tighter, and it must never be looser or unsound.
-    let d = SkewedConfig {
-        num_transactions: 2000,
-        num_items: 40,
-        ..SkewedConfig::default()
-    }
-    .generate();
-    let threshold = d.absolute_threshold(0.01);
-    let store = PageStore::with_page_count(d, 20);
-    let (_, seg, _) = OssmBuilder::new(4)
-        .strategy(Strategy::Greedy)
-        .build_with_segmentation(&store);
-    let bubble = BubbleList::from_store(&store, threshold, 12);
-    let g = GeneralizedOssm::from_pages(&store, &seg, bubble_pairs(&bubble));
-    let base = g.base().clone();
-
-    let mut strictly_tighter = 0usize;
-    for a in 0..40u32 {
-        for b in (a + 1)..40 {
-            let x = Itemset::new([a, b]);
-            let gb = g.upper_bound(&x);
-            assert!(gb <= base.upper_bound(&x));
-            assert!(gb >= store.dataset().support(&x));
-            if gb < base.upper_bound(&x) {
-                strictly_tighter += 1;
-            }
-        }
-    }
-    assert!(
-        strictly_tighter > 0,
-        "tracking pairs should tighten some bound"
-    );
-}
-
-#[test]
-fn generalized_ossm_is_a_valid_lossless_filter() {
-    struct GeneralFilter<'a>(&'a GeneralizedOssm);
-    impl CandidateFilter for GeneralFilter<'_> {
-        fn may_be_frequent(&self, candidate: &Itemset, min_support: u64) -> bool {
-            !self.0.prunes(candidate, min_support)
-        }
-        fn name(&self) -> &str {
-            "generalized-OSSM"
-        }
-    }
-    let d = QuestConfig {
-        num_transactions: 1200,
-        num_items: 60,
-        ..QuestConfig::small()
-    }
-    .generate();
-    let min_support = d.absolute_threshold(0.02);
-    let store = PageStore::with_page_count(d, 20);
-    let (_, seg, _) = OssmBuilder::new(6)
-        .strategy(Strategy::Rc)
-        .build_with_segmentation(&store);
-    let bubble = BubbleList::from_store(&store, min_support, 15);
-    let g = GeneralizedOssm::from_pages(&store, &seg, bubble_pairs(&bubble));
-
-    let plain = Apriori::new().mine(store.dataset(), min_support);
-    let filtered = Apriori::new().mine_filtered(store.dataset(), min_support, &GeneralFilter(&g));
-    assert_eq!(plain.patterns, filtered.patterns);
-    assert!(filtered.metrics.total_counted() <= plain.metrics.total_counted());
 }
 
 #[test]
