@@ -205,8 +205,9 @@ impl CallGraph {
                 cands = typed;
             }
         }
-        // `self.method(…)` — prefer methods of the caller's own type.
-        if call.recv.first().is_some_and(|r| r == "self") {
+        // `self.method(…)` — prefer methods of the caller's own type. Only
+        // a bare `self`: `self.inner.method(…)` calls the field's type.
+        if call.recv == ["self"] {
             if let Some(ty) = &self.fns[caller].impl_type {
                 let own: Vec<usize> = cands
                     .iter()

@@ -71,24 +71,17 @@ const PROTOCOLS: &[Protocol] = &[
         ],
         requires_all_before: Some(2),
     },
-    // Group commit: stage records → fsync → apply in memory. A plain
-    // `wal.append` is stage+sync in one call, so it appears in both.
+    // Group commit: stage records → fsync → apply in memory.
     Protocol {
         name: "group-commit",
         stages: &[
             Stage {
                 name: "stage",
-                pats: &[
-                    Pat::Method("append_no_sync", &["wal", "self"]),
-                    Pat::Method("append", &["wal"]),
-                ],
+                pats: &[Pat::Method("append_no_sync", &["wal", "self"])],
             },
             Stage {
                 name: "sync",
-                pats: &[
-                    Pat::Method("sync", &["wal", "self"]),
-                    Pat::Method("append", &["wal"]),
-                ],
+                pats: &[Pat::Method("sync", &["wal", "self"])],
             },
             Stage {
                 name: "apply",

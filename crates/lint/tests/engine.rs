@@ -41,6 +41,16 @@ fn r6_flags_reachable_panics_and_accepts_the_proven_twin() {
 }
 
 #[test]
+fn r6_follows_a_field_receiver_to_the_field_types_method() {
+    assert!(fires("r6_field_bad.rs", "crates/serve/src/server.rs", "R6"));
+    assert!(!fires(
+        "r6_field_good.rs",
+        "crates/serve/src/server.rs",
+        "R6"
+    ));
+}
+
+#[test]
 fn r7_flags_the_ab_ba_cycle_and_accepts_the_consistent_twin() {
     assert!(fires("r7_bad.rs", "crates/serve/src/state.rs", "R7"));
     assert!(!fires("r7_good.rs", "crates/serve/src/state.rs", "R7"));
@@ -50,6 +60,20 @@ fn r7_flags_the_ab_ba_cycle_and_accepts_the_consistent_twin() {
 fn r8_flags_ack_before_commit_and_accepts_the_ordered_twin() {
     assert!(fires("r8_bad.rs", "crates/serve/src/server.rs", "R8"));
     assert!(!fires("r8_good.rs", "crates/serve/src/server.rs", "R8"));
+}
+
+#[test]
+fn r8_flags_apply_before_sync_and_accepts_the_group_commit_twin() {
+    assert!(fires(
+        "r8_group_commit_bad.rs",
+        "crates/core/src/durable.rs",
+        "R8"
+    ));
+    assert!(!fires(
+        "r8_group_commit_good.rs",
+        "crates/core/src/durable.rs",
+        "R8"
+    ));
 }
 
 /// The duplicate re-ack in the good twin is load-bearing: strip its

@@ -17,7 +17,7 @@ use crate::filter::{CandidateFilter, NoFilter};
 use crate::levelwise::{admit, collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
-use crate::support::{count_batch, CountingBackend, FrequentPatterns};
+use crate::support::{count, count_with, CountingBackend, FrequentPatterns};
 
 /// A mining result: the frequent patterns plus run metrics.
 #[derive(Clone, Debug)]
@@ -108,7 +108,10 @@ impl Apriori {
         let count = |batch: Batch<'_>| {
             let mut s = ossm_obs::span("mining.apriori.count");
             s.attach("candidates", batch.len() as u64);
-            Ok(count_batch(self.backend, dataset.transactions(), batch))
+            match self.backend {
+                CountingBackend::HashTree => count(batch, &mut dataset.transactions()),
+                linear => Ok(count_with(linear, dataset.transactions(), &batch.list())),
+            }
         };
         levels
             .run(&frequent, None, &mut patterns, &mut metrics, count)

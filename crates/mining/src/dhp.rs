@@ -2,8 +2,10 @@
 //!
 //! During the first counting pass, every 2-subset of every transaction is
 //! hashed into a bucket table; a pair can only be a candidate 2-itemset if
-//! its bucket accumulated at least `min_support` hits. This attacks the
-//! same bottleneck the OSSM does — the explosion of candidate 2-itemsets —
+//! its bucket accumulated at least `min_support` hits. The bucket pass is
+//! a pass of the shared pass source (`crate::support`); in memory the
+//! same pass also counts level 1's item supports. This attacks the same
+//! bottleneck the OSSM does — the explosion of candidate 2-itemsets —
 //! which is why Section 7 of the paper composes the two: the OSSM filters
 //! the pairs *before* the hash check would have admitted them, and the
 //! paper's preliminary table shows |C2| roughly halving. The bucket test
@@ -16,6 +18,7 @@
 //! when fewer than `k` remain. Since the items of `C_k` are a subset of
 //! those of `C_{k−1}`, projecting onto `C_k`'s items equals the cumulative
 //! trim of every earlier level, so every level counts over the data itself.
+//! Every level counts through `crate::support::count`, as Apriori's does.
 //! Both reductions are exact, so DHP's output always equals Apriori's.
 
 use std::time::Instant;
@@ -28,9 +31,9 @@ use crate::levelwise::{collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
 use crate::obs;
 use crate::pairs::Triangle;
-use crate::support::{count_batch, CountingBackend, FrequentPatterns};
+use crate::support::{count, FrequentPatterns, PassSource, PassState};
 
-/// DHP configuration. Levels ≥ 2 count on the hash tree.
+/// DHP configuration. Levels ≥ 2 count on the hash-tree back-end.
 #[derive(Clone, Copy, Debug)]
 pub struct Dhp {
     /// Number of hash buckets for the pair table (the paper's Section 7
@@ -71,7 +74,7 @@ fn pair_bucket(a: ItemId, b: ItemId, num_buckets: usize) -> usize {
 
 /// Adds every 2-subset of transaction `items` to its bucket of `buckets`.
 /// The mask-or-`%` choice is made once per transaction, not per pair.
-pub(crate) fn hash_pairs(items: &[ItemId], buckets: &mut [u64]) {
+fn hash_pairs(items: &[ItemId], buckets: &mut [u64]) {
     let n = buckets.len();
     if n.is_power_of_two() {
         add_pairs(items, buckets, |h| h & (n - 1));
@@ -87,6 +90,31 @@ fn add_pairs(items: &[ItemId], buckets: &mut [u64], bucket: impl Fn(usize) -> us
         for &b in items.get(i + 1..).unwrap_or_default() {
             buckets[bucket(pair_hash(a, b))] += 1;
         }
+    }
+}
+
+/// The state of DHP's bucket pass: every 2-subset of a transaction
+/// hashed into its bucket, and each item's support in `singles` where
+/// the pass also counts level 1 (in memory; left empty out of core).
+pub(crate) struct BucketPass {
+    pub(crate) singles: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
+}
+
+impl PassState for BucketPass {
+    fn feed<'t>(&mut self, transactions: impl IntoIterator<Item = &'t [ItemId]>) {
+        for t in transactions {
+            if !self.singles.is_empty() {
+                t.iter().for_each(|item| self.singles[item.index()] += 1);
+            }
+            hash_pairs(t, &mut self.buckets);
+        }
+    }
+
+    fn add(&mut self, later: Self) {
+        let counts = self.singles.iter_mut().chain(&mut self.buckets);
+        let later = later.singles.into_iter().chain(later.buckets);
+        counts.zip(later).for_each(|(c, l)| *c += l);
     }
 }
 
@@ -137,14 +165,13 @@ impl Dhp {
 
         // Pass 1: singleton counts + pair bucket counts in one scan.
         let pass1_span = ossm_obs::span("mining.dhp.pass1");
-        let mut singles = vec![0u64; m];
-        let mut buckets = vec![0u64; self.num_buckets];
-        for t in dataset.transactions() {
-            for item in t.items() {
-                singles[item.index()] += 1;
-            }
-            hash_pairs(t.items(), &mut buckets);
-        }
+        let BucketPass { singles, buckets } = dataset
+            .transactions()
+            .pass(None, || BucketPass {
+                singles: vec![0; m],
+                buckets: vec![0; self.num_buckets],
+            })
+            .expect("in-memory counting does no I/O");
         let l1 = collect_singletons(
             (0..m as u32).map(ItemId),
             &singles,
@@ -179,11 +206,7 @@ impl Dhp {
         let count = |batch: Batch<'_>| {
             let mut s = ossm_obs::span("mining.dhp.count");
             s.attach("candidates", batch.len() as u64);
-            Ok(count_batch(
-                CountingBackend::HashTree,
-                dataset.transactions(),
-                batch,
-            ))
+            count(batch, &mut dataset.transactions())
         };
         levels
             .run(&l1, Some(admitted), &mut patterns, &mut metrics, count)
@@ -294,6 +317,30 @@ mod tests {
                 assert_eq!(triangle.len(), expected.len());
             }
         }
+    }
+
+    #[test]
+    fn the_bucket_pass_is_thread_count_invariant() {
+        // 3000 transactions: several counting chunks at 2 and 8 threads.
+        let d = quest(3000, 60);
+        let mut buckets = vec![0u64; 512];
+        for t in d.transactions() {
+            hash_pairs(t.items(), &mut buckets);
+        }
+        let singles = d.singleton_supports();
+        for threads in [1, 2, 8] {
+            ossm_par::set_threads(Some(threads));
+            let pass = d
+                .transactions()
+                .pass(None, || BucketPass {
+                    singles: vec![0; 60],
+                    buckets: vec![0; 512],
+                })
+                .expect("no I/O");
+            assert_eq!(pass.singles, singles, "{threads} threads");
+            assert_eq!(pass.buckets, buckets, "{threads} threads");
+        }
+        ossm_par::set_threads(None);
     }
 
     #[test]

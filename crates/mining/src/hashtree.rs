@@ -38,10 +38,13 @@
 //! eq. (1) pruning intends, though it still follows pairs of live items
 //! in a transaction rather than candidates.
 
+use std::io;
 use std::ops::Range;
 
 use ossm_data::item::is_sorted_subset;
 use ossm_data::{ItemId, Itemset};
+
+use crate::support::{PassSource, PassState};
 
 /// Fan-out of interior nodes. Sized for the paper's m = 1000 domains: with
 /// a fan-out of `f`, the (at most) `k`-deep tree spreads `C_k` candidates
@@ -432,16 +435,47 @@ impl TreeCounts<'_> {
     }
 }
 
+impl PassState for TreeCounts<'_> {
+    fn feed<'t>(&mut self, transactions: impl IntoIterator<Item = &'t [ItemId]>) {
+        let tree = self.tree;
+        tree.count(transactions, self);
+    }
+
+    /// Adds `later`'s counts in slot order: only the sum is rearranged.
+    fn add(&mut self, later: Self) {
+        for (c, l) in self.counts.iter_mut().zip(later.counts) {
+            *c += l;
+        }
+        self.items_skipped += later.items_skipped;
+    }
+}
+
 /// Counts candidate supports with a hash tree, grouping mixed candidate
 /// sizes into one tree per size. The drop-in alternative to
 /// [`crate::support::count_linear`].
-pub fn count_hash_tree(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u64> {
+pub fn count_hash_tree(mut transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u64> {
+    count_groups(candidates, None, &mut transactions).expect("in-memory counting does no I/O")
+}
+
+/// Counts `candidates` on hash trees, one tree and one pass of `source`
+/// (over the pages `keep` marks) per candidate size, in their order.
+pub(crate) fn count_groups(
+    candidates: &[Itemset],
+    keep: Option<&[bool]>,
+    source: &mut impl PassSource,
+) -> io::Result<Vec<u64>> {
+    let transactions = source.transactions();
+    let mut count_group = |group: &[Itemset]| -> io::Result<Vec<u64>> {
+        let tree = HashTree::build(group);
+        MEM_HASHTREE.set(tree.memory_bytes() as u64 + crate::support::candidate_bytes(group));
+        Ok(source.pass(keep, || tree.start_pass())?.into_counts())
+    };
     let Some(first) = candidates.first() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     // Every Apriori and DHP level is one size: index the caller's slice.
     if !first.is_empty() && candidates.iter().all(|c| c.len() == first.len()) {
-        return count_group(transactions, candidates);
+        return count_group(candidates);
     }
     let mut counts = vec![0u64; candidates.len()];
     // Group candidate indices by size.
@@ -453,36 +487,16 @@ pub fn count_hash_tree(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<
         if len == 0 {
             // The empty itemset occurs in every transaction.
             for &i in &idxs {
-                counts[i] = transactions.len() as u64;
+                counts[i] = transactions;
             }
             continue;
         }
         let group: Vec<Itemset> = idxs.iter().map(|&i| candidates[i].clone()).collect();
-        for (&i, c) in idxs.iter().zip(count_group(transactions, &group)) {
+        for (&i, c) in idxs.iter().zip(count_group(&group)?) {
             counts[i] = c;
         }
     }
-    counts
-}
-
-/// Counts a non-empty group of candidates of one non-zero size.
-fn count_group(transactions: &[Itemset], group: &[Itemset]) -> Vec<u64> {
-    let tree = HashTree::build(group);
-    MEM_HASHTREE.set(tree.memory_bytes() as u64 + crate::support::candidate_bytes(group));
-    // One shared tree, transaction-chunked counting: each chunk runs a
-    // pass of its own, so chunks are independent, and the partial
-    // vectors merge by element-wise sum — identical at any thread count.
-    // They merge in slot order, so only the sum is rearranged.
-    let partials = ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
-        let mut pass = tree.start_pass();
-        tree.count(transactions[r].iter().map(Itemset::items), &mut pass);
-        pass.counts
-    });
-    if partials.is_empty() {
-        vec![0u64; group.len()]
-    } else {
-        tree.candidate_order(ossm_par::sum_counts(partials))
-    }
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -686,7 +700,7 @@ mod tests {
         let tree = HashTree::build(&pairs);
         assert!(tree.partial.index.is_empty(), "every leaf is at full depth");
         assert!(
-            crate::pairs::PairTable::build(&pairs).is_some(),
+            crate::pairs::PairTable::for_batch(crate::levelwise::Batch::Sets(&pairs)).is_some(),
             "the size rule sends the batch to the pair table"
         );
         let counts = count_hash_tree(&txs, &pairs);

@@ -26,6 +26,7 @@
 //! generated candidate, and the bound outcomes are tallied locally and
 //! recorded once per level (once per part at level 2).
 
+use std::borrow::Cow;
 use std::io;
 
 use ossm_data::{ItemId, Itemset};
@@ -84,12 +85,21 @@ pub(crate) enum Batch<'a> {
     Sets(&'a [Itemset]),
 }
 
-impl Batch<'_> {
+impl<'a> Batch<'a> {
     /// The number of candidates in the batch.
     pub(crate) fn len(&self) -> usize {
         match self {
             Batch::Pairs(triangle) => triangle.len(),
             Batch::Sets(candidates) => candidates.len(),
+        }
+    }
+
+    /// The batch as a candidate list, for a structure that counts lists;
+    /// a triangle's flagged pairs are listed in row order.
+    pub(crate) fn list(self) -> Cow<'a, [Itemset]> {
+        match self {
+            Batch::Pairs(triangle) => Cow::Owned(triangle.itemsets()),
+            Batch::Sets(candidates) => Cow::Borrowed(candidates),
         }
     }
 }

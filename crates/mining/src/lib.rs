@@ -25,7 +25,10 @@
 //! Apriori, DHP, and both out-of-core level-wise miners share one level
 //! loop (generate → filter → count → collect), so the filter enters every
 //! one of them at the same point: between candidate generation and
-//! counting.
+//! counting. They also share the counting itself: one dispatch picks the
+//! pair table or the hash tree for a batch, and runs it as one pass of a
+//! pass source — the transactions in memory, the page file through the
+//! buffer pool out of core ([`support`]).
 //!
 //! ```
 //! use ossm_data::gen::QuestConfig;

@@ -23,24 +23,18 @@
 //!   carrying fewer than two frequent items (such a page contributes no
 //!   pair of frequent items, and losing its collision noise only sharpens
 //!   the bucket counts, which stay upper bounds on pair supports). DHP's
-//!   trimming runs as it does in memory, without rewriting the page file:
-//!   the pair table counts only the live items of each transaction, and
-//!   the hash tree walks only those at every later level.
+//!   trimming is the in-memory code's, without rewriting the page file.
 //! * [`StreamingFpGrowth`] — the global-tree pass skips pages with no
 //!   frequent item at all (their transactions rank-encode to empty paths
 //!   and would not touch the tree).
 //!
-//! Apriori and DHP count level 2 in a pair table over the batch's live
-//! items (`crate::pairs`): one `u64` cell per pair of items some candidate
-//! holds, so a transaction costs `C(n, 2)` increments over its `n` live
-//! items and no hash-tree walk. The batch is the level loop's triangle
-//! over L1: eq. (1) and its page sum judge it in one batch each, and the
-//! table, the page mask and the counts come from its flags, a row at a
-//! time — a row's pages are its first item's pages that hold any item it
-//! is flagged with. A batch whose table would be large next to its
-//! candidate count, and every level `k ≥ 3`, is counted by the
-//! [`HashTree`]. Either way a page the pass skips holds no candidate, so
-//! every candidate's count stays exact.
+//! Apriori and DHP count every level, and DHP its buckets, through
+//! `crate::support::count`, the dispatch the in-memory miners use: the
+//! run is the pass source (`Pages`), and a pass feeds one counting state
+//! a page at a time under the batch's page mask. Level 2's mask comes
+//! from the triangle's flags a row at a time — a row's pages are its
+//! first item's pages that hold any item it is flagged with. A page the
+//! pass skips holds no candidate, so every count stays exact.
 //!
 //! Each `mine` reports the patterns plus pass, page-read, and page-skip
 //! counts, so the disk-oriented experiments can show the I/O effect the
@@ -54,14 +48,13 @@ use ossm_data::disk::{DiskStore, FlatPage, PageSummary};
 use ossm_data::{ItemId, Itemset};
 use ossm_obs::SpanGuard;
 
-use crate::dhp::{admitted_pairs, hash_pairs};
+use crate::dhp::{admitted_pairs, BucketPass};
 use crate::filter::{CandidateFilter, NoFilter};
 use crate::fpgrowth::GlobalTreeMiner;
-use crate::hashtree::HashTree;
 use crate::levelwise::{collect_singletons, Batch, LevelLoop, Trace};
 use crate::metrics::{LevelMetrics, MiningMetrics};
-use crate::pairs::{PairTable, Triangle};
-use crate::support::FrequentPatterns;
+use crate::pairs::Triangle;
+use crate::support::{count, FrequentPatterns, PassSource, PassState};
 
 /// Result of a disk-resident mining run.
 #[derive(Clone, Debug)]
@@ -153,15 +146,12 @@ impl<'a> PageBounds<'a> {
 
     /// The pages a counting pass must read: those where some candidate's
     /// page bound is nonzero, i.e. all of its items occur.
-    fn pages_holding_any<C: AsRef<[ItemId]>>(
-        &self,
-        candidates: impl IntoIterator<Item = C>,
-    ) -> Vec<bool> {
+    fn pages_holding_any(&self, candidates: &[Itemset]) -> Vec<bool> {
         let mut any = vec![0u64; self.pages.div_ceil(64)];
         let mut all = any.clone();
         for c in candidates {
             all.fill(u64::MAX);
-            for item in c.as_ref() {
+            for item in c.items() {
                 for (a, &w) in all.iter_mut().zip(self.present(item.index())) {
                     *a &= w;
                 }
@@ -373,70 +363,68 @@ fn mine_levels(
         frequent: l1.len() as u64,
     });
 
+    let mut pages = Pages {
+        run: &mut run,
+        bounds: bounds.as_ref(),
+    };
     let level2 = match buckets {
         Some(n) => {
             // A page with fewer than two frequent items holds no pair of
             // frequent items; its bucket contributions are pure collision
             // noise, and dropping noise keeps every bucket count an upper
             // bound on its pairs' supports.
-            let mut table = vec![0u64; n];
             let keep = bounds
                 .as_ref()
                 .map(|b| b.pages_with_frequent(&singles, min_support, 2));
-            run.pass(keep.as_deref(), |page| {
-                page.iter().for_each(|t| hash_pairs(t, &mut table));
+            let pass = pages.pass(keep.as_deref(), || BucketPass {
+                singles: Vec::new(),
+                buckets: vec![0; n],
             })?;
-            Some(admitted_pairs(&l1, &table, min_support))
+            Some(admitted_pairs(&l1, &pass.buckets, min_support))
         }
         None => None,
     };
 
-    let filter: &dyn CandidateFilter = match &bounds {
-        Some(b) => b,
-        None => &NoFilter,
-    };
     let levels = LevelLoop {
         min_support,
-        filter,
+        filter: pages.bounds.map_or(&NoFilter, |b| b),
         trace: Trace::Off,
     };
     levels.run(&l1, level2, &mut patterns, &mut metrics, |batch| {
-        // A skipped page holds no candidate, so every candidate's count
-        // is still exact whichever structure counts the pass.
-        let candidates = match batch {
-            Batch::Pairs(triangle) => {
-                let keep = bounds.as_ref().map(|b| b.pages_holding_any_pair(triangle));
-                // Pairs go to a table over the live items when it is
-                // small enough, fed a page at a time.
-                if let Some(table) = PairTable::for_triangle(triangle) {
-                    let mut pass = table.start_pass::<u64>();
-                    run.pass(keep.as_deref(), |page| table.count(page, &mut pass))?;
-                    return Ok(table.triangle_counts(triangle, &pass));
-                }
-                // Otherwise the tree counts them as a list.
-                return count_on_tree(&mut run, keep.as_deref(), &triangle.itemsets());
-            }
-            Batch::Sets(candidates) => candidates,
-        };
-        let keep = bounds
-            .as_ref()
-            .map(|b| b.pages_holding_any(candidates.iter().map(Itemset::items)));
-        count_on_tree(&mut run, keep.as_deref(), candidates)
+        count(batch, &mut pages)
     })?;
     Ok(run.finish(patterns, metrics))
 }
 
-/// Counts `candidates` in one pass over the pages `keep` marks, with one
-/// hash tree and one counting state for the whole pass.
-fn count_on_tree(
-    run: &mut OocRun<'_>,
-    keep: Option<&[bool]>,
-    candidates: &[Itemset],
-) -> io::Result<Vec<u64>> {
-    let tree = HashTree::build(candidates);
-    let mut counts = tree.start_pass();
-    run.pass(keep, |page| tree.count(page, &mut counts))?;
-    Ok(counts.into_counts())
+/// An out-of-core run as a pass source: a pass walks the page file
+/// through the pool, skipping what the page bounds rule out.
+struct Pages<'r, 's, 'b> {
+    run: &'r mut OocRun<'s>,
+    bounds: Option<&'r PageBounds<'b>>,
+}
+
+impl PassSource for Pages<'_, '_, '_> {
+    fn transactions(&self) -> u64 {
+        self.run.store.num_transactions()
+    }
+
+    fn pages_for(&self, batch: Batch<'_>) -> Option<Vec<bool>> {
+        let bounds = self.bounds?;
+        Some(match batch {
+            Batch::Pairs(triangle) => bounds.pages_holding_any_pair(triangle),
+            Batch::Sets(candidates) => bounds.pages_holding_any(candidates),
+        })
+    }
+
+    fn pass<S: PassState>(
+        &mut self,
+        keep: Option<&[bool]>,
+        start: impl Fn() -> S + Sync,
+    ) -> io::Result<S> {
+        let mut state = start();
+        self.run.pass(keep, |page| state.feed(page))?;
+        Ok(state)
+    }
 }
 
 /// Apriori over a [`DiskStore`], with an optional OSSM.
@@ -677,7 +665,10 @@ mod tests {
         // Σ_p min(sup_p(0), sup_p(1)) = min(3, 2) + min(0, 4) = 2.
         assert!(bounds.may_be_frequent(&pair, 2));
         assert!(!bounds.may_be_frequent(&pair, 3));
-        assert_eq!(bounds.pages_holding_any([pair.items()]), [true, false]);
+        assert_eq!(
+            bounds.pages_holding_any(std::slice::from_ref(&pair)),
+            [true, false]
+        );
         assert_eq!(bounds.pages_with_frequent(&[3, 6], 3, 2), [true, false]);
         // At 4 only item 1 is frequent: on both pages, but alone.
         assert_eq!(bounds.pages_with_frequent(&[3, 6], 4, 1), [true, true]);
@@ -709,7 +700,7 @@ mod tests {
             |a, b| a == 2 && b == 7,
         ] {
             let triangle = Triangle::with(items.clone(), |a, b| keep(a.0, b.0));
-            let pairs: Vec<[ItemId; 2]> = triangle.pairs().collect();
+            let pairs = triangle.itemsets();
             assert_eq!(
                 bounds.pages_holding_any_pair(&triangle),
                 bounds.pages_holding_any(&pairs)

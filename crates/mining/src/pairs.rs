@@ -13,17 +13,12 @@
 //! `r·(2L − r − 1)/2` for `L` live items. A candidate's count is read
 //! back from its own cell once the pass ends.
 //!
-//! The item → rank map is built once per batch and shared; each counting
-//! pass owns its cells. Out of core one pass is fed a page at a time in
-//! `u64` cells. In memory, [`count_pairs`] runs one pass per transaction
-//! chunk through `ossm_par` in `u32` cells when the batch's transactions
-//! fit a `u32`, and adds the chunks' cells into one pass — a sum counts
-//! at most those transactions — so the counts are identical at any
-//! thread count.
-//!
-//! When eq. (1) leaves few candidates over many live items, most cells
-//! would count pairs no candidate names; the size rule declines such a
-//! batch, and the caller counts it with the hash tree instead.
+//! The item → rank map is built once per batch and shared; each state of
+//! a pass ([`PairPass`]) owns its cells, and the states add up cell by
+//! cell. `crate::support::count` picks the cell width, and sends a batch
+//! here only if the size rule admits it: when eq. (1) leaves few
+//! candidates over many live items, most cells would count pairs no
+//! candidate names, and the hash tree counts the batch instead.
 //!
 //! The level-wise miners hand level 2 over as a [`Triangle`]: one flag
 //! per pair of the frequent items, in the same upper-triangular row
@@ -33,8 +28,8 @@
 //! row flags it, so the live items, the size rule and the increments are
 //! those of the equivalent candidate list. The counts are read back row
 //! by row, from one row base plus each later item's rank — and when every
-//! item is live, straight from each flag's own cell. [`PairTable::build`]
-//! keeps taking a list, for `count_with`'s public entry.
+//! item is live, straight from each flag's own cell. A list of pairs,
+//! from `count_with`'s public entry, gets its table from the list.
 
 use std::ops::{AddAssign, Range};
 
@@ -42,6 +37,7 @@ use ossm_data::{ItemId, Itemset};
 
 use crate::filter::CandidateFilter;
 use crate::levelwise::Batch;
+use crate::support::PassState;
 
 /// A batch gets a table when its `C(L, 2)` cells are at most this many
 /// per candidate: at 8 B a cell, 4 cells are no more than the ≥ 32 B
@@ -167,16 +163,6 @@ impl Triangle {
         start(rows.start)..start(rows.end)
     }
 
-    /// The flagged pairs, in row order.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = [ItemId; 2]> + '_ {
-        self.rows().flat_map(move |(x, row)| {
-            let a = self.items[x];
-            row.iter()
-                .zip(&self.items[x + 1..])
-                .filter_map(move |(&flagged, &b)| flagged.then_some([a, b]))
-        })
-    }
-
     /// Runs `filter` over the flagged pairs in one batch
     /// ([`CandidateFilter::judge_pairs`]), clearing the flag of every pair
     /// it discharges; `bounds` receives the bounds of the pairs it admits
@@ -195,8 +181,10 @@ impl Triangle {
     /// lists: the linear scan, and the hash tree when the pair table's
     /// size rule declines the batch.
     pub(crate) fn itemsets(&self) -> Vec<Itemset> {
-        self.pairs()
-            .map(|pair| Itemset::from_sorted(pair.to_vec()))
+        all_pairs(&self.items)
+            .zip(&self.flags)
+            .filter(|&(_, &flagged)| flagged)
+            .map(|(pair, _)| Itemset::from_sorted(pair.to_vec()))
             .collect()
     }
 
@@ -232,72 +220,64 @@ pub(crate) struct PairTable {
 }
 
 /// One counting pass of a [`PairTable`]: a cell per pair of live items.
-pub(crate) struct PairPass<C> {
+pub(crate) struct PairPass<'t, C> {
+    table: &'t PairTable,
     cells: Vec<C>,
     /// The live ranks of the transaction being counted.
     ranks: Vec<u32>,
 }
 
 impl PairTable {
-    /// The table for a batch of pair `candidates`, or `None` when the
-    /// batch's live items would need more than
+    /// The table for `batch`, or `None` — leaving the batch to the hash
+    /// tree — when a candidate is not a pair, or when the batch's live
+    /// items would need more than
     /// `max(CELLS_PER_CANDIDATE·|candidates|, MIN_CELLS)` cells.
-    ///
-    /// # Panics
-    /// Panics if a candidate is not a pair.
-    pub(crate) fn build(candidates: &[Itemset]) -> Option<Self> {
+    pub(crate) fn for_batch(batch: Batch<'_>) -> Option<Self> {
         let _mem = ossm_obs::alloc_scope("mining.pair_table");
-        let mut rank = Vec::new();
-        for c in candidates {
-            let [a, b] = *c.items() else {
-                panic!("a pair table counts pairs");
-            };
-            for item in [a, b] {
-                if rank.len() <= item.index() {
-                    rank.resize(item.index() + 1, DEAD);
+        let live: Vec<ItemId> = match batch {
+            // A triangle's live items are found a row at a time: item `x`
+            // is live if row `x` holds a flag, and OR-ing the row into a
+            // mask over `items[x + 1..]` marks the later items it pairs
+            // `x` with.
+            Batch::Pairs(triangle) => {
+                let items = triangle.items();
+                let mut mask = vec![false; items.len()];
+                for (x, row) in triangle.rows() {
+                    let (head, later) = mask.split_at_mut(x + 1);
+                    head[x] |= row.contains(&true);
+                    for (m, &flagged) in later.iter_mut().zip(row) {
+                        *m |= flagged;
+                    }
                 }
-                rank[item.index()] = 0;
+                let live = items.iter().zip(&mask).filter(|&(_, &m)| m);
+                live.map(|(&i, _)| i).collect()
             }
-        }
-        let mut live = 0;
-        for r in rank.iter_mut().filter(|r| **r != DEAD) {
-            *r = live;
-            live += 1;
-        }
-        Self::sized(rank, live as usize, candidates.len())
-    }
-
-    /// The table for the flagged pairs of `triangle`, under the same size
-    /// rule: its live items are the items of flagged pairs. They are
-    /// found a row at a time — item `x` is live if row `x` holds a flag,
-    /// and OR-ing the row into a mask over `items[x + 1..]` marks the
-    /// later items it pairs `x` with.
-    pub(crate) fn for_triangle(triangle: &Triangle) -> Option<Self> {
-        let _mem = ossm_obs::alloc_scope("mining.pair_table");
-        let items = triangle.items();
-        let mut mask = vec![false; items.len()];
-        for (x, row) in triangle.rows() {
-            let (head, later) = mask.split_at_mut(x + 1);
-            head[x] |= row.contains(&true);
-            for (m, &flagged) in later.iter_mut().zip(row) {
-                *m |= flagged;
+            Batch::Sets(candidates) => {
+                if candidates.is_empty() || candidates.iter().any(|c| c.len() != 2) {
+                    return None;
+                }
+                let mut live: Vec<ItemId> = candidates
+                    .iter()
+                    .flat_map(Itemset::items)
+                    .copied()
+                    .collect();
+                live.sort_unstable();
+                live.dedup();
+                live
             }
-        }
+        };
+        #[cfg(test)]
+        tests::BUILT.with(|built| built.set(built.get() + 1));
         let mut rank = Vec::new();
-        let mut live = 0;
-        for (&item, _) in items.iter().zip(&mask).filter(|&(_, &m)| m) {
+        for (r, item) in (0..).zip(&live) {
             rank.resize(item.index() + 1, DEAD);
-            rank[item.index()] = live;
-            live += 1;
+            rank[item.index()] = r;
         }
-        Self::sized(rank, live as usize, triangle.len())
-    }
-
-    /// The table over `live` ranked items, if the size rule admits it for
-    /// a batch of `candidates` pairs.
-    fn sized(rank: Vec<u32>, live: usize, candidates: usize) -> Option<Self> {
-        let table = PairTable { rank, live };
-        (table.size() <= (CELLS_PER_CANDIDATE * candidates).max(MIN_CELLS)).then_some(table)
+        let table = PairTable {
+            rank,
+            live: live.len(),
+        };
+        (table.size() <= (CELLS_PER_CANDIDATE * batch.len()).max(MIN_CELLS)).then_some(table)
     }
 
     /// Cells per pass: `C(L, 2)`.
@@ -305,83 +285,38 @@ impl PairTable {
         self.live * self.live.saturating_sub(1) / 2
     }
 
-    /// Bytes of a pass in cells of `C`: its cells and the item → rank
-    /// map.
-    fn pass_bytes<C: Cell>(&self) -> u64 {
-        (self.size() * std::mem::size_of::<C>() + std::mem::size_of_val(&self.rank[..])) as u64
-    }
-
     /// A zeroed pass.
-    pub(crate) fn start_pass<C: Cell>(&self) -> PairPass<C> {
+    pub(crate) fn start_pass<C: Cell>(&self) -> PairPass<'_, C> {
         let _mem = ossm_obs::alloc_scope("mining.pair_table");
         let cells = vec![C::default(); self.size()];
-        MEM_PAIR_TABLE.set(self.pass_bytes::<C>());
+        MEM_PAIR_TABLE.set((size_of_val(&cells[..]) + size_of_val(&self.rank[..])) as u64);
         PairPass {
+            table: self,
             cells,
             ranks: Vec::new(),
         }
     }
 
-    /// Adds every pair of live items in each of `transactions` (sorted
-    /// item slices) to `pass`. A pass may be fed in any number of calls —
-    /// one per page, say.
-    pub(crate) fn count<'t, C: Cell>(
-        &self,
-        transactions: impl IntoIterator<Item = &'t [ItemId]>,
-        pass: &mut PairPass<C>,
-    ) {
-        let live = self.live;
-        let mut increments = 0u64;
-        for t in transactions {
-            pass.ranks.clear();
-            pass.ranks.extend(
-                t.iter()
-                    .filter_map(|i| self.rank.get(i.index()).copied())
-                    .filter(|&r| r != DEAD),
-            );
-            let n = pass.ranks.len();
-            if n < 2 {
-                continue;
-            }
-            increments += (n * (n - 1) / 2) as u64;
-            for (j, &a) in pass.ranks.iter().enumerate() {
-                let a = a as usize;
-                let start = row_start(a, live);
-                let row = &mut pass.cells[start..start + (live - a - 1)];
-                for &b in &pass.ranks[j + 1..] {
-                    row[b as usize - a - 1] += C::from(1);
-                }
-            }
-        }
-        INCREMENTS.add(increments);
-    }
-
-    /// The counts of `pairs` — pairs of the batch the table was built
-    /// for — in their order, read from `pass`.
-    pub(crate) fn counts<C: Cell>(
-        &self,
-        pairs: impl Iterator<Item = [ItemId; 2]>,
-        pass: &PairPass<C>,
-    ) -> Vec<u64> {
-        pairs
-            .map(|pair| {
-                let [a, b] = pair.map(|i| self.rank[i.index()] as usize);
-                pass.cells[cell(a, b, self.live)].into()
-            })
-            .collect()
-    }
-
-    /// The counts of the flagged pairs of `triangle` — the batch the
-    /// table was built for — in row order, read from `pass` a row at a
-    /// time: row `x`'s cells start at one row base, and each later item's
-    /// rank is its offset. When every item of the triangle is live, an
-    /// item's rank is its index, so a flag's index is its cell's.
-    pub(crate) fn triangle_counts<C: Cell>(
-        &self,
-        triangle: &Triangle,
-        pass: &PairPass<C>,
-    ) -> Vec<u64> {
+    /// `batch`'s counts — the batch the table was built for — in its
+    /// order, read from `pass`. A list's pairs are read from their own
+    /// cells. A triangle's flagged pairs are read in row order, a row at
+    /// a time: row `x`'s cells start at one row base, and each later
+    /// item's rank is its offset. When every item of the triangle is
+    /// live, an item's rank is its index, so a flag's index is its cell's.
+    pub(crate) fn counts<C: Cell>(&self, batch: Batch<'_>, pass: &PairPass<'_, C>) -> Vec<u64> {
         let cells = &pass.cells;
+        let triangle = match batch {
+            Batch::Sets(candidates) => {
+                return candidates
+                    .iter()
+                    .map(|c| {
+                        let [a, b] = [0, 1].map(|x| self.rank[c.items()[x].index()] as usize);
+                        cells[cell(a, b, self.live)].into()
+                    })
+                    .collect()
+            }
+            Batch::Pairs(triangle) => triangle,
+        };
         let items = triangle.items();
         if self.live == items.len() {
             return triangle
@@ -412,83 +347,58 @@ impl PairTable {
         }
         counts
     }
-
-    /// Counts `batch` — the batch the table was built for — over
-    /// in-memory `transactions`, one pass per transaction chunk, in `u32`
-    /// cells when the transactions fit a `u32` and `u64` cells otherwise,
-    /// and reads its counts back from the passes' summed cells.
-    fn count_in_memory(&self, transactions: &[Itemset], batch: Batch<'_>) -> Vec<u64> {
-        if u32::try_from(transactions.len()).is_ok() {
-            self.read(batch, &self.summed(self.chunk_passes::<u32>(transactions)))
-        } else {
-            self.read(batch, &self.summed(self.chunk_passes::<u64>(transactions)))
-        }
-    }
-
-    /// `batch`'s counts, in its order, from `pass`.
-    fn read<C: Cell>(&self, batch: Batch<'_>, pass: &PairPass<C>) -> Vec<u64> {
-        match batch {
-            Batch::Pairs(triangle) => self.triangle_counts(triangle, pass),
-            Batch::Sets(candidates) => self.counts(pairs_of(candidates), pass),
-        }
-    }
-
-    /// One pass per transaction chunk, in cells of type `C`; no chunk may
-    /// hold more transactions than a `C` counts.
-    fn chunk_passes<C: Cell>(&self, transactions: &[Itemset]) -> Vec<PairPass<C>> {
-        ossm_par::map_chunks(transactions.len(), crate::support::MIN_TX_CHUNK, |r| {
-            let mut pass = self.start_pass::<C>();
-            self.count(transactions[r].iter().map(Itemset::items), &mut pass);
-            pass
-        })
-    }
-
-    /// The cells of `passes` added into one pass (zeroed if there are
-    /// none). The passes count disjoint transactions, so a sum fits a `C`
-    /// when their transactions together do.
-    fn summed<C: Cell>(&self, passes: Vec<PairPass<C>>) -> PairPass<C> {
-        let mut passes = passes.into_iter();
-        let Some(mut total) = passes.next() else {
-            return PairPass {
-                cells: vec![C::default(); self.size()],
-                ranks: Vec::new(),
-            };
-        };
-        for pass in passes {
-            for (t, c) in total.cells.iter_mut().zip(pass.cells) {
-                *t += c;
-            }
-        }
-        total
-    }
 }
 
-/// The pairs of `candidates`, which must all be pairs.
-pub(crate) fn pairs_of(candidates: &[Itemset]) -> impl Iterator<Item = [ItemId; 2]> + '_ {
-    candidates.iter().map(|c| [c.items()[0], c.items()[1]])
-}
-
-/// Counts a non-empty `batch` of pairs over in-memory `transactions` in a
-/// pair table, in the batch's order, or returns `None` — leaving the
-/// batch to the hash tree — when a candidate is not a pair or the size
-/// rule declines the batch.
-pub(crate) fn count_pairs(transactions: &[Itemset], batch: Batch<'_>) -> Option<Vec<u64>> {
-    let table = match batch {
-        Batch::Pairs(triangle) => PairTable::for_triangle(triangle)?,
-        Batch::Sets(candidates) => {
-            if candidates.is_empty() || candidates.iter().any(|c| c.len() != 2) {
-                return None;
+impl<C: Cell> PassState for PairPass<'_, C> {
+    /// Adds every pair of live items in each of `transactions` to the
+    /// cells.
+    fn feed<'t>(&mut self, transactions: impl IntoIterator<Item = &'t [ItemId]>) {
+        let PairTable { rank, live } = self.table;
+        let live = *live;
+        let mut increments = 0u64;
+        for t in transactions {
+            self.ranks.clear();
+            self.ranks.extend(
+                t.iter()
+                    .filter_map(|i| rank.get(i.index()).copied())
+                    .filter(|&r| r != DEAD),
+            );
+            let n = self.ranks.len();
+            if n < 2 {
+                continue;
             }
-            PairTable::build(candidates)?
+            increments += (n * (n - 1) / 2) as u64;
+            for (j, &a) in self.ranks.iter().enumerate() {
+                let a = a as usize;
+                let start = row_start(a, live);
+                let row = &mut self.cells[start..start + (live - a - 1)];
+                for &b in &self.ranks[j + 1..] {
+                    row[b as usize - a - 1] += C::from(1);
+                }
+            }
         }
-    };
-    Some(table.count_in_memory(transactions, batch))
+        INCREMENTS.add(increments);
+    }
+
+    /// Adds `later`'s cells: the two count disjoint transactions, so a
+    /// sum fits a `C` when their transactions together do.
+    fn add(&mut self, later: Self) {
+        for (t, c) in self.cells.iter_mut().zip(later.cells) {
+            *t += c;
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::support::{count, PassSource};
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Rank maps built on this thread, admitted by the size rule or not.
+        pub(crate) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn row_offsets_enumerate_every_pair_once_in_order() {
@@ -523,11 +433,11 @@ mod tests {
             let transactions: Vec<Itemset> = (0..40u32)
                 .map(|t| Itemset::new((0..3 * live + 2).filter(|i| (i * 7 + t) % 5 < 2)))
                 .collect();
-            let table = PairTable::build(&candidates).expect("all pairs fit");
+            let table = PairTable::for_batch(Batch::Sets(&candidates)).expect("all pairs fit");
             assert_eq!(table.size(), candidates.len());
             let mut pass = table.start_pass::<u64>();
-            table.count(transactions.iter().map(Itemset::items), &mut pass);
-            let counts = table.counts(pairs_of(&candidates), &pass);
+            pass.feed(transactions.iter().map(Itemset::items));
+            let counts = table.counts(Batch::Sets(&candidates), &pass);
 
             let mut naive: BTreeMap<(ItemId, ItemId), u64> = BTreeMap::new();
             for t in &transactions {
@@ -559,21 +469,20 @@ mod tests {
         let transactions: Vec<Itemset> = (0..700u32)
             .map(|t| Itemset::new((0..40u32).filter(|i| (i * 5 + t) % 3 == 0)))
             .collect();
-        let table = PairTable::build(&candidates).expect("fits");
-        let narrow = table.counts(
-            pairs_of(&candidates),
-            &table.summed(table.chunk_passes::<u32>(&transactions)),
-        );
+        let table = PairTable::for_batch(Batch::Sets(&candidates)).expect("fits");
+        let batch = Batch::Sets(&candidates);
+        let mut source = &transactions[..];
+        let narrow = source
+            .pass(None, || table.start_pass::<u32>())
+            .expect("no I/O");
+        let wide = source
+            .pass(None, || table.start_pass::<u64>())
+            .expect("no I/O");
+        let narrow = table.counts(batch, &narrow);
+        assert_eq!(narrow, table.counts(batch, &wide));
         assert_eq!(
             narrow,
-            table.counts(
-                pairs_of(&candidates),
-                &table.summed(table.chunk_passes::<u64>(&transactions))
-            )
-        );
-        assert_eq!(
-            Some(narrow),
-            count_pairs(&transactions, Batch::Sets(&candidates)),
+            count(batch, &mut source).expect("no I/O"),
             "in-memory counting takes u32 cells"
         );
     }
@@ -609,27 +518,31 @@ mod tests {
             let triangle = Triangle::with(items, |a, b| keep(a.0 / 3, b.0 / 3));
             let list = triangle.itemsets();
             assert_eq!(triangle.len(), list.len(), "L = {l}");
-            let from_rows = PairTable::for_triangle(&triangle).expect("small");
-            let from_list = PairTable::build(&list).expect("small");
-            assert_eq!(from_rows.size(), from_list.size(), "L = {l}");
-            assert_eq!(from_rows.rank, from_list.rank, "L = {l}");
+            let from_rows = PairTable::for_batch(Batch::Pairs(&triangle)).expect("small");
+            // An empty list is no batch of pairs: the tree takes it.
+            match PairTable::for_batch(Batch::Sets(&list)) {
+                Some(from_list) => {
+                    assert_eq!(from_rows.size(), from_list.size(), "L = {l}");
+                    assert_eq!(from_rows.rank, from_list.rank, "L = {l}");
+                }
+                None => assert!(list.is_empty(), "L = {l}"),
+            }
+            let mut pass = from_rows.start_pass::<u64>();
+            pass.feed(transactions.iter().map(Itemset::items));
+            let by_rows = from_rows.counts(Batch::Pairs(&triangle), &pass);
             assert_eq!(
-                from_rows.pass_bytes::<u64>(),
-                from_list.pass_bytes::<u64>(),
+                by_rows,
+                from_rows.counts(Batch::Sets(&list), &pass),
                 "L = {l}"
             );
-            let mut pass = from_rows.start_pass::<u64>();
-            from_rows.count(transactions.iter().map(Itemset::items), &mut pass);
-            let by_rows = from_rows.triangle_counts(&triangle, &pass);
-            assert_eq!(by_rows, from_rows.counts(pairs_of(&list), &pass), "L = {l}");
             let naive: Vec<u64> = list
                 .iter()
                 .map(|c| transactions.iter().filter(|t| c.is_subset_of(t)).count() as u64)
                 .collect();
             assert_eq!(by_rows, naive, "L = {l}");
             assert_eq!(
-                count_pairs(&transactions, Batch::Pairs(&triangle)),
-                Some(naive),
+                count(Batch::Pairs(&triangle), &mut &transactions[..]).expect("no I/O"),
+                naive,
                 "L = {l}"
             );
         }
@@ -642,8 +555,8 @@ mod tests {
         let sparse: Vec<Itemset> = (0..65u32)
             .map(|i| Itemset::new([2 * i, 2 * i + 1]))
             .collect();
-        assert!(PairTable::build(&sparse).is_none());
+        assert!(PairTable::for_batch(Batch::Sets(&sparse)).is_none());
         // 64 pairs over 128 items: C(128, 2) = 8128 cells, within 8192.
-        assert!(PairTable::build(&sparse[..64]).is_some());
+        assert!(PairTable::for_batch(Batch::Sets(&sparse[..64])).is_some());
     }
 }

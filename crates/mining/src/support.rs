@@ -1,4 +1,5 @@
-//! Frequency-counting back-ends and the shared result type.
+//! Frequency-counting back-ends, the one counting pass, and the shared
+//! result type.
 //!
 //! Counting candidate supports against the transaction collection is "one
 //! of the key operations in data mining algorithms" — the operation the
@@ -6,30 +7,34 @@
 //! [`CountingBackend`]:
 //!
 //! * [`count_linear`] — for each transaction, test every candidate by a
-//!   sorted-subset merge. Simple and exactly proportional to the number of
-//!   candidates, which makes the OSSM's candidate reduction visible in
-//!   wall-clock time the way the paper's C implementation showed it. Its
-//!   time stays proportional to the candidates counted at every level.
-//! * the hash tree of [`crate::hashtree`] — the classical Apriori counting
-//!   structure, exposed through the same interface. A batch of pairs
-//!   counts in a pair table over the live items instead (`crate::pairs`),
-//!   in memory as out of core, whenever the table's size rule admits it:
-//!   one increment per pair of live items in a transaction, so a pair
-//!   eq. (1) prunes still costs its increment when both its items stay
-//!   live. The tree counts every other batch and every level `k ≥ 3`.
-//!   The level-wise miners hand level 2 over as a triangle of flags over
-//!   L1, which the table counts without a candidate list; a list is
-//!   built only for the linear scan, or when the size rule declines the
-//!   table and the tree needs one.
+//!   sorted-subset merge: exactly proportional to the candidates counted,
+//!   as the paper's C implementation was, and the reference the other
+//!   structures are tested against.
+//! * the hash-tree back-end, which counts through `count`, the dispatch
+//!   of every level-wise count in memory and out of core: a batch of
+//!   pairs counts in a pair table over its live items (`crate::pairs`)
+//!   when the table's size rule admits it, every other batch on the hash
+//!   tree of [`crate::hashtree`].
+//!
+//! Every such count is one pass of a `PassSource` over a counting state
+//! (a `PassState`: pair-table cells, a tree's counts, DHP's buckets). In
+//! memory the source is the transaction slice: one state per chunk of at
+//! least `MIN_TX_CHUNK` transactions runs on the `ossm_par` workers, and
+//! the states add up in chunk order, so the result is the same at any
+//! thread count. Out of core it is the page file, walked through the
+//! buffer pool under the batch's page mask with one state (`crate::ooc`):
+//! the resident case is the pool case with nothing to fetch.
 //!
 //! [`FrequentPatterns`] is the result type shared by all miners, so the
 //! cross-miner agreement tests can compare outputs structurally.
 
 use std::collections::BTreeMap;
+use std::io;
 
-use ossm_data::Itemset;
+use ossm_data::{ItemId, Itemset};
 
 use crate::levelwise::Batch;
+use crate::pairs::PairTable;
 
 /// Minimum transactions per parallel counting chunk: below this the merge
 /// overhead exceeds the counting work, so the scan stays on one thread.
@@ -109,51 +114,95 @@ fn count_linear_range(transactions: &[Itemset], candidates: &[Itemset]) -> Vec<u
     counts
 }
 
-/// Counts candidate supports with the configured back-end.
+/// Counts candidate supports with the configured back-end: on the hash
+/// tree through `count`, on the linear scan by [`count_linear`].
 pub fn count_with(
     backend: CountingBackend,
-    transactions: &[Itemset],
+    mut transactions: &[Itemset],
     candidates: &[Itemset],
 ) -> Vec<u64> {
+    if backend == CountingBackend::HashTree {
+        return count(Batch::Sets(candidates), &mut transactions)
+            .expect("in-memory counting does no I/O");
+    }
     MEM_CANDIDATES.set(candidate_bytes(candidates));
-    match backend {
-        CountingBackend::LinearScan => {
-            let _mem = ossm_obs::alloc_scope("mining.candidates");
-            count_linear(transactions, candidates)
-        }
-        CountingBackend::HashTree => {
-            // A batch of pairs counts in a pair table when the size rule
-            // admits it; the tree counts every other batch.
-            if let Some(counts) = crate::pairs::count_pairs(transactions, Batch::Sets(candidates)) {
-                return counts;
-            }
-            let _mem = ossm_obs::alloc_scope("mining.hashtree");
-            crate::hashtree::count_hash_tree(transactions, candidates)
-        }
+    let _mem = ossm_obs::alloc_scope("mining.candidates");
+    count_linear(transactions, candidates)
+}
+
+/// The counting state of one pass, fed transactions a slice at a time.
+pub(crate) trait PassState: Send {
+    /// Adds `transactions` (sorted item slices) to the state.
+    fn feed<'t>(&mut self, transactions: impl IntoIterator<Item = &'t [ItemId]>);
+    /// Adds the state of a later part of the same pass.
+    fn add(&mut self, later: Self);
+}
+
+/// Where a counting pass reads its transactions (see the module docs).
+pub(crate) trait PassSource {
+    /// The transactions one pass can visit, so at most what a state
+    /// counts.
+    fn transactions(&self) -> u64;
+    /// The pages a pass counting `batch` must read, or `None` for all.
+    fn pages_for(&self, _batch: Batch<'_>) -> Option<Vec<bool>> {
+        None
+    }
+    /// One pass over the pages `keep` marks (all when `None`), with
+    /// states begun by `start`; returns their sum.
+    fn pass<S: PassState>(
+        &mut self,
+        keep: Option<&[bool]>,
+        start: impl Fn() -> S + Sync,
+    ) -> io::Result<S>;
+}
+
+impl PassSource for &[Itemset] {
+    fn transactions(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn pass<S: PassState>(
+        &mut self,
+        _: Option<&[bool]>,
+        start: impl Fn() -> S + Sync,
+    ) -> io::Result<S> {
+        let transactions = *self;
+        let states = ossm_par::map_chunks(transactions.len(), MIN_TX_CHUNK, |r| {
+            let mut state = start();
+            state.feed(transactions[r].iter().map(Itemset::items));
+            state
+        });
+        let mut states = states.into_iter();
+        let mut total = states.next().unwrap_or_else(&start);
+        states.for_each(|later| total.add(later));
+        Ok(total)
     }
 }
 
-/// Counts a level loop's batch over in-memory `transactions` with
-/// `backend`. A level 2 triangle's flagged pairs count, in row order, in
-/// a pair table on the hash-tree back-end when its size rule admits them;
-/// otherwise, and on the linear scan, they count as a list.
-pub(crate) fn count_batch(
-    backend: CountingBackend,
-    transactions: &[Itemset],
-    batch: Batch<'_>,
-) -> Vec<u64> {
-    match batch {
-        Batch::Sets(candidates) => count_with(backend, transactions, candidates),
-        Batch::Pairs(triangle) => {
-            if backend == CountingBackend::HashTree {
-                MEM_CANDIDATES.set(triangle.memory_bytes());
-                if let Some(counts) = crate::pairs::count_pairs(transactions, batch) {
-                    return counts;
-                }
-            }
-            count_with(backend, transactions, &triangle.itemsets())
-        }
+/// Counts `batch` in one pass of `source` (one per candidate size for a
+/// mixed list), in the batch's order. The one place that picks the
+/// structure: a batch of pairs counts in a pair table when the table's
+/// size rule admits it, in `u32` cells when the source's transactions
+/// fit a `u32`; every other batch, and a batch the rule declines, counts
+/// on the hash tree.
+pub(crate) fn count(batch: Batch<'_>, source: &mut impl PassSource) -> io::Result<Vec<u64>> {
+    let keep = source.pages_for(batch);
+    let keep = keep.as_deref();
+    MEM_CANDIDATES.set(match batch {
+        Batch::Pairs(triangle) => triangle.memory_bytes(),
+        Batch::Sets(candidates) => candidate_bytes(candidates),
+    });
+    if let Some(table) = PairTable::for_batch(batch) {
+        return Ok(if u32::try_from(source.transactions()).is_ok() {
+            table.counts(batch, &source.pass(keep, || table.start_pass::<u32>())?)
+        } else {
+            table.counts(batch, &source.pass(keep, || table.start_pass::<u64>())?)
+        });
     }
+    let candidates = batch.list();
+    MEM_CANDIDATES.set(candidate_bytes(&candidates));
+    let _mem = ossm_obs::alloc_scope("mining.hashtree");
+    crate::hashtree::count_groups(&candidates, keep, source)
 }
 
 /// All frequent patterns of a mining run, with their exact supports.
@@ -262,6 +311,54 @@ mod tests {
         assert_eq!(count_linear(&txs, &cands), vec![3, 2, 1, 0]);
         assert_eq!(count_linear(&[], &cands), vec![0, 0, 0, 0]);
         assert_eq!(count_linear(&txs, &[]), Vec::<u64>::new());
+    }
+
+    /// Rank maps built on this thread so far.
+    fn built() -> usize {
+        crate::pairs::tests::BUILT.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn a_declined_triangle_builds_one_table_and_counts_on_the_tree() {
+        // 70 disjoint pairs {2i, 2i + 1}, each in 3 transactions, and a
+        // triangle over their 140 items flagging just those pairs:
+        // C(140, 2) = 9730 cells break the size rule.
+        let txs: Vec<Itemset> = (0..70u32)
+            .flat_map(|i| std::iter::repeat(set(&[2 * i, 2 * i + 1])).take(3))
+            .collect();
+        let items: Vec<ItemId> = (0..140u32).map(ItemId).collect();
+        let triangle = crate::pairs::Triangle::with(items, |a, b| a.0 % 2 == 0 && b.0 == a.0 + 1);
+        let expected = count_linear(&txs, &triangle.itemsets());
+        assert_eq!(expected, [3; 70]);
+        for threads in [1, 2, 8] {
+            ossm_par::set_threads(Some(threads));
+            let before = built();
+            let counts = count(Batch::Pairs(&triangle), &mut &txs[..]).expect("no I/O");
+            assert_eq!(counts, expected, "{threads} threads");
+            assert_eq!(built() - before, 1, "{threads} threads");
+        }
+        ossm_par::set_threads(None);
+
+        // DHP's buckets admit about those pairs, in memory and out of
+        // core: its level 2 is the one pair batch, and it is declined.
+        let d = ossm_data::Dataset::new(140, txs);
+        let before = built();
+        let mem = crate::Dhp::new(1 << 16).mine(&d, 3);
+        assert_eq!(built() - before, 1, "in memory");
+        let dir = std::env::temp_dir().join("ossm-support-tests");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("declined-{}.pages", std::process::id()));
+        ossm_data::disk::write_paged(&path, &d, 256).expect("write");
+        let mut store = ossm_data::disk::DiskStore::open(&path, 2).expect("open");
+        let before = built();
+        let disk = crate::StreamingDhp::new(1 << 16)
+            .mine(&mut store, 3, None)
+            .expect("mine");
+        assert_eq!(built() - before, 1, "out of core");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(mem.patterns.len(), 140 + 70);
+        assert_eq!(disk.patterns, mem.patterns);
+        assert_eq!(disk.metrics.levels, mem.metrics.levels);
     }
 
     #[test]

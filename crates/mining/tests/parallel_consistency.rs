@@ -90,17 +90,31 @@ fn every_backend_is_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(0x0551);
     // Enough transactions for several 256-transaction chunks; the domain
     // past the hash tree's fan-out makes items share buckets.
-    for m in [40, WIDE_DOMAIN] {
-        let txs = random_transactions(&mut rng, 1500, m);
-        let cands = random_candidates(&mut rng, 220, m);
-        let expected = oracle(&txs, &cands);
+    let mut cases: Vec<(String, Vec<Itemset>, Vec<Itemset>)> = [40, WIDE_DOMAIN]
+        .into_iter()
+        .map(|m| {
+            let txs = random_transactions(&mut rng, 1500, m);
+            (format!("m = {m}"), txs, random_candidates(&mut rng, 220, m))
+        })
+        .collect();
+    // A level-2 batch the pair table's size rule declines: 70 disjoint
+    // pairs over 140 live items need C(140, 2) = 9730 cells, more than
+    // max(4 · 70, 8192), so the hash tree counts them.
+    let declined: Vec<Itemset> = (0..70u32).map(|i| set(&[2 * i, 2 * i + 1])).collect();
+    cases.push((
+        "a declined pair batch".to_owned(),
+        random_transactions(&mut rng, 1500, 140),
+        declined,
+    ));
+    for (name, txs, cands) in &cases {
+        let expected = oracle(txs, cands);
         for backend in BACKENDS {
             for threads in [1usize, 2, 8] {
                 ossm_par::set_threads(Some(threads));
                 assert_eq!(
-                    count_with(backend, &txs, &cands),
+                    count_with(backend, txs, cands),
                     expected,
-                    "{backend:?} at {threads} threads, m = {m}"
+                    "{backend:?} at {threads} threads, {name}"
                 );
             }
         }

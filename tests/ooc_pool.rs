@@ -58,12 +58,30 @@ fn run(
     .expect("out-of-core mining")
 }
 
+/// The stores both oracle sweeps run: 24 seeded random datasets with a
+/// random threshold, then a level 2 that the pair table's size rule
+/// declines — 70 disjoint pairs {2i, 2i + 1}, each in 3 transactions,
+/// whose DHP buckets admit about those pairs over all 140 live items:
+/// C(140, 2) = 9730 cells break the rule, so the hash tree counts them.
+fn cases() -> Vec<(String, Dataset, u64)> {
+    let mut cases: Vec<_> = (0..24u64)
+        .map(|case| {
+            let mut rng = case_rng(0x00C_9001, case);
+            let d = random_dataset(&mut rng, 3, 10, 20, 120, false);
+            let min_support = rng.gen_range(1..=(d.len() as u64 / 4).max(1));
+            (format!("case {case}"), d, min_support)
+        })
+        .collect();
+    let declined: Vec<Itemset> = (0..70u32)
+        .flat_map(|i| std::iter::repeat(Itemset::new([2 * i, 2 * i + 1])).take(3))
+        .collect();
+    cases.push(("declined".to_owned(), Dataset::new(140, declined), 3));
+    cases
+}
+
 #[test]
 fn every_budget_reproduces_the_in_memory_oracle() {
-    for case in 0..24u64 {
-        let mut rng = case_rng(0x00C_9001, case);
-        let d = random_dataset(&mut rng, 3, 10, 20, 120, false);
-        let min_support = rng.gen_range(1..=(d.len() as u64 / 4).max(1));
+    for (case, d, min_support) in cases() {
         let oracle = Apriori::new().mine(&d, min_support).patterns;
         let ossm = greedy_ossm(&d, 4);
         let path = tmp_pages(&format!("oracle-{case}"), &d, 128);
@@ -74,7 +92,7 @@ fn every_budget_reproduces_the_in_memory_oracle() {
                     assert_eq!(
                         out.patterns,
                         oracle,
-                        "case {case}: {miner} diverged at {frames} frames \
+                        "{case}: {miner} diverged at {frames} frames \
                          (ossm: {})",
                         map.is_some()
                     );
@@ -90,10 +108,7 @@ fn unfiltered_level_metrics_match_the_in_memory_miners() {
     // Without an OSSM the page file changes only where transactions come
     // from: every level must generate, count, and keep exactly what the
     // in-memory miner does.
-    for case in 0..24u64 {
-        let mut rng = case_rng(0x00C_9001, case);
-        let d = random_dataset(&mut rng, 3, 10, 20, 120, false);
-        let min_support = rng.gen_range(1..=(d.len() as u64 / 4).max(1));
+    for (case, d, min_support) in cases() {
         let path = tmp_pages(&format!("levels-{case}"), &d, 128);
         for (miner, mem) in [
             ("apriori", Apriori::new().mine(&d, min_support)),
@@ -102,7 +117,7 @@ fn unfiltered_level_metrics_match_the_in_memory_miners() {
             let out = run(&path, 8, miner, min_support, None);
             assert_eq!(
                 out.metrics.levels, mem.metrics.levels,
-                "case {case}: {miner} level metrics diverged"
+                "{case}: {miner} level metrics diverged"
             );
         }
         std::fs::remove_file(&path).ok();
